@@ -14,7 +14,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from .backend import (
     CompletionClient,
@@ -28,6 +28,7 @@ from .model import (
     EntityLedger,
     EntityStatus,
     ExampleKind,
+    LabeledExample,
     MedicalEntity,
     Method,
     PromptKind,
@@ -203,7 +204,7 @@ def _select_examples(
     enc: Encounter,
     cfg: ChainConfig,
     deps: ChainDeps,
-):
+) -> list[LabeledExample]:
     if k == 0:
         return []
     pool = deps.pools.get(kind)
@@ -217,37 +218,96 @@ def _select_examples(
     return select_semantic(pool, query, k, deps.embedder)
 
 
-def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
-    params = default_params(kind)
-    req = CompletionRequest(prompt=prompt, params=params, prompt_kind=kind)
-    text = deps.client.complete(req)
+def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
+    """A request with its default parameters, and its cache key."""
+    req = CompletionRequest(prompt=prompt, params=default_params(kind), prompt_kind=kind)
+    return req, cache_key(req)
+
+
+def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
     log.trace.append(
-        TraceEntry(prompt_kind=kind, prompt_hash=cache_key(req), params=params.as_dict())
+        TraceEntry(prompt_kind=req.prompt_kind, prompt_hash=key, params=req.params.as_dict())
     )
+
+
+def _complete(req: CompletionRequest, key: str, deps: ChainDeps, log: RunLog) -> str:
+    text = deps.client.complete(req, key)
+    _traced(log, req, key)
     return text
+
+
+def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
+    return _complete(*_request(kind, prompt), deps, log)
+
+
+def _extraction_request(
+    kind: PromptKind,
+    text: str,
+    examples: list[LabeledExample],
+    enc: Encounter,
+    cfg: ChainConfig,
+    deps: ChainDeps,
+) -> tuple[CompletionRequest, str]:
+    """An RFE or turn-window extraction request (the template id is the
+    prompt kind's value), and its cache key."""
+    prompt = render(
+        deps.templates[kind.value],
+        input_text=text,
+        age=enc.age,
+        sex=enc.sex,
+        examples=examples,
+        budget=cfg.budget,
+    )
+    return _request(kind, prompt)
+
+
+def _rfe_request(
+    enc: Encounter, cfg: ChainConfig, deps: ChainDeps
+) -> tuple[CompletionRequest, str]:
+    examples = _select_examples(
+        ExampleKind.RFE_EXTRACTION, cfg.extraction_k, enc.rfe, enc, cfg, deps
+    )
+    return _extraction_request(PromptKind.RFE_EXTRACTION, enc.rfe, examples, enc, cfg, deps)
+
+
+def _extraction_requests(
+    enc: Encounter, cfg: ChainConfig, deps: ChainDeps
+) -> Iterator[tuple[str, CompletionRequest, str]]:
+    """(provenance tag, request, cache key) of every extraction call, in
+    chain order: the opening message ("rfe"), then each turn window
+    ("turn-pair <i>")."""
+    yield ("rfe", *_rfe_request(enc, cfg, deps))
+    # A random draw ignores the query text: one serves every window.
+    random_draw = None
+    for i, window in enumerate(pair_turns(enc.turns)):
+        text = window_text(window)
+        examples = random_draw
+        if examples is None:
+            examples = _select_examples(
+                ExampleKind.DIALOGUE_EXTRACTION, cfg.extraction_k, text, enc, cfg, deps
+            )
+            if cfg.selection_mode is SelectionMode.RANDOM:
+                random_draw = examples
+        request = _extraction_request(
+            PromptKind.DIALOGUE_EXTRACTION, text, examples, enc, cfg, deps
+        )
+        yield (f"turn-pair {i}", *request)
+
+
+def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:
+    entities, warnings = parse_entity_list(completion)
+    log.warnings.extend(f"{tag}: {w}" for w in warnings)
+    if not completion.strip():
+        log.warnings.append(f"{tag}: extraction completion was empty")
+    return [replace(e, provenance=(tag,)) for e in entities]
 
 
 def extract_rfe_entities(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> list[MedicalEntity]:
     """One extraction call on the patient's opening message; provenance "rfe"."""
-    examples = _select_examples(
-        ExampleKind.RFE_EXTRACTION, cfg.extraction_k, enc.rfe, enc, cfg, deps
-    )
-    prompt = render(
-        deps.templates["rfe_extraction"],
-        input_text=enc.rfe,
-        age=enc.age,
-        sex=enc.sex,
-        examples=examples,
-        budget=cfg.budget,
-    )
-    completion = _call(PromptKind.RFE_EXTRACTION, prompt, deps, log)
-    entities, warnings = parse_entity_list(completion)
-    log.warnings.extend(f"rfe: {w}" for w in warnings)
-    if not completion.strip():
-        log.warnings.append("rfe: extraction completion was empty")
-    return [replace(e, provenance=("rfe",)) for e in entities]
+    text = _complete(*_rfe_request(enc, cfg, deps), deps, log)
+    return _parse_extraction("rfe", text, log)
 
 
 def extract_turn_entities(
@@ -259,29 +319,12 @@ def extract_turn_entities(
     log: RunLog,
 ) -> list[MedicalEntity]:
     """One extraction call on a single turn window; provenance "turn-pair <i>"."""
+    text = window_text(window)
     examples = _select_examples(
-        ExampleKind.DIALOGUE_EXTRACTION,
-        cfg.extraction_k,
-        window_text(window),
-        enc,
-        cfg,
-        deps,
+        ExampleKind.DIALOGUE_EXTRACTION, cfg.extraction_k, text, enc, cfg, deps
     )
-    prompt = render(
-        deps.templates["dialogue_extraction"],
-        input_text=window_text(window),
-        age=enc.age,
-        sex=enc.sex,
-        examples=examples,
-        budget=cfg.budget,
-    )
-    completion = _call(PromptKind.DIALOGUE_EXTRACTION, prompt, deps, log)
-    entities, warnings = parse_entity_list(completion)
-    tag = f"turn-pair {window_index}"
-    log.warnings.extend(f"{tag}: {w}" for w in warnings)
-    if not completion.strip():
-        log.warnings.append(f"{tag}: extraction completion was empty")
-    return [replace(e, provenance=(tag,)) for e in entities]
+    request = _extraction_request(PromptKind.DIALOGUE_EXTRACTION, text, examples, enc, cfg, deps)
+    return _parse_extraction(f"turn-pair {window_index}", _complete(*request, deps, log), log)
 
 
 def collate(entity_lists: Iterable[Sequence[MedicalEntity]]) -> EntityLedger:
@@ -417,30 +460,71 @@ def summarize(
     return summary
 
 
+def _extract_all(
+    enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
+) -> list[list[MedicalEntity]]:
+    """Entities of the RFE and of every turn window, in chain order.
+
+    The requests are built first and then all sent through
+    `CompletionClient.submit`, so their calls overlap in one round;
+    completions are parsed, traced and warned about in chain order. A
+    failure raises ChainError naming the first stage that fails in that
+    order ("rfe extraction" or "turn extraction"), and cancels the
+    requests not yet started.
+    """
+    calls: list[tuple[str, CompletionRequest, str]] = []
+    build_error: Exception | None = None
+    try:
+        for call in _extraction_requests(enc, cfg, deps):
+            calls.append(call)
+    except Exception as exc:  # raised in its turn, after the calls before it
+        build_error = exc
+    futures = [deps.client.submit(req, key) for _, req, key in calls]
+    entity_lists: list[list[MedicalEntity]] = []
+    stage = "rfe extraction"
+    try:
+        for (tag, req, key), future in zip(calls, futures):
+            stage = "rfe extraction" if tag == "rfe" else "turn extraction"
+            text = future.result()
+            _traced(log, req, key)
+            entity_lists.append(_parse_extraction(tag, text, log))
+        if build_error is not None:
+            stage = "turn extraction" if calls else "rfe extraction"
+            raise build_error
+    except Exception as exc:
+        raise ChainError(enc.id, stage, exc) from exc
+    finally:
+        for future in futures:
+            future.cancel()
+    return entity_lists
+
+
 def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
     """Full staged run for one encounter.
 
+    The RFE request and one request per turn window go out together
+    through `CompletionClient.submit`; their completions are parsed and
+    collated in chain order (RFE first, then windows in order). The
+    resolver (if it fires) and the summary follow one after the other, so
+    the critical path is three stages: {RFE, windows} -> resolver ->
+    summary.
+
     Call count is always 1 (RFE) + one per turn window + 1 if the resolver
     fired + 1 (summarization); the record's trace carries exactly those
-    entries in order.
+    entries in that order, and the record is the one the stages would give
+    run one after another. On failure the ChainError names the first stage
+    that fails in that order; the extraction requests after it may still
+    have been sent.
     """
     log = RunLog()
-    stage = "rfe extraction"
+    entity_lists = _extract_all(enc, cfg, deps, log)
+    stage = "collation"
     try:
-        entity_lists: list[list[MedicalEntity]] = [
-            extract_rfe_entities(enc, cfg, deps, log)
-        ]
-        stage = "turn extraction"
-        for i, window in enumerate(pair_turns(enc.turns)):
-            entity_lists.append(extract_turn_entities(window, i, enc, cfg, deps, log))
-        stage = "collation"
         ledger = collate(entity_lists)
         stage = "unknown resolution"
         ledger = resolve_unknowns(ledger, enc, cfg, deps, log)
         stage = "summarization"
         summary = summarize(enc, ledger, cfg, deps, log)
-    except ChainError:
-        raise
     except Exception as exc:
         raise ChainError(enc.id, stage, exc) from exc
     return RunRecord(

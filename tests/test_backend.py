@@ -1,4 +1,7 @@
 import json
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -166,6 +169,107 @@ class TestCompletionClient:
             delay = policy.delay(i, rng)
             nominal = 2.0**i
             assert 0.9 * nominal <= delay <= 1.1 * nominal
+
+
+class TestSingleFlight:
+    def test_concurrent_identical_requests_share_one_transport_call(self):
+        def slow(req):
+            time.sleep(0.02)
+            return "shared text"
+
+        client, transport = make_client(slow)
+        barrier = threading.Barrier(8)
+        results = []
+
+        def caller():
+            barrier.wait(timeout=5)
+            results.append(client.complete(request_for("same prompt")))
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(transport.requests) == 1
+        assert results == ["shared text"] * 8
+
+    def test_failure_reaches_every_waiting_caller_and_is_not_cached(self):
+        def broken(req):
+            time.sleep(0.02)
+            raise BackendProtocolError("bad request")
+
+        client, transport = make_client(broken)
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def caller():
+            barrier.wait(timeout=5)
+            try:
+                client.complete(request_for("same prompt"))
+            except BackendProtocolError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=5)
+        assert not any(t.is_alive() for t in threads)
+        assert len(errors) == 4
+        assert len(transport.requests) == 1
+        with pytest.raises(BackendProtocolError):
+            client.complete(request_for("same prompt"))
+        assert len(transport.requests) == 2
+
+
+class TestSubmit:
+    def test_cache_and_store_hits_complete_on_the_calling_thread(self, tmp_path):
+        threads = []
+
+        def respond(req):
+            threads.append(threading.current_thread())
+            return f"echo:{req.prompt}"
+
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        stored, cached, fresh = (request_for(p) for p in ("stored", "cached", "fresh"))
+        store.put(cache_key(stored), stored.prompt_kind, "from the store")
+        client = CompletionClient(
+            RecordingTransport(ScriptedTransport(respond), store), sleeper=lambda _: None
+        )
+        client.complete(cached)
+        threads.clear()
+
+        for req, text in ((stored, "from the store"), (cached, "echo:cached")):
+            future = client.submit(req, cache_key(req))
+            assert future.done() and future.result() == text
+        assert threads == []
+        assert client.submit(fresh, cache_key(fresh)).result(timeout=5) == "echo:fresh"
+        assert threads and threads[0] is not threading.current_thread()
+
+    def test_replay_transport_peeks_its_store(self, tmp_path):
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        req = request_for("recorded")
+        store.put(cache_key(req), req.prompt_kind, "answer")
+        replay = ReplayTransport(store)
+        assert replay.peek(cache_key(req)) == "answer"
+        assert replay.peek(cache_key(request_for("other"))) is None
+        future = CompletionClient(replay).submit(req, cache_key(req))
+        assert future.done() and future.result() == "answer"
+
+    def test_transport_error_lands_in_the_future(self):
+        def broken(req):
+            raise BackendProtocolError("bad request")
+
+        client, _ = make_client(broken)
+        future = client.submit(request_for(), cache_key(request_for()))
+        with pytest.raises(BackendProtocolError):
+            future.result(timeout=5)
 
 
 class TestRetryPolicy:

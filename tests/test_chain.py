@@ -1,10 +1,15 @@
 import json
+import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medsum.backend import default_params
+import medsum.backend as backend
+import medsum.chain as chain
+from medsum.backend import TransientBackendError, default_params
 from medsum.chain import (
     ChainConfig,
     ChainDeps,
@@ -30,12 +35,14 @@ from medsum.model import (
     MedicalEntity,
     Method,
     PromptKind,
+    RunRecord,
     Speaker,
     Turn,
 )
 from medsum.promptkit import serialize_ledger
 from medsum.selection import build_index
 from medsum.backend import HashEmbedder
+from medsum.model import Encounter
 
 from conftest import (
     SIX_SECTION_SUMMARY,
@@ -542,3 +549,247 @@ class TestRunMany:
         assert outcomes[0].record is None
         assert isinstance(outcomes[0].error, ChainError)
         assert outcomes[1].record is not None
+
+
+def run_in_thread(fn, timeout=30):
+    """Run fn on a thread and return its result; fail if it is still
+    running after `timeout` seconds (a deadlock)."""
+    box = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:  # handed to the test thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"still running after {timeout} s"
+    if "error" in box:
+        raise box["error"]
+    return box["result"]
+
+
+class TestFanOut:
+    def test_windows_are_in_flight_together(self, templates, pools):
+        # Four windows; each window call waits until all four have arrived,
+        # which one-after-another calls never would.
+        arrived = threading.Barrier(4, timeout=5)
+
+        def responder(req):
+            if req.prompt_kind is PromptKind.DIALOGUE_EXTRACTION:
+                arrived.wait()
+            return scripted_pipeline_responder(req)
+
+        client, _ = make_client(responder)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        record = run_medsum_ent(make_encounter(n_turns=8), ChainConfig(), deps)
+        assert len(record.llm_call_trace) == 6
+
+    def test_max_in_flight_bounds_one_encounter(self, templates, pools):
+        lock = threading.Lock()
+        state = {"current": 0, "peak": 0}
+
+        def slow(req):
+            with lock:
+                state["current"] += 1
+                state["peak"] = max(state["peak"], state["current"])
+            time.sleep(0.005)
+            with lock:
+                state["current"] -= 1
+            return scripted_pipeline_responder(req)
+
+        client, transport = make_client(slow, max_in_flight=2)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        record = run_medsum_ent(make_encounter(n_turns=20), ChainConfig(), deps)
+        assert len(transport.requests) == len(record.llm_call_trace) == 12
+        assert state["peak"] <= 2
+
+    def test_run_many_with_one_slot_does_not_deadlock(self, templates, pools):
+        client, _ = make_client(scripted_pipeline_responder, max_in_flight=1)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        encounters = [
+            make_encounter(enc_id=f"enc-{i:03d}", n_turns=12, with_belly=True) for i in range(8)
+        ]
+        outcomes = run_in_thread(
+            lambda: run_many(encounters, ChainConfig(), deps, Method.MEDSUM_ENT, workers=4)
+        )
+        assert all(o.record is not None for o in outcomes)
+
+    def test_degenerate_rfe_fails_while_windows_are_in_flight(self, templates, pools):
+        release = threading.Event()
+
+        def responder(req):
+            if req.prompt_kind is PromptKind.RFE_EXTRACTION:
+                return "degenerate text, never parseable"
+            release.wait(timeout=5)
+            return scripted_pipeline_responder(req)
+
+        client, _ = make_client(responder)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        try:
+            with pytest.raises(ChainError) as excinfo:
+                run_medsum_ent(make_encounter(n_turns=8), ChainConfig(), deps)
+            assert excinfo.value.stage == "rfe extraction"
+            assert not release.is_set()
+        finally:
+            release.set()
+
+    def test_failing_window_build_reports_the_first_failing_stage(self, templates, pools):
+        del pools[ExampleKind.DIALOGUE_EXTRACTION]
+        enc = make_encounter()
+        client, transport = make_client(scripted_pipeline_responder)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        with pytest.raises(ChainError) as excinfo:
+            run_medsum_ent(enc, ChainConfig(), deps)
+        assert excinfo.value.stage == "turn extraction"
+        assert [r.prompt_kind for r in transport.requests] == [PromptKind.RFE_EXTRACTION]
+
+        client, _ = make_client(lambda req: "degenerate text, never parseable")
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        with pytest.raises(ChainError) as excinfo:
+            run_medsum_ent(enc, ChainConfig(), deps)
+        assert excinfo.value.stage == "rfe extraction"
+
+    def test_random_examples_drawn_once_per_encounter_and_kind(
+        self, scripted_deps, monkeypatch
+    ):
+        deps, _ = scripted_deps
+        draws = []
+        select_random = chain.select_random
+
+        def counted(pool, k, seed):
+            draws.append(pool.kind)
+            return select_random(pool, k, seed)
+
+        monkeypatch.setattr(chain, "select_random", counted)
+        cfg = ChainConfig(extraction_k=3, summarization_k=1)
+        run_medsum_ent(make_encounter(n_turns=12), cfg, deps)
+        assert sorted(draws) == sorted(
+            [ExampleKind.RFE_EXTRACTION, ExampleKind.DIALOGUE_EXTRACTION, ExampleKind.SUMMARIZATION]
+        )
+
+    @pytest.mark.parametrize("runner", [run_medsum_ent, run_naive_baseline])
+    def test_cache_key_computed_once_per_request(self, scripted_deps, monkeypatch, runner):
+        deps, transport = scripted_deps
+        keys = []
+        cache_key = backend.cache_key
+
+        def counted(req):
+            keys.append(req)
+            return cache_key(req)
+
+        monkeypatch.setattr(backend, "cache_key", counted)
+        monkeypatch.setattr(chain, "cache_key", counted)
+        record = runner(make_encounter(with_belly=True), ChainConfig(), deps)
+        assert len(keys) == len(transport.requests) == len(record.llm_call_trace)
+
+
+# Window texts the responder below treats differently: an unknown the
+# resolver settles, a definite entity, an empty completion, a stray line.
+_TURN_TEXTS = ("Does your belly hurt?", "Any fever?", "How is the weather?", "stray", "ok")
+
+
+def _fan_out_responder(req):
+    live_input = req.prompt.rpartition("Patient sex:")[2]
+    if req.prompt_kind is PromptKind.DIALOGUE_EXTRACTION:
+        if "weather" in live_input:
+            return ""
+        if "stray" in live_input:
+            return "- cough (present)\nsome stray commentary line"
+    return scripted_pipeline_responder(req)
+
+
+class FlakyDelayedTransport:
+    """Answers like _fan_out_responder after a random delay of up to 3 ms,
+    and fails the first attempt of a random share of distinct requests."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.seen = set()
+        self.lock = threading.Lock()
+
+    def send(self, req):
+        rng = random.Random(f"{self.seed}/{req.prompt_kind.value}/{req.prompt}")
+        time.sleep(rng.random() * 0.003)
+        with self.lock:
+            first = req.prompt not in self.seen
+            self.seen.add(req.prompt)
+        if first and rng.random() < 0.3:
+            raise TransientBackendError("injected first-attempt failure")
+        return _fan_out_responder(req)
+
+
+def _serial_record(enc, cfg, deps):
+    """The staged run, one stage call after another through the public
+    stage functions."""
+    log = RunLog()
+    lists = [extract_rfe_entities(enc, cfg, deps, log)]
+    for i, window in enumerate(pair_turns(enc.turns)):
+        lists.append(extract_turn_entities(window, i, enc, cfg, deps, log))
+    ledger = resolve_unknowns(collate(lists), enc, cfg, deps, log)
+    summary = summarize(enc, ledger, cfg, deps, log)
+    return RunRecord(
+        encounter_id=enc.id,
+        method=Method.MEDSUM_ENT,
+        config=cfg.snapshot(),
+        ledger=ledger,
+        summary=summary,
+        llm_call_trace=tuple(log.trace),
+        warnings=tuple(log.warnings),
+    )
+
+
+def _record_json(record):
+    return json.dumps(record.to_json_dict(), sort_keys=True)
+
+
+_turns = st.lists(
+    st.builds(Turn, st.sampled_from(list(Speaker)), st.sampled_from(_TURN_TEXTS)),
+    min_size=1,
+    max_size=14,
+)
+
+
+_EMBEDDER = HashEmbedder(16)
+_INDEXED_POOLS = {kind: build_index(make_pool(kind), _EMBEDDER) for kind in ExampleKind}
+
+
+@given(
+    turn_lists=st.lists(_turns, min_size=1, max_size=4),
+    extraction_k=st.sampled_from((1, 3, 5)),
+    selection_mode=st.sampled_from(list(SelectionMode)),
+    resolver_enabled=st.booleans(),
+    workers=st.sampled_from((1, 2, 8)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_fan_out_records_equal_serial_records(
+    templates, turn_lists, extraction_k, selection_mode, resolver_enabled, workers, seed
+):
+    encounters = [
+        Encounter(id=f"enc-{i}", rfe="UTI", age=46, sex="female", turns=tuple(turns))
+        for i, turns in enumerate(turn_lists)
+    ]
+    cfg = ChainConfig(
+        extraction_k=extraction_k,
+        selection_mode=selection_mode,
+        resolver_enabled=resolver_enabled,
+        run_seed=seed,
+    )
+
+    def deps_for(client):
+        return ChainDeps(
+            client=client, templates=templates, pools=_INDEXED_POOLS, embedder=_EMBEDDER
+        )
+
+    serial_client, _ = make_client(_fan_out_responder, max_in_flight=1)
+    serial_deps = deps_for(serial_client)
+    expected = [_record_json(_serial_record(enc, cfg, serial_deps)) for enc in encounters]
+
+    deps = deps_for(
+        backend.CompletionClient(FlakyDelayedTransport(seed), sleeper=lambda _: None)
+    )
+    outcomes = run_many(encounters, cfg, deps, Method.MEDSUM_ENT, workers=workers)
+    assert [_record_json(o.record) for o in outcomes] == expected
