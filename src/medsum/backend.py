@@ -12,13 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import threading
 import time
+import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Any, Callable, Protocol
+from typing import IO, Any, Callable, Protocol
 
 import numpy as np
 
@@ -101,6 +104,12 @@ class CompletionParams:
             raise ValueError("max_tokens must be positive")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p {self.top_p} outside (0, 1]")
+        # The sorted, compact JSON of as_dict(), built once for cache_key.
+        object.__setattr__(
+            self,
+            "_json",
+            json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")),
+        )
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -150,16 +159,25 @@ class CompletionRequest:
         return cls(prompt=prompt, params=params or default_params(kind), prompt_kind=kind)
 
 
+# The end of the hashed text for each prompt kind; see cache_key.
+_KIND_TAIL = {kind: ',"prompt_kind":' + _json_string(kind.value) + "}" for kind in PromptKind}
+
+
 def cache_key(req: CompletionRequest) -> str:
-    """Content hash over (prompt_kind, prompt, params); stable across runs."""
-    payload = json.dumps(
-        {
-            "prompt_kind": req.prompt_kind.value,
-            "prompt": req.prompt,
-            "params": req.params.as_dict(),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    """Content hash over (prompt_kind, prompt, params); stable across runs.
+
+    The hashed text is json.dumps({"prompt_kind": ..., "prompt": ...,
+    "params": params.as_dict()}, sort_keys=True, separators=(",", ":")),
+    spliced from its pieces: the params' JSON is built once per params
+    object, and the prompt is escaped by the same ASCII-only string encoder
+    json.dumps uses, so the bytes are the same.
+    """
+    payload = (
+        '{"params":'
+        + req.params._json
+        + ',"prompt":'
+        + _json_string(req.prompt)
+        + _KIND_TAIL[req.prompt_kind]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -197,7 +215,10 @@ class Transport(Protocol):
     """Raw completion call, no retry or caching.
 
     A transport backed by a store may also offer `peek(key) -> str | None`,
-    the stored response for a cache key without sending anything.
+    the stored response for a cache key without sending anything. Such a
+    transport is its client's only cache: its `send(req, key=None)` takes
+    the request's cache key when the caller has it, and keeps every text it
+    returns where `peek` finds it.
     """
 
     def send(self, req: CompletionRequest) -> str: ...
@@ -243,8 +264,6 @@ class HTTPTransport:
         self._session = session or requests.Session()
 
     def send(self, req: CompletionRequest) -> str:
-        import os
-
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -274,18 +293,33 @@ class HTTPTransport:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
 
 
+_json_decoder = json.JSONDecoder()
+
+
 class ReplayStore:
     """Persistent map from cache key to completion text.
 
     File format: one JSON object per line with keys key_hex, prompt_kind,
     response_text. On load, a later line for the same key wins. Appends are
-    serialized through a lock, so a store may back concurrent recording.
+    serialized through a lock, so a store may back concurrent recording;
+    each is written and flushed to the OS before `put` returns.
+
+    A last line with no newline after it is what a run killed mid-append
+    leaves. If it does not parse, load drops it with a warning and the
+    first `put` cuts it off the file; if it does, the first `put` ends it
+    with a newline. Corruption anywhere else is a ReplayStoreError.
     """
 
     def __init__(self, path: str | Path, create: bool = False):
         self.path = Path(path)
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
+        self._append: IO[str] | None = None
+        self._append_finalizer: weakref.finalize | None = None
+        # Set by _load for the first put: where a torn last line starts,
+        # or that the last line parsed but has no newline.
+        self._cut_at: int | None = None
+        self._needs_newline = False
         if self.path.exists():
             self._load()
         elif create:
@@ -295,30 +329,40 @@ class ReplayStore:
             raise ReplayStoreError(f"replay store not found: {self.path}")
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    item = json.loads(line)
-                    key = item["key_hex"]
-                    text = item["response_text"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise ReplayStoreError(
-                        f"{self.path}: corrupt entry at line {lineno}: {exc}"
-                    ) from exc
-                self._entries[key] = text
+        decode = _json_decoder.decode  # json.loads without its per-call checks
+        line = ""
+        try:
+            with self.path.open("r", encoding="utf-8", newline="\n") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        item = decode(line)
+                        self._entries[item["key_hex"]] = item["response_text"]
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if not line.strip():
+                            continue
+                        if line.endswith("\n"):
+                            raise ReplayStoreError(
+                                f"{self.path}: corrupt entry at line {lineno}: {exc}"
+                            ) from exc
+                        logger.warning(
+                            "%s: dropping torn last line %d (%s); the next record replaces it",
+                            self.path,
+                            lineno,
+                            exc,
+                        )
+                        size = os.fstat(fh.fileno()).st_size
+                        self._cut_at = size - len(line.encode("utf-8"))
+                        return
+        except UnicodeDecodeError as exc:
+            raise ReplayStoreError(f"{self.path}: not UTF-8 text: {exc}") from exc
+        self._needs_newline = bool(line) and not line.endswith("\n")
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)
 
     def put(self, key: str, prompt_kind: PromptKind | str, response_text: str) -> None:
-        with self._lock:
-            if self._entries.get(key) == response_text:
-                return
-            self._entries[key] = response_text
-            line = json.dumps(
+        line = (
+            json.dumps(
                 {
                     "key_hex": key,
                     "prompt_kind": PromptKind(prompt_kind).value,
@@ -327,8 +371,35 @@ class ReplayStore:
                 sort_keys=True,
                 separators=(",", ":"),
             )
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            + "\n"
+        )
+        with self._lock:
+            if self._entries.get(key) == response_text:
+                return
+            if self._append is None:
+                self._open_append()
+            self._append.write(line)
+            self._append.flush()
+            self._entries[key] = response_text
+
+    def _open_append(self) -> None:
+        """Open the append handle, first ending or cutting off a torn tail."""
+        if self._cut_at is not None:
+            os.truncate(self.path, self._cut_at)
+        fh = self.path.open("a", encoding="utf-8")
+        if self._needs_newline:
+            fh.write("\n")
+        self._cut_at, self._needs_newline = None, False
+        self._append = fh
+        # Closes the handle on close() or when the store is collected.
+        self._append_finalizer = weakref.finalize(self, fh.close)
+
+    def close(self) -> None:
+        """Close the append handle, if a put opened one; a later put reopens it."""
+        with self._lock:
+            if self._append_finalizer is not None:
+                self._append_finalizer()
+            self._append = self._append_finalizer = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -340,8 +411,8 @@ class ReplayTransport:
     def __init__(self, store: ReplayStore):
         self.store = store
 
-    def send(self, req: CompletionRequest) -> str:
-        key = cache_key(req)
+    def send(self, req: CompletionRequest, key: str | None = None) -> str:
+        key = key or cache_key(req)
         text = self.store.get(key)
         if text is None:
             raise ReplayMissError(key)
@@ -360,8 +431,8 @@ class RecordingTransport:
         self.inner = inner
         self.store = store
 
-    def send(self, req: CompletionRequest) -> str:
-        key = cache_key(req)
+    def send(self, req: CompletionRequest, key: str | None = None) -> str:
+        key = key or cache_key(req)
         stored = self.store.get(key)
         if stored is not None:
             return stored
@@ -425,9 +496,14 @@ class CompletionClient:
 
     Safe under arbitrary concurrent callers. The cache is content-addressed
     over (prompt_kind, prompt, params) and stores raw completion text, so
-    parser changes never invalidate it. Concurrent calls with one key share
-    a single transport call (single-flight): all get its text, or all get
-    its error. `max_in_flight` bounds concurrent transport calls when set.
+    parser changes never invalidate it. A transport with a store (one that
+    offers `peek`) is the whole cache: a stored text is served without
+    calling `send`, and `send` stores what it fetches. Over any other
+    transport the client keeps the texts in memory. Each call computes its
+    cache key once, unless the caller passes it, and looks it up once.
+    Concurrent calls with one key share a single transport call
+    (single-flight): all get its text, or all get its error. `max_in_flight`
+    bounds concurrent transport calls when set.
 
     `submit` fans independent requests out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
@@ -446,7 +522,9 @@ class CompletionClient:
         self._policy = retry_policy or RetryPolicy()
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
-        self._cache: dict[str, str] = {}
+        peek = getattr(transport, "peek", None)
+        self._memory: dict[str, str] | None = None if peek else {}
+        self._lookup: Callable[[str], str | None] = peek or self._memory.get
         self._flights: dict[str, Future[str] | None] = {}
         self._lock = threading.Lock()
         self._gate = (
@@ -458,12 +536,17 @@ class CompletionClient:
         """The completion text for `req`. `key` is `cache_key(req)`, when the
         caller has already computed it."""
         key = key or cache_key(req)
+        text = self._lookup(key)
+        if text is not None:
+            return text
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
             leader = key not in self._flights
             if leader:
+                # The flight that fetched this text may have landed since
+                # the lookup above.
+                text = self._lookup(key)
+                if text is not None:
+                    return text
                 # A flight gets a future only once a second caller needs
                 # something to wait on.
                 self._flights[key] = None
@@ -474,7 +557,7 @@ class CompletionClient:
         if not leader:
             return flight.result()
         try:
-            text = self._send_with_retries(req)
+            text = self._send_with_retries(req, key)
         except BaseException as exc:
             with self._lock:
                 flight = self._flights.pop(key)
@@ -482,7 +565,8 @@ class CompletionClient:
                 flight.set_exception(exc)
             raise
         with self._lock:
-            self._cache[key] = text
+            if self._memory is not None:
+                self._memory[key] = text
             flight = self._flights.pop(key)
         if flight is not None:
             flight.set_result(text)
@@ -491,12 +575,12 @@ class CompletionClient:
     def submit(self, req: CompletionRequest, key: str) -> Future[str]:
         """Start `complete(req, key)` and return its future.
 
-        A request that the memory cache or the transport's store can serve
-        completes on the calling thread before this returns; any other runs
-        on the fan-out executor. Never call this from a task running on
-        that executor: a worker waiting on its own pool can deadlock it.
+        A request that the cache can serve completes on the calling thread
+        before this returns; any other runs on the fan-out executor. Never
+        call this from a task running on that executor: a worker waiting on
+        its own pool can deadlock it.
         """
-        if not self._served_locally(key):
+        if self._lookup(key) is None:
             executor = _fan_out_executor(self._fan_out_width)
             return executor.submit(self.complete, req, key)
         future: Future[str] = Future()
@@ -506,17 +590,10 @@ class CompletionClient:
             future.set_exception(exc)
         return future
 
-    def _served_locally(self, key: str) -> bool:
-        with self._lock:
-            if key in self._cache:
-                return True
-        peek = getattr(self._transport, "peek", None)
-        return peek is not None and peek(key) is not None
-
-    def _send_with_retries(self, req: CompletionRequest) -> str:
+    def _send_with_retries(self, req: CompletionRequest, key: str) -> str:
         for attempt in range(1, self._policy.max_attempts + 1):
             try:
-                return self._send(req)
+                return self._send(req, key)
             except TransientBackendError as exc:
                 if attempt == self._policy.max_attempts:
                     raise RetryExhaustedError(attempt, exc) from exc
@@ -530,11 +607,13 @@ class CompletionClient:
                 self._sleep(delay)
         raise AssertionError("unreachable: max_attempts is positive")
 
-    def _send(self, req: CompletionRequest) -> str:
+    def _send(self, req: CompletionRequest, key: str) -> str:
+        # A store-backed transport keeps the text under the client's key.
+        args = (req,) if self._memory is not None else (req, key)
         if self._gate is None:
-            return self._transport.send(req)
+            return self._transport.send(*args)
         with self._gate:
-            return self._transport.send(req)
+            return self._transport.send(*args)
 
 
 class EmbeddingGateway(Protocol):

@@ -20,10 +20,8 @@ from .backend import (
     CompletionClient,
     HashEmbedder,
     HTTPTransport,
-    ReplayStore,
-    ReplayTransport,
-    RecordingTransport,
     Transport,
+    record_replay_store,
 )
 from .chain import ChainConfig, ChainDeps, Method, SelectionMode, run_many
 from .metrics import (
@@ -156,11 +154,15 @@ def load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
-def build_chain_config(config: dict[str, Any], seed_override: int | None) -> ChainConfig:
-    budget = TokenBudget(
+def build_budget(config: dict[str, Any]) -> TokenBudget:
+    return TokenBudget(
         max_context_tokens=int(config.get("max_context_tokens", 4096)),
         inflation_factor=float(config.get("inflation_factor", 1.3)),
     )
+
+
+def build_chain_config(config: dict[str, Any], seed_override: int | None) -> ChainConfig:
+    budget = build_budget(config)
     try:
         return ChainConfig(
             extraction_k=int(config.get("extraction_k", 1)),
@@ -184,13 +186,13 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
         store = Path(store_path)
         if not store.exists():
             raise CliError(f"replay store not found: {store}")
-        return ReplayTransport(ReplayStore(store))
+        return record_replay_store(store, mode)
     endpoint = config.get("endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
     live = HTTPTransport(endpoint, model=config.get("model", "completion-model"))
     if mode == "record":
-        return RecordingTransport(live, ReplayStore(store_path, create=True))
+        return record_replay_store(store_path, mode, live)
     return live
 
 
@@ -336,10 +338,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         config = load_config(args.config)
         client = CompletionClient(build_transport(args, config))
         templates = load_templates(config.get("templates_dir"))
-        budget = TokenBudget(
-            max_context_tokens=int(config.get("max_context_tokens", 4096)),
-            inflation_factor=float(config.get("inflation_factor", 1.3)),
-        )
+        budget = build_budget(config)
         extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
         verifier = LLMVerifier(client, templates["metric_verification"], budget)
 

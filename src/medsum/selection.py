@@ -10,7 +10,7 @@ seed reproduces the same draw on every platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +50,13 @@ class ExamplePool:
     """Labeled examples for one prompt family, optionally with an embedding index.
 
     The index holds one row per example, aligned by position; treat pools as
-    immutable once built.
+    immutable once built. `row_norms` holds the index rows' Euclidean norms.
     """
 
     kind: ExampleKind
     examples: tuple[LabeledExample, ...]
     index: np.ndarray | None = None
+    row_norms: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.kind = ExampleKind(self.kind)
@@ -65,8 +66,10 @@ class ExamplePool:
                 raise SelectionError(
                     f"example of kind {example.kind.value} in {self.kind.value} pool"
                 )
-        if self.index is not None and len(self.index) != len(self.examples):
-            raise SelectionError("index size does not match pool size")
+        if self.index is not None:
+            if len(self.index) != len(self.examples):
+                raise SelectionError("index size does not match pool size")
+            self.row_norms = np.sqrt((self.index * self.index).sum(axis=1))
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -147,17 +150,19 @@ def select_semantic(
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
     query_vector = np.asarray(embedder.embed(query.render()), dtype=float)
-    similarities = _cosine_scores(pool.index, query_vector)
-    ranked = sorted(range(len(pool)), key=lambda i: (-similarities[i], i))
-    return [pool.examples[i] for i in ranked[:k]]
+    similarities = _cosine_scores(pool.index, pool.row_norms, query_vector)
+    # A stable sort keeps equal scores in id order.
+    ranked = np.argsort(-similarities, kind="stable")[:k]
+    return [pool.examples[i] for i in ranked]
 
 
-def _cosine_scores(index: np.ndarray, query_vector: np.ndarray) -> np.ndarray:
+def _cosine_scores(
+    index: np.ndarray, row_norms: np.ndarray, query_vector: np.ndarray
+) -> np.ndarray:
     # Elementwise multiply + per-row sum rather than a BLAS matvec: BLAS may
     # accumulate different rows in different orders, so bit-identical rows
     # could score apart by one ulp and defeat the deterministic tie rule.
     dots = (index * query_vector).sum(axis=1)
-    row_norms = np.sqrt((index * index).sum(axis=1))
     query_norm = np.sqrt(float(query_vector @ query_vector))
     denom = row_norms * query_norm
     scores = np.zeros(len(index))

@@ -1,11 +1,18 @@
+import hashlib
 import json
+import logging
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import medsum.backend as backend
 from medsum.backend import (
     BackendProtocolError,
     CompletionClient,
@@ -89,9 +96,42 @@ class TestCacheKey:
             sort_keys=True,
             separators=(",", ":"),
         )
-        import hashlib
-
         assert cache_key(req) == hashlib.sha256(expected_payload.encode()).hexdigest()
+
+    def test_pinned_key(self):
+        # A key of an existing store: a change here makes every recorded
+        # store miss.
+        req = CompletionRequest.build(
+            "dialogue_extraction", "Doctor: Any fever?\nPatient: No fever — none at all."
+        )
+        assert cache_key(req) == (
+            "81db519273139defb63da62e6b44df440752b0ee286fb081a34dd536bb8ce78e"
+        )
+
+    @given(
+        prompt=st.text(
+            st.one_of(
+                st.characters(exclude_categories=()),  # surrogates included
+                st.sampled_from('"\\/\x00\x07\x1f\x7f\n\r\t\u2028é—\ud800\udbff\udc00\udfff'),
+            ),
+            min_size=1,
+        ),
+        kind=st.sampled_from(PromptKind),
+        params=st.builds(
+            CompletionParams,
+            temperature=st.floats(0.0, 2.0),
+            max_tokens=st.integers(1, 10**9),
+            top_p=st.floats(0.0, 1.0, exclude_min=True),
+        ),
+    )
+    def test_matches_the_json_dumps_reference(self, prompt, kind, params):
+        req = CompletionRequest(prompt=prompt, params=params, prompt_kind=kind)
+        payload = json.dumps(
+            {"prompt_kind": kind.value, "prompt": prompt, "params": params.as_dict()},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert cache_key(req) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def test_every_field_feeds_the_key(self):
         base = request_for("hello", PromptKind.SUMMARIZATION)
@@ -226,6 +266,95 @@ class TestSingleFlight:
         with pytest.raises(BackendProtocolError):
             client.complete(request_for("same prompt"))
         assert len(transport.requests) == 2
+
+
+def counted_cache_key(monkeypatch):
+    """Count every cache_key call made through the backend module."""
+    keys = []
+    original = backend.cache_key
+
+    def counted(req):
+        keys.append(original(req))
+        return keys[-1]
+
+    monkeypatch.setattr(backend, "cache_key", counted)
+    return keys
+
+
+class TestStoreBackedClient:
+    def test_replay_client_keys_each_call_once(self, tmp_path, monkeypatch):
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        recorded, missing = request_for("recorded"), request_for("never recorded")
+        store.put(cache_key(recorded), recorded.prompt_kind, "answer")
+        client = CompletionClient(ReplayTransport(store), sleeper=lambda _: None)
+        keys = counted_cache_key(monkeypatch)
+        assert client.complete(recorded) == "answer"
+        assert keys == [cache_key(recorded)]
+        with pytest.raises(ReplayMissError) as excinfo:
+            client.complete(missing)
+        assert keys == [cache_key(recorded), cache_key(missing)]
+        assert excinfo.value.key == cache_key(missing)
+
+    def test_store_hits_never_reach_send_and_are_not_copied(self, tmp_path):
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        req = request_for("recorded")
+        store.put(cache_key(req), req.prompt_kind, "first")
+        transport = ReplayTransport(store)
+        sends = []
+        transport.send = lambda *args: sends.append(args)
+        client = CompletionClient(transport)
+        assert client.complete(req) == client.submit(req, cache_key(req)).result() == "first"
+        # The store is the only cache: what it holds now is what is served.
+        store.put(cache_key(req), req.prompt_kind, "second")
+        assert client.complete(req) == "second"
+        assert sends == []
+
+    def test_record_mode_keys_once_and_persists_once(self, tmp_path, monkeypatch):
+        store_path = tmp_path / "store.jsonl"
+        live = ScriptedTransport(lambda req: f"echo:{req.prompt}")
+        client = CompletionClient(
+            RecordingTransport(live, ReplayStore(store_path, create=True)),
+            sleeper=lambda _: None,
+        )
+        req = request_for("fresh")
+        keys = counted_cache_key(monkeypatch)
+        assert client.complete(req) == client.complete(req) == "echo:fresh"
+        assert keys == [cache_key(req)] * 2
+        assert len(live.requests) == 1
+        lines = store_path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["key_hex"] for line in lines] == [cache_key(req)]
+
+    def test_concurrent_recording_sends_each_key_once(self, tmp_path):
+        def slow(req):
+            time.sleep(0.005)
+            return f"echo:{req.prompt}"
+
+        store_path = tmp_path / "store.jsonl"
+        live = ScriptedTransport(slow)
+        client = CompletionClient(
+            RecordingTransport(live, ReplayStore(store_path, create=True)),
+            sleeper=lambda _: None,
+        )
+        prompts = [f"prompt {i % 5}" for i in range(40)]
+        results = {}
+
+        def caller(i):
+            results[i] = client.complete(request_for(prompts[i]))
+
+        threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: f"echo:{prompts[i]}" for i in range(40)}
+        assert sorted(req.prompt for req in live.requests) == sorted(set(prompts))
+        assert len(store_path.read_text(encoding="utf-8").splitlines()) == 5
 
 
 class TestSubmit:
@@ -375,6 +504,113 @@ class TestReplayStore:
         entry = json.loads(lines[0])
         assert set(entry) == {"key_hex", "prompt_kind", "response_text"}
         assert entry["response_text"] == "hello there"
+
+    def test_store_bytes_are_one_sorted_json_line_per_put(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store = ReplayStore(store_path, create=True)
+        entries = [("k1", "summarization", "plain"), ("k2", "rfe_extraction", 'é "quoted"\n')]
+        for entry in entries:
+            store.put(*entry)
+        store.put("k1", "summarization", "plain")  # identical: not written again
+        store.put("k1", "summarization", "revised")
+        store.close()
+        store.put("k3", "metric_extraction", "after close")
+        expected = "".join(
+            json.dumps(
+                {"key_hex": k, "prompt_kind": kind, "response_text": text},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            + "\n"
+            for k, kind, text in entries
+            + [("k1", "summarization", "revised"), ("k3", "metric_extraction", "after close")]
+        )
+        assert store_path.read_bytes() == expected.encode("utf-8")
+        assert ReplayStore(store_path).get("k1") == "revised"
+
+    def test_each_put_reaches_the_file_before_returning(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store = ReplayStore(store_path, create=True)
+        for i in range(3):
+            store.put(f"k{i}", "summarization", f"text {i}")
+            assert len(ReplayStore(store_path)) == i + 1
+
+    def test_concurrent_puts_write_whole_lines(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store = ReplayStore(store_path, create=True)
+
+        def writer(w):
+            for i in range(50):
+                store.put(f"{w}-{i}", "summarization", f"text {w} {i} " * 20)
+
+        threads = [threading.Thread(target=writer, args=(w,), daemon=True) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        reloaded = ReplayStore(store_path)
+        assert len(reloaded) == 400
+        assert reloaded.get("7-49") == "text 7 49 " * 20
+
+    def test_torn_last_line_is_dropped_with_a_warning(self, tmp_path, caplog):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_text('{"key_hex": "aa", "prompt_kind": "summarization", "response_text": "x"}\n{"key_h')
+        with caplog.at_level(logging.WARNING, logger="medsum.backend"):
+            store = ReplayStore(store_path)
+        assert "torn last line 2" in caplog.text
+        assert len(store) == 1 and store.get("aa") == "x"
+
+    def test_corruption_before_the_last_line_still_raises(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        good = '{"key_hex": "aa", "prompt_kind": "summarization", "response_text": "x"}'
+        store_path.write_text(f"{good}\n{{torn\n{good}")
+        with pytest.raises(ReplayStoreError, match="line 2"):
+            ReplayStore(store_path)
+
+    def test_store_that_is_not_utf8_is_a_store_error(self, tmp_path):
+        store_path = tmp_path / "store.jsonl"
+        store_path.write_bytes(b'{"key_hex": "aa", "prompt_kind": "summarization", "response_text": "\xff"}\n')
+        with pytest.raises(ReplayStoreError, match="not UTF-8"):
+            ReplayStore(store_path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        texts=st.lists(st.text(max_size=40), min_size=1, max_size=4),
+        new_text=st.text(max_size=40),
+    )
+    def test_store_truncated_in_its_last_line_recovers(self, texts, new_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            store_path = Path(tmp) / "store.jsonl"
+            store = ReplayStore(store_path, create=True)
+            for i, text in enumerate(texts):
+                store.put(f"key{i}", "summarization", text)
+            store.close()
+            data = store_path.read_bytes()
+            last_start = data.rstrip(b"\n").rfind(b"\n") + 1
+            earlier = {f"key{i}": text for i, text in enumerate(texts[:-1])}
+            for cut in range(last_start, len(data)):
+                torn = data[:cut]
+                store_path.write_bytes(torn)
+                loaded = ReplayStore(store_path)
+                # Only the whole line, short of its newline, parses.
+                whole = cut == len(data) - 1
+                expected = dict(earlier, **({f"key{len(texts) - 1}": texts[-1]} if whole else {}))
+                assert {k: loaded.get(k) for k in expected} == expected
+                assert len(loaded) == len(expected)
+                assert store_path.read_bytes() == torn  # loading alone writes nothing
+                loaded.put("new", "rfe_extraction", new_text)
+                loaded.close()
+                reloaded = ReplayStore(store_path)
+                assert len(reloaded) == len(expected) + 1
+                assert reloaded.get("new") == new_text
+                assert {k: reloaded.get(k) for k in expected} == expected
+                assert store_path.read_bytes().endswith(b"\n")
 
     def test_recording_transport_dedups_identical_writes(self, tmp_path):
         store_path = tmp_path / "store.jsonl"

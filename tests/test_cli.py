@@ -181,6 +181,30 @@ class TestRun:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "backend, store, message",
+        [
+            ("replay", None, "--backend replay needs --replay-store"),
+            ("record", None, "--backend record needs --replay-store"),
+            ("replay", "nope.jsonl", "replay store not found: "),
+            ("record", "new.jsonl", "--backend record needs an 'endpoint' in the config file"),
+        ],
+    )
+    def test_backend_set_up_errors_exit_1(self, workspace, capsys, backend, store, message):
+        argv = [
+            "run",
+            str(workspace["dataset"]),
+            str(workspace["dir"] / "out.jsonl"),
+            "--config",
+            str(workspace["config"]),
+            "--backend",
+            backend,
+        ]
+        if store:
+            argv += ["--replay-store", str(workspace["dir"] / store)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_replay_miss_is_backend_failure(self, workspace):
         # Store exists but holds nothing: every encounter fails.
         ReplayStore(workspace["store"], create=True)

@@ -187,6 +187,39 @@ class TestSelectSemantic:
             vectors, query_vec, k
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(min_value=1, max_value=6),
+        n=st.integers(min_value=1, max_value=40),
+    )
+    def test_ranking_equals_the_sorted_reference(self, data, dim, n):
+        # Rows drawn from a few distinct vectors, the zero vector among them,
+        # so pools hold duplicated and zero rows and scores tie exactly.
+        component = st.one_of(st.integers(-3, 3).map(float), st.floats(-1e3, 1e3))
+        vector = st.lists(component, min_size=dim, max_size=dim)
+        distinct = data.draw(st.lists(vector, min_size=1, max_size=4)) + [[0.0] * dim]
+        rows = data.draw(st.lists(st.sampled_from(distinct), min_size=n, max_size=n))
+        query_vec = data.draw(st.one_of(st.sampled_from(distinct), vector))
+        k = data.draw(st.integers(min_value=0, max_value=n))
+        pool, mapping = pool_with_vectors(rows)
+        query = SelectionQuery(age=0, sex="x", text="q")
+        mapping[query.render()] = query_vec
+        embedder = FixedEmbedder(mapping, dim)
+        pool = build_index(pool, embedder)
+
+        # The ranking as first written: scores recomputed from the rows,
+        # then a Python sort on (-score, id).
+        index, q = pool.index, np.asarray(query_vec, dtype=float)
+        dots = (index * q).sum(axis=1)
+        denom = np.sqrt((index * index).sum(axis=1)) * np.sqrt(float(q @ q))
+        scores = np.zeros(n)
+        scores[denom > 0] = dots[denom > 0] / denom[denom > 0]
+        expected = sorted(range(n), key=lambda i: (-scores[i], i))[:k]
+
+        chosen = select_semantic(pool, query, k, embedder)
+        assert [pool.examples.index(e) for e in chosen] == expected
+
 
 class TestPoolLoading:
     def test_load_grouped_by_kind(self, tmp_path):
