@@ -144,7 +144,8 @@ class CompletionRequest:
     prompt_kind: PromptKind
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
+        if type(self.prompt_kind) is not PromptKind:
+            object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
         if not self.prompt:
             raise ValueError("prompt is empty")
 
@@ -491,6 +492,31 @@ def _fan_out_executor(width: int) -> ThreadPoolExecutor:
         return executor
 
 
+class _Completed:
+    """The outcome of a call that finished before it was handed out, read
+    like a done Future: `done`, `result`, `exception` and `cancel`."""
+
+    __slots__ = ("_text", "_error")
+
+    def __init__(self, text: str | None = None, error: BaseException | None = None):
+        self._text = text
+        self._error = error
+
+    def done(self) -> bool:
+        return True
+
+    def cancel(self) -> bool:
+        return False
+
+    def result(self, timeout: float | None = None) -> str | None:
+        if self._error is not None:
+            raise self._error
+        return self._text
+
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        return self._error
+
+
 class CompletionClient:
     """Caching, retrying front door for completion calls.
 
@@ -572,23 +598,22 @@ class CompletionClient:
             flight.set_result(text)
         return text
 
-    def submit(self, req: CompletionRequest, key: str) -> Future[str]:
+    def submit(self, req: CompletionRequest, key: str) -> Future[str] | _Completed:
         """Start `complete(req, key)` and return its future.
 
         A request that the cache can serve completes on the calling thread
-        before this returns; any other runs on the fan-out executor. Never
-        call this from a task running on that executor: a worker waiting on
-        its own pool can deadlock it.
+        before this returns, and comes back as an already-done result with
+        the reading methods of a Future; any other runs on the fan-out
+        executor. Never call this from a task running on that executor: a
+        worker waiting on its own pool can deadlock it.
         """
         if self._lookup(key) is None:
             executor = _fan_out_executor(self._fan_out_width)
             return executor.submit(self.complete, req, key)
-        future: Future[str] = Future()
         try:
-            future.set_result(self.complete(req, key))
+            return _Completed(self.complete(req, key))
         except Exception as exc:
-            future.set_exception(exc)
-        return future
+            return _Completed(error=exc)
 
     def _send_with_retries(self, req: CompletionRequest, key: str) -> str:
         for attempt in range(1, self._policy.max_attempts + 1):

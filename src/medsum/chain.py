@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -39,8 +39,10 @@ from .model import (
     Turn,
 )
 from .promptkit import (
+    BoundPrompt,
     PromptTemplate,
     TokenBudget,
+    bind,
     parse_entity_list,
     parse_summary,
     render,
@@ -225,9 +227,7 @@ def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
 
 
 def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
-    log.trace.append(
-        TraceEntry(prompt_kind=req.prompt_kind, prompt_hash=key, params=req.params.as_dict())
-    )
+    log.trace.append(TraceEntry(req.prompt_kind, key, req.params.as_dict()))
 
 
 def _complete(req: CompletionRequest, key: str, deps: ChainDeps, log: RunLog) -> str:
@@ -240,34 +240,28 @@ def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
     return _complete(*_request(kind, prompt), deps, log)
 
 
-def _extraction_request(
-    kind: PromptKind,
-    text: str,
-    examples: list[LabeledExample],
-    enc: Encounter,
-    cfg: ChainConfig,
-    deps: ChainDeps,
-) -> tuple[CompletionRequest, str]:
-    """An RFE or turn-window extraction request (the template id is the
-    prompt kind's value), and its cache key."""
-    prompt = render(
+def _extraction_prompt(
+    kind: PromptKind, text: str, enc: Encounter, cfg: ChainConfig, deps: ChainDeps
+) -> BoundPrompt:
+    """The RFE or turn-window extraction prompt (the template id is the
+    prompt kind's value) bound to the encounter's demographics and to the
+    examples selected for `text`."""
+    example_kind = ExampleKind(kind.value)
+    examples = _select_examples(example_kind, cfg.extraction_k, text, enc, cfg, deps)
+    return bind(
         deps.templates[kind.value],
-        input_text=text,
         age=enc.age,
         sex=enc.sex,
         examples=examples,
         budget=cfg.budget,
     )
-    return _request(kind, prompt)
 
 
 def _rfe_request(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps
 ) -> tuple[CompletionRequest, str]:
-    examples = _select_examples(
-        ExampleKind.RFE_EXTRACTION, cfg.extraction_k, enc.rfe, enc, cfg, deps
-    )
-    return _extraction_request(PromptKind.RFE_EXTRACTION, enc.rfe, examples, enc, cfg, deps)
+    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    return _request(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe))
 
 
 def _extraction_requests(
@@ -277,29 +271,23 @@ def _extraction_requests(
     chain order: the opening message ("rfe"), then each turn window
     ("turn-pair <i>")."""
     yield ("rfe", *_rfe_request(enc, cfg, deps))
-    # A random draw ignores the query text: one serves every window.
-    random_draw = None
+    # A random draw ignores the query text, so one draw, bound once, serves
+    # every window; a semantic draw differs per window.
+    shared = None
     for i, window in enumerate(pair_turns(enc.turns)):
         text = window_text(window)
-        examples = random_draw
-        if examples is None:
-            examples = _select_examples(
-                ExampleKind.DIALOGUE_EXTRACTION, cfg.extraction_k, text, enc, cfg, deps
-            )
-            if cfg.selection_mode is SelectionMode.RANDOM:
-                random_draw = examples
-        request = _extraction_request(
-            PromptKind.DIALOGUE_EXTRACTION, text, examples, enc, cfg, deps
-        )
-        yield (f"turn-pair {i}", *request)
+        prompt = shared or _extraction_prompt(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+        if cfg.selection_mode is SelectionMode.RANDOM:
+            shared = prompt
+        yield (f"turn-pair {i}", *_request(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text)))
 
 
 def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:
-    entities, warnings = parse_entity_list(completion)
+    entities, warnings = parse_entity_list(completion, (tag,))
     log.warnings.extend(f"{tag}: {w}" for w in warnings)
     if not completion.strip():
         log.warnings.append(f"{tag}: extraction completion was empty")
-    return [replace(e, provenance=(tag,)) for e in entities]
+    return entities
 
 
 def extract_rfe_entities(
@@ -320,11 +308,9 @@ def extract_turn_entities(
 ) -> list[MedicalEntity]:
     """One extraction call on a single turn window; provenance "turn-pair <i>"."""
     text = window_text(window)
-    examples = _select_examples(
-        ExampleKind.DIALOGUE_EXTRACTION, cfg.extraction_k, text, enc, cfg, deps
-    )
-    request = _extraction_request(PromptKind.DIALOGUE_EXTRACTION, text, examples, enc, cfg, deps)
-    return _parse_extraction(f"turn-pair {window_index}", _complete(*request, deps, log), log)
+    prompt = _extraction_prompt(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+    completion = _complete(*_request(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text)), deps, log)
+    return _parse_extraction(f"turn-pair {window_index}", completion, log)
 
 
 def collate(entity_lists: Iterable[Sequence[MedicalEntity]]) -> EntityLedger:
@@ -432,17 +418,13 @@ def summarize(
     enc: Encounter, ledger: EntityLedger, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> StructuredSummary:
     """One summarization call conditioned on the dialogue and the serialized ledger."""
+    conversation = encounter_text(enc)
     examples = _select_examples(
-        ExampleKind.SUMMARIZATION,
-        cfg.summarization_k,
-        encounter_text(enc),
-        enc,
-        cfg,
-        deps,
+        ExampleKind.SUMMARIZATION, cfg.summarization_k, conversation, enc, cfg, deps
     )
     input_text = (
         "Conversation:\n"
-        + encounter_text(enc)
+        + conversation
         + "\n\nExtracted medical entities:\n"
         + serialize_ledger(ledger)
     )
@@ -543,18 +525,14 @@ def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> Run
     log = RunLog()
     stage = "example selection"
     try:
+        conversation = encounter_text(enc)
         examples = _select_examples(
-            ExampleKind.SUMMARIZATION,
-            cfg.summarization_k,
-            encounter_text(enc),
-            enc,
-            cfg,
-            deps,
+            ExampleKind.SUMMARIZATION, cfg.summarization_k, conversation, enc, cfg, deps
         )
         stage = "summarization"
         prompt = render(
             deps.templates["baseline_summarization"],
-            input_text=encounter_text(enc),
+            input_text=conversation,
             age=enc.age,
             sex=enc.sex,
             examples=examples,

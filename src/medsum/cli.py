@@ -13,7 +13,7 @@ import random
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from .backend import (
     BackendError,
@@ -72,17 +72,29 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def read_dataset(path: str | Path) -> tuple[list[tuple[int, Encounter]], list[str]]:
+class DatasetProblem(NamedTuple):
+    """One problem with one dataset line; prints as `line <n>: <message>`."""
+
+    lineno: int
+    message: str
+
+    def __str__(self) -> str:
+        return f"line {self.lineno}: {self.message}"
+
+
+def read_dataset(
+    path: str | Path,
+) -> tuple[list[tuple[int, Encounter]], list[DatasetProblem]]:
     """Parse a dataset file line by line.
 
-    Returns (line number, encounter) pairs for valid lines plus a list of
-    problems, each naming its line. Duplicate ids name both lines involved.
+    Returns (line number, encounter) pairs for valid lines plus the
+    problems of the others. Duplicate ids name both lines involved.
     """
     path = Path(path)
     if not path.exists():
         raise CliError(f"dataset not found: {path}")
     encounters: list[tuple[int, Encounter]] = []
-    problems: list[str] = []
+    problems: list[DatasetProblem] = []
     first_line_for_id: dict[str, int] = {}
     saw_any = False
     with path.open("r", encoding="utf-8") as fh:
@@ -94,17 +106,20 @@ def read_dataset(path: str | Path) -> tuple[list[tuple[int, Encounter]], list[st
             try:
                 raw = json.loads(line)
             except ValueError as exc:
-                problems.append(f"line {lineno}: invalid JSON: {exc}")
+                problems.append(DatasetProblem(lineno, f"invalid JSON: {exc}"))
                 continue
             try:
                 enc = validate_encounter(raw)
             except ValidationError as exc:
-                problems.append(f"line {lineno}: {exc}")
+                problems.append(DatasetProblem(lineno, str(exc)))
                 continue
             if enc.id in first_line_for_id:
                 problems.append(
-                    f"line {lineno}: duplicate id {enc.id!r} "
-                    f"(first seen at line {first_line_for_id[enc.id]})"
+                    DatasetProblem(
+                        lineno,
+                        f"duplicate id {enc.id!r} "
+                        f"(first seen at line {first_line_for_id[enc.id]})",
+                    )
                 )
                 continue
             first_line_for_id[enc.id] = lineno
@@ -118,7 +133,7 @@ def load_dataset(path: str | Path) -> list[Encounter]:
     """Strict load: any invalid line aborts."""
     encounters, problems = read_dataset(path)
     if problems:
-        raise CliError("dataset invalid:\n" + "\n".join(problems))
+        raise CliError("dataset invalid:\n" + "\n".join(map(str, problems)))
     return [enc for _, enc in encounters]
 
 
@@ -155,10 +170,13 @@ def load_config(path: str | None) -> dict[str, Any]:
 
 
 def build_budget(config: dict[str, Any]) -> TokenBudget:
-    return TokenBudget(
-        max_context_tokens=int(config.get("max_context_tokens", 4096)),
-        inflation_factor=float(config.get("inflation_factor", 1.3)),
-    )
+    try:
+        return TokenBudget(
+            max_context_tokens=int(config.get("max_context_tokens", 4096)),
+            inflation_factor=float(config.get("inflation_factor", 1.3)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad run configuration: {exc}") from exc
 
 
 def build_chain_config(config: dict[str, Any], seed_override: int | None) -> ChainConfig:
@@ -173,7 +191,7 @@ def build_chain_config(config: dict[str, Any], seed_override: int | None) -> Cha
             run_seed=seed_override if seed_override is not None else int(config.get("seed", 0)),
             budget=budget,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
@@ -241,10 +259,9 @@ def _whitespace_tokens(enc: Encounter) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     encounters, problems = read_dataset(args.dataset)
     by_line = {lineno: enc for lineno, enc in encounters}
-    failed_lines = {}
+    failed_lines: dict[int, list[DatasetProblem]] = {}
     for problem in problems:
-        lineno = int(problem.split(":", 1)[0].split()[1])
-        failed_lines.setdefault(lineno, []).append(problem)
+        failed_lines.setdefault(problem.lineno, []).append(problem)
 
     for lineno in sorted(set(by_line) | set(failed_lines)):
         if lineno in failed_lines:

@@ -82,6 +82,21 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
+_SPEAKER_BY_VALUE = {member.value: member for member in Speaker}
+_STATUS_BY_VALUE = {member.value: member for member in EntityStatus}
+_KIND_BY_VALUE = {member.value: member for member in PromptKind}
+_METHOD_BY_VALUE = {member.value: member for member in Method}
+
+
+def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
+    """The member of `enum` with `value`: a dict hit for a known value,
+    else the enum's own lookup, which raises its own error."""
+    try:
+        return by_value[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
 def normalize_entity_name(name: str) -> str:
     """Case-fold, trim, and collapse internal whitespace runs to one space.
 
@@ -102,7 +117,8 @@ class Turn:
     text: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "speaker", Speaker(self.speaker))
+        if type(self.speaker) is not Speaker:
+            object.__setattr__(self, "speaker", Speaker(self.speaker))
         if not self.text.strip():
             raise ValueError("turn text is empty")
 
@@ -200,8 +216,10 @@ class MedicalEntity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", normalize_entity_name(self.name))
-        object.__setattr__(self, "status", EntityStatus(self.status))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
+        if type(self.status) is not EntityStatus:
+            object.__setattr__(self, "status", EntityStatus(self.status))
+        if type(self.provenance) is not tuple:
+            object.__setattr__(self, "provenance", tuple(self.provenance))
 
 
 @dataclass(frozen=True)
@@ -246,7 +264,7 @@ class EntityLedger:
             tuple(
                 MedicalEntity(
                     name=item["name"],
-                    status=EntityStatus(item["status"]),
+                    status=_member(_STATUS_BY_VALUE, EntityStatus, item["status"]),
                     provenance=tuple(item.get("provenance", ())),
                 )
                 for item in items
@@ -269,20 +287,27 @@ class LabeledExample:
     label: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", ExampleKind(self.kind))
+        if type(self.kind) is not ExampleKind:
+            object.__setattr__(self, "kind", ExampleKind(self.kind))
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One completion call: what kind, the request's content hash, and params."""
+    """One completion call: what kind, the request's content hash, and params.
+
+    A params dict is kept as given, not copied; any other mapping is copied
+    into a dict.
+    """
 
     prompt_kind: PromptKind
     prompt_hash: str
     params: Mapping[str, Any]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
-        object.__setattr__(self, "params", dict(self.params))
+        if type(self.prompt_kind) is not PromptKind:
+            object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
+        if type(self.params) is not dict:
+            object.__setattr__(self, "params", dict(self.params))
 
 
 @dataclass(frozen=True)
@@ -298,10 +323,13 @@ class RunRecord:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "method", Method(self.method))
+        if type(self.method) is not Method:
+            object.__setattr__(self, "method", Method(self.method))
         object.__setattr__(self, "config", dict(self.config))
-        object.__setattr__(self, "llm_call_trace", tuple(self.llm_call_trace))
-        object.__setattr__(self, "warnings", tuple(self.warnings))
+        if type(self.llm_call_trace) is not tuple:
+            object.__setattr__(self, "llm_call_trace", tuple(self.llm_call_trace))
+        if type(self.warnings) is not tuple:
+            object.__setattr__(self, "warnings", tuple(self.warnings))
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -325,13 +353,13 @@ class RunRecord:
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         return cls(
             encounter_id=data["encounter_id"],
-            method=Method(data["method"]),
+            method=_member(_METHOD_BY_VALUE, Method, data["method"]),
             config=dict(data["config"]),
             ledger=EntityLedger.from_json_list(data["ledger"]),
             summary=StructuredSummary.from_dict(data["summary"]),
             llm_call_trace=tuple(
                 TraceEntry(
-                    prompt_kind=PromptKind(t["prompt_kind"]),
+                    prompt_kind=_member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
                     prompt_hash=t["prompt_hash"],
                     params=dict(t["params"]),
                 )
@@ -347,7 +375,7 @@ def validate_encounter(raw: Any) -> Encounter:
     Total over arbitrary decoded input: every record yields either an
     Encounter or a ValidationError listing every violated field.
     """
-    if not isinstance(raw, Mapping):
+    if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ValidationError(["record is not an object"])
 
     problems: list[str] = []
@@ -378,20 +406,18 @@ def validate_encounter(raw: Any) -> Encounter:
         problems.append("turns empty")
     else:
         for i, item in enumerate(turns_raw):
-            if not isinstance(item, Mapping):
+            if type(item) is not dict and not isinstance(item, Mapping):
                 problems.append(f"turn {i}: not an object")
                 continue
             speaker = item.get("speaker")
             text = item.get("text")
-            bad = False
-            if speaker not in (Speaker.DOCTOR.value, Speaker.PATIENT.value):
+            member = _SPEAKER_BY_VALUE.get(speaker) if isinstance(speaker, str) else None
+            if member is None:
                 problems.append(f"turn {i}: unknown speaker {speaker!r}")
-                bad = True
             if not isinstance(text, str) or not text.strip():
                 problems.append(f"turn {i}: empty text")
-                bad = True
-            if not bad:
-                turns.append(Turn(speaker=Speaker(speaker), text=text))
+            elif member is not None:
+                turns.append(Turn(speaker=member, text=text))
 
     reference = None
     ref_raw = raw.get("reference_summary")

@@ -24,7 +24,6 @@ from .model import (
     MedicalEntity,
     PromptKind,
     StructuredSummary,
-    normalize_entity_name,
 )
 
 __all__ = [
@@ -38,6 +37,8 @@ __all__ = [
     "PromptTemplate",
     "TEMPLATE_IDS",
     "load_templates",
+    "BoundPrompt",
+    "bind",
     "render",
     "parse_entity_list",
     "serialize_entity_list",
@@ -106,11 +107,10 @@ class TokenBudget:
         if self.inflation_factor < 1.0:
             raise ValueError("inflation_factor must be >= 1")
 
-    def estimate(self, text: str) -> int:
-        return estimate_tokens(text, self.inflation_factor)
-
-    def check(self, text: str) -> None:
-        estimated = self.estimate(text)
+    def check_words(self, words: int) -> None:
+        """Raise BudgetExceededError if a text of `words` whitespace words,
+        estimated as `estimate_tokens` does, exceeds the budget."""
+        estimated = math.ceil(words * self.inflation_factor)
         if estimated > self.max_context_tokens:
             raise BudgetExceededError(estimated, self.max_context_tokens)
 
@@ -165,9 +165,16 @@ class PromptTemplate:
         if "{examples}" in self.preamble:
             if self.preamble.index("{examples}") > self.preamble.index("{input}"):
                 raise TemplateError("{examples} must precede {input}")
+        # Built once for bind: the declared slots, the preamble around
+        # {input}, and that text's word counts for templates with no other slot.
+        slots = tuple(s for s in _SLOTS if "{%s}" % s in self.preamble)
+        head, tail = self.preamble.split("{input}")
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_parts", (head, tail))
+        object.__setattr__(self, "_words", len(head.split()) + len(tail.split()))
 
     def slots(self) -> tuple[str, ...]:
-        return tuple(s for s in _SLOTS if "{%s}" % s in self.preamble)
+        return self._slots
 
 
 def _render_example(example: LabeledExample) -> str:
@@ -182,6 +189,102 @@ def _render_example(example: LabeledExample) -> str:
     )
 
 
+class BoundPrompt:
+    """A template with every slot but {input} filled in; made by `bind`.
+
+    `fill(input_text)` returns exactly the prompt `render` gives for the same
+    arguments and raises the same BudgetExceededError, but counts only the
+    input's words: the words of the text around it were counted once, when
+    it was bound. So one bound prompt serves every input that shares its
+    demographics and examples, such as the turn windows of one encounter.
+    """
+
+    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open")
+
+    def __init__(self, head: str, tail: str, budget: TokenBudget, words: int | None = None):
+        self.head = head
+        self.tail = tail
+        self.budget = budget
+        # Whitespace words of head and tail, when the caller has counted them.
+        self._words = len(head.split()) + len(tail.split()) if words is None else words
+        # Whether a word at the end of head (start of tail) would run on
+        # into text put right after (before) it.
+        self._head_open = bool(head) and not head[-1].isspace()
+        self._tail_open = bool(tail) and not tail[0].isspace()
+
+    def fill(self, input_text: str) -> str:
+        """The prompt with `input_text` in the {input} slot, checked against
+        the budget."""
+        words = self._words + len(input_text.split())
+        if input_text:
+            # A word that runs on across a join is one word, not two.
+            if self._head_open and not input_text[0].isspace():
+                words -= 1
+            if self._tail_open and not input_text[-1].isspace():
+                words -= 1
+        elif self._head_open and self._tail_open:
+            words -= 1
+        self.budget.check_words(words)
+        return self.head + input_text + self.tail
+
+
+def bind(
+    template: PromptTemplate,
+    *,
+    age: int | None = None,
+    sex: str | None = None,
+    examples: Sequence[LabeledExample] = (),
+    budget: TokenBudget | None = None,
+) -> BoundPrompt:
+    """Fill every slot of a template except {input}.
+
+    Examples render in the given order, each followed by the template's
+    separator, so a k-shot prompt contains exactly k separators and the live
+    input is always last. Raises KindMismatchError if an example does not
+    belong to this prompt family and TemplateError if a slot the template
+    declares has no value; the budget is checked when the prompt is filled.
+    """
+    expected = _EXAMPLE_KIND_FOR_PROMPT.get(template.kind)
+    if examples and expected is None:
+        raise KindMismatchError(
+            f"{template.kind.value} prompts take no in-context examples"
+        )
+    declared = template.slots()
+    if examples and "examples" not in declared:
+        raise TemplateError("template has no {examples} slot but examples were given")
+    for example in examples:
+        if example.kind is not expected:
+            raise KindMismatchError(
+                f"example of kind {example.kind.value} offered to "
+                f"{template.kind.value} prompt"
+            )
+    budget = budget or TokenBudget()
+    head, tail = template._parts
+    if declared == ("input",):  # nothing to substitute
+        return BoundPrompt(head, tail, budget, template._words)
+
+    values = {
+        "examples": "".join(
+            _render_example(e) + template.example_separator for e in examples
+        )
+    }
+    if "age" in declared:
+        if age is None:
+            raise TemplateError("template declares {age} but no age given")
+        values["age"] = str(age)
+    if "sex" in declared:
+        if sex is None:
+            raise TemplateError("template declares {sex} but no sex given")
+        values["sex"] = sex
+
+    # Single-pass substitution: slot-like text inside the filled values is
+    # never re-expanded, and the input is never scanned.
+    def fill_slot(match: re.Match[str]) -> str:
+        return values[match.group(1)]
+
+    return BoundPrompt(_SLOT_RE.sub(fill_slot, head), _SLOT_RE.sub(fill_slot, tail), budget)
+
+
 def render(
     template: PromptTemplate,
     *,
@@ -193,46 +296,10 @@ def render(
 ) -> str:
     """Fill a template's slots and enforce the token budget.
 
-    Examples render in the given order, each followed by the template's
-    separator, so a k-shot prompt contains exactly k separators and the live
-    input is always last. Raises KindMismatchError if an example does not
-    belong to this prompt family and BudgetExceededError on overflow.
+    The same as `bind(...).fill(input_text)`; see both. Raises
+    KindMismatchError, TemplateError, or BudgetExceededError on overflow.
     """
-    expected = _EXAMPLE_KIND_FOR_PROMPT.get(template.kind)
-    if examples and expected is None:
-        raise KindMismatchError(
-            f"{template.kind.value} prompts take no in-context examples"
-        )
-    if examples and "{examples}" not in template.preamble:
-        raise TemplateError("template has no {examples} slot but examples were given")
-    for example in examples:
-        if example.kind is not expected:
-            raise KindMismatchError(
-                f"example of kind {example.kind.value} offered to "
-                f"{template.kind.value} prompt"
-            )
-
-    examples_text = "".join(
-        _render_example(e) + template.example_separator for e in examples
-    )
-
-    values = {"input": input_text, "examples": examples_text}
-    declared = template.slots()
-    if "age" in declared:
-        if age is None:
-            raise TemplateError("template declares {age} but no age given")
-        values["age"] = str(age)
-    if "sex" in declared:
-        if sex is None:
-            raise TemplateError("template declares {sex} but no sex given")
-        values["sex"] = sex
-
-    # Single-pass substitution: slot-like text inside the filled values is
-    # never re-expanded.
-    prompt = _SLOT_RE.sub(lambda m: values.get(m.group(1), ""), template.preamble)
-
-    (budget or TokenBudget()).check(prompt)
-    return prompt
+    return bind(template, age=age, sex=sex, examples=examples, budget=budget).fill(input_text)
 
 
 def _default_template_dir() -> Path:
@@ -269,8 +336,13 @@ _ENTITY_LINE_RE = re.compile(
 )
 
 
-def parse_entity_list(raw: str) -> tuple[list[MedicalEntity], list[str]]:
-    """Parse `- <name> (<status>)` lines into entities.
+_STATUS_BY_TOKEN = {status.value: status for status in EntityStatus}
+
+
+def parse_entity_list(
+    raw: str, provenance: tuple[str, ...] = ()
+) -> tuple[list[MedicalEntity], list[str]]:
+    """Parse `- <name> (<status>)` lines into entities with `provenance`.
 
     Malformed lines are skipped and reported in the returned warnings list;
     the status token matches case-insensitively. A completion with content
@@ -289,13 +361,14 @@ def parse_entity_list(raw: str) -> tuple[list[MedicalEntity], list[str]]:
             warnings.append(f"skipped unparseable line: {line.strip()!r}")
             continue
         try:
-            name = normalize_entity_name(match.group("name"))
+            # The entity normalizes the name, and refuses one that is empty.
+            entity = MedicalEntity(
+                match.group("name"), _STATUS_BY_TOKEN[match.group("status").lower()], provenance
+            )
         except ValueError:
             warnings.append(f"skipped line with empty entity name: {line.strip()!r}")
             continue
-        entities.append(
-            MedicalEntity(name=name, status=EntityStatus(match.group("status").lower()))
-        )
+        entities.append(entity)
     if saw_content and not entities:
         raise EntityListParseError(raw)
     return entities, warnings

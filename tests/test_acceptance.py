@@ -299,7 +299,8 @@ def test_identity_corpus_scores_100(tmp_path):
             )
             == 0
         )
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         score_columns = (
             "pertinent_positives",

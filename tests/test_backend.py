@@ -5,6 +5,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,22 @@ class TestSubmit:
         assert threads == []
         assert client.submit(fresh, cache_key(fresh)).result(timeout=5) == "echo:fresh"
         assert threads and threads[0] is not threading.current_thread()
+
+    def test_hit_returns_a_done_result_without_a_future(self, tmp_path):
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        req = request_for("stored")
+        store.put(cache_key(req), req.prompt_kind, "from the store")
+        client = CompletionClient(ReplayTransport(store))
+        calls = []
+        complete = client.complete
+        client.complete = lambda *args: calls.append(threading.current_thread()) or complete(*args)
+
+        result = client.submit(req, cache_key(req))
+        assert calls == [threading.current_thread()]
+        assert not isinstance(result, Future)
+        assert result.done() and not result.cancel()
+        assert result.result() == result.result(timeout=1) == "from the store"
+        assert result.exception() is None
 
     def test_replay_transport_peeks_its_store(self, tmp_path):
         store = ReplayStore(tmp_path / "store.jsonl", create=True)

@@ -39,8 +39,8 @@ from medsum.model import (
     Speaker,
     Turn,
 )
-from medsum.promptkit import serialize_ledger
-from medsum.selection import build_index
+from medsum.promptkit import BudgetExceededError, TokenBudget, render, serialize_ledger
+from medsum.selection import build_index, select_random
 from medsum.backend import HashEmbedder
 from medsum.model import Encounter
 
@@ -168,6 +168,48 @@ class TestExtraction:
         )
         assert entities == []
         assert any(w.startswith("turn-pair 0") for w in log.warnings)
+
+
+class TestBoundWindowPrompt:
+    def test_overflows_at_the_window_render_would(self, scripted_deps):
+        deps, _ = scripted_deps
+        turns = []
+        for i in range(6):
+            turns += [D(" ".join(["word"] * (10 * i + 1))), P("yes")]
+        enc = Encounter(id="enc-grow", rfe="UTI", age=46, sex="female", turns=tuple(turns))
+        windows = pair_turns(enc.turns)
+        examples = select_random(
+            deps.pools[ExampleKind.DIALOGUE_EXTRACTION], 3, encounter_seed(enc.id, 5)
+        )
+        template = deps.templates["dialogue_extraction"]
+
+        def rendered(window, budget):
+            return render(
+                template,
+                input_text=chain.window_text(window),
+                age=enc.age,
+                sex=enc.sex,
+                examples=examples,
+                budget=budget,
+            )
+
+        # Room for the first three windows' prompts only.
+        fits = max(len(rendered(w, None).split()) for w in windows[:3])
+        cfg = ChainConfig(
+            extraction_k=3, run_seed=5, budget=TokenBudget(fits, inflation_factor=1.0)
+        )
+        prompts = []
+        with pytest.raises(BudgetExceededError) as chained:
+            for _, req, _ in chain._extraction_requests(enc, cfg, deps):
+                prompts.append(req.prompt)
+        assert prompts[1:] == [rendered(w, cfg.budget) for w in windows[:3]]
+        with pytest.raises(BudgetExceededError) as direct:
+            rendered(windows[3], cfg.budget)
+        assert chained.value.estimated == direct.value.estimated > fits
+
+        with pytest.raises(ChainError) as failed:
+            run_medsum_ent(enc, cfg, deps)
+        assert failed.value.stage == "turn extraction"
 
 
 class TestCollate:

@@ -271,6 +271,25 @@ class TestRun:
         assert workspace["dataset"].read_bytes() == before
 
 
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "setting", [{"max_context_tokens": "abc"}, {"inflation_factor": [1.5]}]
+)
+def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
+    config = workspace["dir"] / "bad_budget.json"
+    config.write_text(json.dumps({"pools": str(workspace["pools"]), **setting}))
+    ReplayStore(workspace["store"], create=True)
+    if command == "run":
+        argv = ["run", str(workspace["dataset"]), str(workspace["dir"] / "out.jsonl")]
+    else:
+        records = workspace["dir"] / "records.jsonl"
+        records.write_text("")
+        argv = ["eval", str(records), str(workspace["dataset"]), "--verifier", "llm"]
+    argv += ["--config", str(config), "--replay-store", str(workspace["store"])]
+    assert main(argv) == EXIT_CONFIG
+    assert "error: bad run configuration: " in capsys.readouterr().err
+
+
 class TestEval:
     def run_and_eval(self, workspace, method="medsum"):
         prerecord(workspace["store"], workspace)
@@ -324,7 +343,8 @@ class TestEval:
             ]
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1
         for column in (
             "pertinent_positives",
@@ -354,7 +374,8 @@ class TestEval:
             ]
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert {r["method"] for r in rows} == {"medsum_ent", "naive_baseline"}
 
@@ -464,7 +485,8 @@ class TestEval:
             ]
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(csv_path.open()))
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert rows[0]["average"] == "100.0"
 
 

@@ -1,5 +1,9 @@
+import dataclasses
+import math
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from medsum.model import (
@@ -20,7 +24,9 @@ from medsum.promptkit import (
     SummaryParseError,
     TemplateError,
     TokenBudget,
+    bind,
     estimate_tokens,
+    load_templates,
     parse_entity_list,
     parse_summary,
     render,
@@ -183,6 +189,146 @@ class TestRender:
             render(template, input_text="x", examples=[example])
 
 
+_REFERENCE_SLOT_RE = re.compile(r"\{(age|sex|input|examples)\}")
+_REFERENCE_EXAMPLE_KIND = {
+    PromptKind.RFE_EXTRACTION: ExampleKind.RFE_EXTRACTION,
+    PromptKind.DIALOGUE_EXTRACTION: ExampleKind.DIALOGUE_EXTRACTION,
+    PromptKind.SUMMARIZATION: ExampleKind.SUMMARIZATION,
+}
+
+
+def reference_render(template, *, input_text, age=None, sex=None, examples=(), budget=None):
+    """Single-pass renderer: every slot, {input} included, filled by one
+    regex substitution over the whole preamble, then the whole prompt's
+    words counted against the budget."""
+    expected = _REFERENCE_EXAMPLE_KIND.get(template.kind)
+    if examples and expected is None:
+        raise KindMismatchError(f"{template.kind.value} prompts take no in-context examples")
+    if examples and "{examples}" not in template.preamble:
+        raise TemplateError("template has no {examples} slot but examples were given")
+    for example in examples:
+        if example.kind is not expected:
+            raise KindMismatchError(
+                f"example of kind {example.kind.value} offered to {template.kind.value} prompt"
+            )
+    values = {
+        "input": input_text,
+        "examples": "".join(
+            "Example:\n"
+            f"Age: {e.age}\nSex: {e.sex}\nInput:\n{e.input_text}\nOutput:\n{e.label}"
+            + template.example_separator
+            for e in examples
+        ),
+    }
+    if "{age}" in template.preamble:
+        if age is None:
+            raise TemplateError("template declares {age} but no age given")
+        values["age"] = str(age)
+    if "{sex}" in template.preamble:
+        if sex is None:
+            raise TemplateError("template declares {sex} but no sex given")
+        values["sex"] = sex
+    prompt = _REFERENCE_SLOT_RE.sub(lambda m: values.get(m.group(1), ""), template.preamble)
+    budget = budget or TokenBudget()
+    estimated = math.ceil(len(prompt.split()) * budget.inflation_factor)
+    if estimated > budget.max_context_tokens:
+        raise BudgetExceededError(estimated, budget.max_context_tokens)
+    return prompt
+
+
+def _outcome(fn):
+    """A call's prompt, or its error's type, message and token estimate."""
+    try:
+        return fn()
+    except (BudgetExceededError, KindMismatchError, TemplateError) as exc:
+        return type(exc), str(exc), getattr(exc, "estimated", None)
+
+
+# Text that stresses the word count at the joins around {input}: words that
+# run on into the template text, unicode whitespace str.split() honours,
+# and slot-like text that must stay literal.
+_JOIN_PIECES = [
+    "a", "word", "x.", " ", "\n", "\t", "\r\n", "\x0b", "\x0c", "\x1c", "\x1f",
+    "\x85", "\xa0", "\u1680", "\u2003", "\u2028", "\u2029", "\u202f", "\u3000",
+    "\u200b", "{", "}", "{input}", "{examples}", "{age}", "{sex}", "{ag", "e}", "é",
+]
+join_text = st.lists(
+    st.sampled_from(_JOIN_PIECES) | st.characters(max_codepoint=0x3000), max_size=12
+).map("".join)
+_TEMPLATE_TEXT = st.lists(
+    st.sampled_from([p for p in _JOIN_PIECES if p not in ("{input}", "{examples}", "{age}", "{sex}")]),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def templates_to_bind(draw):
+    """A shipped template, or one built around {input} from join text."""
+    shipped = sorted(load_templates().items())
+    if draw(st.booleans()):
+        return draw(st.sampled_from(shipped))[1]
+    kind = draw(st.sampled_from(list(PromptKind)))
+    parts = [draw(_TEMPLATE_TEXT)]
+    for slot in ("{age}", "{sex}"):
+        if draw(st.booleans()):
+            parts += [slot, draw(_TEMPLATE_TEXT)]
+    if kind in _REFERENCE_EXAMPLE_KIND and draw(st.booleans()):
+        parts += ["{examples}", draw(_TEMPLATE_TEXT)]
+    parts += ["{input}", draw(_TEMPLATE_TEXT)]
+    if draw(st.booleans()):
+        parts += ["{sex}" if "{sex}" not in parts else "{age}", draw(_TEMPLATE_TEXT)]
+    try:
+        return PromptTemplate(kind=kind, preamble="".join(parts))
+    except TemplateError:
+        assume(False)
+
+
+class TestBind:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        template=templates_to_bind(),
+        inputs=st.lists(join_text, min_size=1, max_size=4),
+        age=st.integers(min_value=0, max_value=120),
+        sex=join_text,
+        shots=st.integers(min_value=0, max_value=3),
+        example_text=join_text,
+        max_tokens=st.integers(min_value=1, max_value=1500),
+        factor=st.floats(min_value=1.0, max_value=2.5, allow_nan=False),
+    )
+    def test_fill_matches_single_pass_render(
+        self, template, inputs, age, sex, shots, example_text, max_tokens, factor
+    ):
+        kind = _REFERENCE_EXAMPLE_KIND.get(template.kind, ExampleKind.SUMMARIZATION)
+        examples = [
+            LabeledExample(kind, example_text + str(i), 30 + i, sex, example_text)
+            for i in range(shots)
+        ]
+        budget = TokenBudget(max_context_tokens=max_tokens, inflation_factor=factor)
+        kwargs = dict(age=age, sex=sex, examples=examples, budget=budget)
+        bound = _outcome(lambda: bind(template, **kwargs))
+        # One bound prompt serves every input, as the turn windows share one.
+        for input_text in inputs:
+            expected = _outcome(lambda: reference_render(template, input_text=input_text, **kwargs))
+            if isinstance(bound, tuple):
+                assert bound == expected
+                continue
+            assert _outcome(lambda: bound.fill(input_text)) == expected
+            assert _outcome(lambda: render(template, input_text=input_text, **kwargs)) == expected
+
+    def test_word_running_into_the_template_counts_once(self):
+        template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:{input}:end")
+        exact = TokenBudget(max_context_tokens=1, inflation_factor=1.0)
+        assert bind(template, budget=exact).fill("one") == "Text:one:end"
+        assert bind(template, budget=exact).fill("") == "Text::end"
+        with pytest.raises(BudgetExceededError) as excinfo:
+            bind(template, budget=exact).fill("one two")
+        assert excinfo.value.estimated == 2
+
+    def test_missing_demographics_fail_at_bind(self, templates):
+        with pytest.raises(TemplateError, match="age"):
+            bind(templates["dialogue_extraction"], sex="female")
+
+
 class TestLoadTemplates:
     def test_ships_all_seven_defaults(self, templates):
         from medsum.promptkit import TEMPLATE_IDS
@@ -237,6 +383,40 @@ class TestParseEntityList:
     def test_name_normalized(self):
         entities, _ = parse_entity_list("-   Back   PAIN   (present)")
         assert entities[0].name == "back pain"
+
+
+entity_lines = st.lists(
+    st.sampled_from(
+        [
+            "- back pain (present)",
+            "-   Back   PAIN   (Absent)",
+            "- fever ( unknown )",
+            "-  (present)",
+            "- \u00a0 (absent)",
+            "not an entity line",
+            "",
+            "   ",
+            "- cough (maybe)",
+        ]
+    ),
+    max_size=8,
+).map("\n".join)
+
+
+class TestParseWithProvenance:
+    @given(raw=entity_lines, provenance=st.lists(st.sampled_from(["rfe", "turn-pair 3"]), max_size=2))
+    def test_equals_parse_then_replace(self, raw, provenance):
+        provenance = tuple(provenance)
+        try:
+            plain, plain_warnings = parse_entity_list(raw)
+        except EntityListParseError:
+            with pytest.raises(EntityListParseError):
+                parse_entity_list(raw, provenance)
+            return
+        entities, warnings = parse_entity_list(raw, provenance)
+        assert entities == [dataclasses.replace(e, provenance=provenance) for e in plain]
+        assert all(type(e.status) is EntityStatus for e in entities)
+        assert warnings == plain_warnings
 
 
 entity_names = st.lists(
