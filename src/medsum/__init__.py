@@ -9,74 +9,9 @@ traffic flows through a cache/retry/replay gateway, so runs are
 reproducible offline.
 """
 
-from .backend import (
-    CompletionClient,
-    CompletionParams,
-    CompletionRequest,
-    HashEmbedder,
-    HTTPTransport,
-    RecordingTransport,
-    ReplayStore,
-    ReplayTransport,
-    RetryPolicy,
-    ScriptedTransport,
-    cache_key,
-    default_params,
-    record_replay_store,
-)
-from .chain import (
-    ChainConfig,
-    ChainDeps,
-    SelectionMode,
-    collate,
-    pair_turns,
-    resolve_unknowns,
-    run_medsum_ent,
-    run_naive_baseline,
-    summarize,
-)
-from .metrics import (
-    SectionScore,
-    aggregate,
-    evaluate_encounter,
-    exact_match_verifier,
-    score_section,
-)
-from .model import (
-    SCORED_SECTIONS,
-    SECTION_KEYS,
-    Encounter,
-    EntityLedger,
-    EntityStatus,
-    ExampleKind,
-    LabeledExample,
-    MedicalEntity,
-    Method,
-    PromptKind,
-    RunRecord,
-    Speaker,
-    StructuredSummary,
-    Turn,
-    normalize_entity_name,
-    validate_encounter,
-)
-from .promptkit import (
-    PromptTemplate,
-    TokenBudget,
-    estimate_tokens,
-    load_templates,
-    parse_entity_list,
-    parse_summary,
-    render,
-    serialize_ledger,
-    serialize_summary,
-)
-from .selection import (
-    ExamplePool,
-    SelectionQuery,
-    build_index,
-    select_random,
-    select_semantic,
-)
+from .backend import CompletionClient, ScriptedTransport
+from .chain import ChainConfig, ChainDeps, run_medsum_ent
+from .model import PromptKind, validate_encounter
+from .promptkit import load_templates
 
 __version__ = "0.1.0"

@@ -47,7 +47,6 @@ __all__ = [
     "ReplayStore",
     "ReplayTransport",
     "RecordingTransport",
-    "record_replay_store",
     "CompletionClient",
     "EmbeddingGateway",
     "HashEmbedder",
@@ -443,24 +442,6 @@ class RecordingTransport:
 
     def peek(self, key: str) -> str | None:
         return self.store.get(key)
-
-
-def record_replay_store(
-    path: str | Path, mode: str, live: Transport | None = None
-) -> Transport:
-    """Open a replay store as a transport.
-
-    mode="replay" serves stored responses byte-identically and errors on a
-    miss; mode="record" needs a live transport to delegate misses to and
-    persists every new response (the file is created if absent).
-    """
-    if mode == "replay":
-        return ReplayTransport(ReplayStore(path, create=False))
-    if mode == "record":
-        if live is None:
-            raise ValueError("record mode needs a live transport")
-        return RecordingTransport(live, ReplayStore(path, create=True))
-    raise ValueError(f"unknown replay mode: {mode!r}")
 
 
 # Width of the fan-out executor when max_in_flight is not set. On the

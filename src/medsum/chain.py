@@ -200,13 +200,10 @@ def pair_turns(turns: Sequence[Turn]) -> list[tuple[Turn, ...]]:
 
 
 def _select_examples(
-    kind: ExampleKind,
-    k: int,
-    query_text: str,
-    enc: Encounter,
-    cfg: ChainConfig,
-    deps: ChainDeps,
+    kind: ExampleKind, query_text: str, enc: Encounter, cfg: ChainConfig, deps: ChainDeps
 ) -> list[LabeledExample]:
+    """The configured number of examples of `kind` for one prompt."""
+    k = cfg.summarization_k if kind is ExampleKind.SUMMARIZATION else cfg.extraction_k
     if k == 0:
         return []
     pool = deps.pools.get(kind)
@@ -230,14 +227,28 @@ def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
     log.trace.append(TraceEntry(req.prompt_kind, key, req.params.as_dict()))
 
 
-def _complete(req: CompletionRequest, key: str, deps: ChainDeps, log: RunLog) -> str:
+def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
+    req, key = _request(kind, prompt)
     text = deps.client.complete(req, key)
     _traced(log, req, key)
     return text
 
 
-def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
-    return _complete(*_request(kind, prompt), deps, log)
+def _render_call(
+    template_id: str, kind: PromptKind, input_text: str, examples: Sequence[LabeledExample],
+    enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
+) -> str:
+    """Render a template for the encounter, then send and trace the call:
+    the resolver and summary stages."""
+    prompt = render(
+        deps.templates[template_id],
+        input_text=input_text,
+        age=enc.age,
+        sex=enc.sex,
+        examples=examples,
+        budget=cfg.budget,
+    )
+    return _call(kind, prompt, deps, log)
 
 
 def _extraction_prompt(
@@ -246,8 +257,7 @@ def _extraction_prompt(
     """The RFE or turn-window extraction prompt (the template id is the
     prompt kind's value) bound to the encounter's demographics and to the
     examples selected for `text`."""
-    example_kind = ExampleKind(kind.value)
-    examples = _select_examples(example_kind, cfg.extraction_k, text, enc, cfg, deps)
+    examples = _select_examples(ExampleKind(kind.value), text, enc, cfg, deps)
     return bind(
         deps.templates[kind.value],
         age=enc.age,
@@ -257,20 +267,14 @@ def _extraction_prompt(
     )
 
 
-def _rfe_request(
-    enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> tuple[CompletionRequest, str]:
-    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
-    return _request(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe))
-
-
 def _extraction_requests(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps
 ) -> Iterator[tuple[str, CompletionRequest, str]]:
     """(provenance tag, request, cache key) of every extraction call, in
     chain order: the opening message ("rfe"), then each turn window
     ("turn-pair <i>")."""
-    yield ("rfe", *_rfe_request(enc, cfg, deps))
+    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    yield ("rfe", *_request(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe)))
     # A random draw ignores the query text, so one draw, bound once, serves
     # every window; a semantic draw differs per window.
     shared = None
@@ -294,8 +298,9 @@ def extract_rfe_entities(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> list[MedicalEntity]:
     """One extraction call on the patient's opening message; provenance "rfe"."""
-    text = _complete(*_rfe_request(enc, cfg, deps), deps, log)
-    return _parse_extraction("rfe", text, log)
+    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    completion = _call(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe), deps, log)
+    return _parse_extraction("rfe", completion, log)
 
 
 def extract_turn_entities(
@@ -309,7 +314,7 @@ def extract_turn_entities(
     """One extraction call on a single turn window; provenance "turn-pair <i>"."""
     text = window_text(window)
     prompt = _extraction_prompt(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
-    completion = _complete(*_request(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text)), deps, log)
+    completion = _call(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text), deps, log)
     return _parse_extraction(f"turn-pair {window_index}", completion, log)
 
 
@@ -367,14 +372,9 @@ def resolve_unknowns(
         + "\n\nConversation:\n"
         + encounter_text(enc)
     )
-    prompt = render(
-        deps.templates["unknown_resolver"],
-        input_text=input_text,
-        age=enc.age,
-        sex=enc.sex,
-        budget=cfg.budget,
+    completion = _render_call(
+        "unknown_resolver", PromptKind.UNKNOWN_RESOLVER, input_text, (), enc, cfg, deps, log
     )
-    completion = _call(PromptKind.UNKNOWN_RESOLVER, prompt, deps, log)
     try:
         parsed, warnings = parse_entity_list(completion)
     except Exception as exc:
@@ -414,32 +414,32 @@ def resolve_unknowns(
     return EntityLedger(tuple(resolved))
 
 
+def _summary(
+    template_id: str, input_text: str, examples: Sequence[LabeledExample],
+    enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
+) -> StructuredSummary:
+    """The summary stage of both methods, from the selected examples on."""
+    completion = _render_call(
+        template_id, PromptKind.SUMMARIZATION, input_text, examples, enc, cfg, deps, log
+    )
+    summary, warnings = parse_summary(completion)
+    log.warnings.extend(f"summary: {w}" for w in warnings)
+    return summary
+
+
 def summarize(
     enc: Encounter, ledger: EntityLedger, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> StructuredSummary:
     """One summarization call conditioned on the dialogue and the serialized ledger."""
     conversation = encounter_text(enc)
-    examples = _select_examples(
-        ExampleKind.SUMMARIZATION, cfg.summarization_k, conversation, enc, cfg, deps
-    )
+    examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
     input_text = (
         "Conversation:\n"
         + conversation
         + "\n\nExtracted medical entities:\n"
         + serialize_ledger(ledger)
     )
-    prompt = render(
-        deps.templates["summarization"],
-        input_text=input_text,
-        age=enc.age,
-        sex=enc.sex,
-        examples=examples,
-        budget=cfg.budget,
-    )
-    completion = _call(PromptKind.SUMMARIZATION, prompt, deps, log)
-    summary, warnings = parse_summary(completion)
-    log.warnings.extend(f"summary: {w}" for w in warnings)
-    return summary
+    return _summary("summarization", input_text, examples, enc, cfg, deps, log)
 
 
 def _extract_all(
@@ -509,15 +509,7 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
         summary = summarize(enc, ledger, cfg, deps, log)
     except Exception as exc:
         raise ChainError(enc.id, stage, exc) from exc
-    return RunRecord(
-        encounter_id=enc.id,
-        method=Method.MEDSUM_ENT,
-        config=cfg.snapshot(),
-        ledger=ledger,
-        summary=summary,
-        llm_call_trace=tuple(log.trace),
-        warnings=tuple(log.warnings),
-    )
+    return _record(enc, cfg, log, Method.MEDSUM_ENT, ledger, summary)
 
 
 def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
@@ -526,34 +518,20 @@ def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> Run
     stage = "example selection"
     try:
         conversation = encounter_text(enc)
-        examples = _select_examples(
-            ExampleKind.SUMMARIZATION, cfg.summarization_k, conversation, enc, cfg, deps
-        )
+        examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
         stage = "summarization"
-        prompt = render(
-            deps.templates["baseline_summarization"],
-            input_text=conversation,
-            age=enc.age,
-            sex=enc.sex,
-            examples=examples,
-            budget=cfg.budget,
-        )
-        completion = _call(PromptKind.SUMMARIZATION, prompt, deps, log)
-        summary, warnings = parse_summary(completion)
-        log.warnings.extend(f"summary: {w}" for w in warnings)
-    except ChainError:
-        raise
+        summary = _summary("baseline_summarization", conversation, examples, enc, cfg, deps, log)
     except Exception as exc:
         raise ChainError(enc.id, stage, exc) from exc
-    return RunRecord(
-        encounter_id=enc.id,
-        method=Method.NAIVE_BASELINE,
-        config=cfg.snapshot(),
-        ledger=EntityLedger(),
-        summary=summary,
-        llm_call_trace=tuple(log.trace),
-        warnings=tuple(log.warnings),
-    )
+    return _record(enc, cfg, log, Method.NAIVE_BASELINE, EntityLedger(), summary)
+
+
+def _record(
+    enc: Encounter, cfg: ChainConfig, log: RunLog, method: Method, ledger: EntityLedger,
+    summary: StructuredSummary,
+) -> RunRecord:
+    trace, warnings = tuple(log.trace), tuple(log.warnings)
+    return RunRecord(enc.id, method, cfg.snapshot(), ledger, summary, trace, warnings)
 
 
 @dataclass

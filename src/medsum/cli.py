@@ -20,8 +20,10 @@ from .backend import (
     CompletionClient,
     HashEmbedder,
     HTTPTransport,
+    RecordingTransport,
+    ReplayStore,
+    ReplayTransport,
     Transport,
-    record_replay_store,
 )
 from .chain import ChainConfig, ChainDeps, Method, SelectionMode, run_many
 from .metrics import (
@@ -39,7 +41,7 @@ from .metrics import (
     write_jsonl_report,
 )
 from .model import Encounter, ExampleKind, RunRecord, ValidationError, validate_encounter
-from .promptkit import TokenBudget, load_templates, serialize_summary
+from .promptkit import TokenBudget, estimate_tokens, load_templates, serialize_summary
 from .selection import build_index, load_example_pools
 
 EXIT_OK = 0
@@ -204,13 +206,13 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
         store = Path(store_path)
         if not store.exists():
             raise CliError(f"replay store not found: {store}")
-        return record_replay_store(store, mode)
+        return ReplayTransport(ReplayStore(store))
     endpoint = config.get("endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
     live = HTTPTransport(endpoint, model=config.get("model", "completion-model"))
     if mode == "record":
-        return record_replay_store(store_path, mode, live)
+        return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live
 
 
@@ -249,13 +251,6 @@ def build_deps(
     return ChainDeps(client=client, templates=templates, pools=pools, embedder=embedder)
 
 
-def _whitespace_tokens(enc: Encounter) -> int:
-    count = len(enc.rfe.split())
-    for turn in enc.turns:
-        count += len(turn.text.split())
-    return count
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     encounters, problems = read_dataset(args.dataset)
     by_line = {lineno: enc for lineno, enc in encounters}
@@ -272,7 +267,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     if encounters:
         turn_counts = [len(enc.turns) for _, enc in encounters]
-        token_counts = [_whitespace_tokens(enc) for _, enc in encounters]
+        token_counts = [
+            sum(estimate_tokens(text, 1.0) for text in (enc.rfe, *(t.text for t in enc.turns)))
+            for _, enc in encounters
+        ]
         print(f"encounters: {len(encounters)}")
         print(
             "turns: mean {:.1f}, min {}, max {}".format(
@@ -364,18 +362,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     try:
         for record in records:
             enc = dataset.get(record.encounter_id)
-            if enc is None:
-                print(
-                    f"WARN encounter {record.encounter_id!r} not in dataset, skipped",
-                    file=sys.stderr,
-                )
-                skipped += 1
-                continue
-            if enc.reference_summary is None:
-                print(
-                    f"WARN encounter {record.encounter_id!r} has no reference summary, skipped",
-                    file=sys.stderr,
-                )
+            if enc is None or enc.reference_summary is None:
+                why = "not in dataset" if enc is None else "has no reference summary"
+                print(f"WARN encounter {record.encounter_id!r} {why}, skipped", file=sys.stderr)
                 skipped += 1
                 continue
             scores = evaluate_encounter(
@@ -516,3 +505,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -189,9 +189,8 @@ def _parse_verdicts(completion: str, expected: int) -> list[bool]:
 class LLMVerifier:
     """Paraphrase-tolerant presence judge backed by completion calls.
 
-    By default all concepts for one target go into a single call, one yes/no
-    verdict per line, aligned with the input order; per_concept=True issues
-    one call per concept instead. Zero concepts means zero calls.
+    All concepts for one target go into a single call, one yes/no verdict
+    per line, aligned with the input order. Zero concepts means zero calls.
     """
 
     def __init__(
@@ -199,14 +198,14 @@ class LLMVerifier:
         client: CompletionClient,
         template: PromptTemplate,
         budget: TokenBudget | None = None,
-        per_concept: bool = False,
     ):
         self._client = client
         self._template = template
         self._budget = budget or TokenBudget()
-        self._per_concept = per_concept
 
-    def _ask(self, concepts: Sequence[str], target_text: str) -> list[bool]:
+    def __call__(self, concepts: Sequence[str], target_text: str) -> list[bool]:
+        if not concepts:
+            return []
         input_text = (
             "Concepts:\n"
             + "\n".join(f"- {c}" for c in concepts)
@@ -218,13 +217,6 @@ class LLMVerifier:
             CompletionRequest.build(PromptKind.METRIC_VERIFICATION, prompt)
         )
         return _parse_verdicts(completion, len(concepts))
-
-    def __call__(self, concepts: Sequence[str], target_text: str) -> list[bool]:
-        if not concepts:
-            return []
-        if self._per_concept:
-            return [self._ask([c], target_text)[0] for c in concepts]
-        return self._ask(concepts, target_text)
 
 
 def _normalize(text: str) -> str:
@@ -431,10 +423,7 @@ CSV_COLUMNS = (
     "summarization_k",
     "selection",
     "resolver",
-    "pertinent_positives",
-    "pertinent_negatives",
-    "pertinent_unknowns",
-    "medical_history",
+    *SCORED_SECTIONS,
     "average",
 )
 
@@ -464,10 +453,7 @@ def write_csv_report(rows: Sequence[TableRow], path: str | Path) -> None:
                     _cell(row.key.summarization_k),
                     _cell(row.key.selection),
                     _cell(row.key.resolver),
-                    _pct(row.section_scores["pertinent_positives"]),
-                    _pct(row.section_scores["pertinent_negatives"]),
-                    _pct(row.section_scores["pertinent_unknowns"]),
-                    _pct(row.section_scores["medical_history"]),
+                    *(_pct(row.section_scores[section]) for section in SCORED_SECTIONS),
                     _pct(row.average),
                 ]
             )

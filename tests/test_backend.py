@@ -31,7 +31,6 @@ from medsum.backend import (
     TransientBackendError,
     cache_key,
     default_params,
-    record_replay_store,
 )
 from medsum.model import PromptKind
 
@@ -465,11 +464,11 @@ class TestReplayStore:
     def test_record_then_replay_identical(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         live = ScriptedTransport(lambda req: f"echo:{req.prompt}")
-        recorder = record_replay_store(store_path, "record", live=live)
+        recorder = RecordingTransport(live, ReplayStore(store_path, create=True))
         req = request_for("what brings you in")
         recorded = recorder.send(req)
 
-        replayer = record_replay_store(store_path, "replay")
+        replayer = ReplayTransport(ReplayStore(store_path))
         assert replayer.send(req) == recorded
         # The live transport is not consulted again while recording a hit.
         recorder.send(req)
@@ -486,11 +485,11 @@ class TestReplayStore:
 
     def test_mutated_prompt_misses(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
-        recorder = record_replay_store(
-            store_path, "record", live=ScriptedTransport(lambda req: "answer")
+        recorder = RecordingTransport(
+            ScriptedTransport(lambda req: "answer"), ReplayStore(store_path, create=True)
         )
         recorder.send(request_for("original"))
-        replayer = record_replay_store(store_path, "replay")
+        replayer = ReplayTransport(ReplayStore(store_path))
         with pytest.raises(ReplayMissError):
             replayer.send(request_for("original tampered"))
 

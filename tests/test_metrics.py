@@ -210,11 +210,6 @@ class TestLLMVerifier:
         verifier, _ = self.make(lambda req: "1. yes\n2) No\n3: true")
         assert verifier(["a", "b", "c"], "t") == [True, False, True]
 
-    def test_per_concept_mode_one_call_each(self):
-        verifier, transport = self.make(lambda req: "yes", per_concept=True)
-        assert verifier(["a", "b"], "t") == [True, True]
-        assert len(transport.requests) == 2
-
     def test_runs_at_temperature_zero(self):
         verifier, transport = self.make(lambda req: "yes")
         verifier(["a"], "t")

@@ -1,0 +1,109 @@
+"""Pinned output bytes of the sample corpus.
+
+Both methods run `sample_data/encounters.jsonl` through a scripted transport
+under random and semantic selection, 0- and 1-shot summarization, and the
+records are then scored with the LLM extractor and verifier over fixed
+replies. The SHA-256 digests of the record lines and of both reports are
+constants, so a refactor that changes any byte of either fails here, not
+only within one run as the determinism tests check.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from medsum.backend import CompletionClient, HashEmbedder, ScriptedTransport
+from medsum.chain import ChainConfig, ChainDeps, SelectionMode, run_many
+from medsum.cli import load_dataset
+from medsum.metrics import (
+    EncounterEvaluation,
+    LLMConceptExtractor,
+    LLMVerifier,
+    RowKey,
+    aggregate,
+    evaluate_encounter,
+    write_csv_report,
+    write_jsonl_report,
+)
+from medsum.model import Method, PromptKind
+from medsum.promptkit import load_templates
+from medsum.selection import build_index, load_example_pools
+
+from conftest import scripted_pipeline_responder
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
+
+RECORDS_SHA256 = "515da6b06eace4180051654a346c989cd6353bb1a99eeeffd3628b32168cbfdd"
+CSV_SHA256 = "8718205f434d0950e9bad73a406dc9d99ee96d64bfbf5d91f8ee6b7194c80f98"
+JSONL_SHA256 = "138d8a275cf2d960e529bc4abed5c31e65a9a091848d51e864ef1e7c42d53506"
+
+
+def metric_responder(req):
+    """Two concepts for every extraction; a yes and a no for every
+    verification (each verification therefore asks about two concepts)."""
+    if req.prompt_kind is PromptKind.METRIC_EXTRACTION:
+        return "- first concept\n- second concept"
+    if req.prompt_kind is PromptKind.METRIC_VERIFICATION:
+        return "yes\nno"
+    raise AssertionError(f"unexpected prompt kind {req.prompt_kind}")
+
+
+def sample_records():
+    encounters = load_dataset(SAMPLE / "encounters.jsonl")
+    pools = load_example_pools(SAMPLE / "pools.jsonl")
+    embedder = HashEmbedder()
+    templates = load_templates()
+    records = []
+    for method in (Method.MEDSUM_ENT, Method.NAIVE_BASELINE):
+        for mode in SelectionMode:
+            for summarization_k in (0, 1):
+                cfg = ChainConfig(
+                    extraction_k=3,
+                    summarization_k=summarization_k,
+                    selection_mode=mode,
+                    run_seed=7,
+                )
+                mode_pools = pools
+                if mode is SelectionMode.SEMANTIC:
+                    mode_pools = {kind: build_index(pool, embedder) for kind, pool in pools.items()}
+                client = CompletionClient(
+                    ScriptedTransport(scripted_pipeline_responder), sleeper=lambda _: None
+                )
+                deps = ChainDeps(client, templates, mode_pools, embedder)
+                for outcome in run_many(encounters, cfg, deps, method, workers=2):
+                    assert outcome.error is None, outcome.error
+                    records.append(outcome.record)
+    return encounters, records
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_sample_corpus_output_bytes_are_pinned(tmp_path):
+    encounters, records = sample_records()
+    lines = "".join(
+        json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        for r in records
+    )
+    assert sha256(lines.encode("utf-8")) == RECORDS_SHA256
+
+    client = CompletionClient(ScriptedTransport(metric_responder), sleeper=lambda _: None)
+    templates = load_templates()
+    extractor = LLMConceptExtractor(client, templates["metric_extraction"])
+    verifier = LLMVerifier(client, templates["metric_verification"])
+    references = {enc.id: enc.reference_summary for enc in encounters}
+    evaluations = [
+        EncounterEvaluation(
+            r.encounter_id,
+            RowKey.from_record(r),
+            evaluate_encounter(r.summary, references[r.encounter_id], verifier, extractor),
+        )
+        for r in records
+        if references[r.encounter_id] is not None
+    ]
+    csv_path, jsonl_path = tmp_path / "report.csv", tmp_path / "report.jsonl"
+    write_csv_report(aggregate(evaluations), csv_path)
+    write_jsonl_report(evaluations, jsonl_path)
+    assert sha256(csv_path.read_bytes()) == CSV_SHA256
+    assert sha256(jsonl_path.read_bytes()) == JSONL_SHA256
