@@ -41,6 +41,7 @@ __all__ = [
     "RetryPolicy",
     "default_params",
     "cache_key",
+    "PrefixKeyer",
     "Transport",
     "ScriptedTransport",
     "HTTPTransport",
@@ -170,7 +171,9 @@ def cache_key(req: CompletionRequest) -> str:
     "params": params.as_dict()}, sort_keys=True, separators=(",", ":")),
     spliced from its pieces: the params' JSON is built once per params
     object, and the prompt is escaped by the same ASCII-only string encoder
-    json.dumps uses, so the bytes are the same.
+    json.dumps uses, so the bytes are the same. `PrefixKeyer` is the other
+    way to compute the same key, for prompts that share a fixed head and
+    tail around their input.
     """
     payload = (
         '{"params":'
@@ -180,6 +183,31 @@ def cache_key(req: CompletionRequest) -> str:
         + _KIND_TAIL[req.prompt_kind]
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class PrefixKeyer:
+    """`cache_key` of every request of one kind and params whose prompt is
+    head + input + tail, with the head escaped and hashed once.
+
+    `key(input_text)` equals `cache_key(CompletionRequest(head + input_text
+    + tail, params, kind))`. The string encoder escapes each code point on
+    its own (an astral character or a surrogate pair split across a join
+    gives the same escapes either way), so escaping the three parts apart
+    and joining them gives the bytes of escaping the whole prompt.
+    """
+
+    __slots__ = ("_state", "_end")
+
+    def __init__(self, kind: PromptKind, params: CompletionParams, head: str, tail: str):
+        opening = '{"params":' + params._json + ',"prompt":' + _json_string(head)[:-1]
+        self._state = hashlib.sha256(opening.encode("ascii"))
+        self._end = (_json_string(tail)[1:] + _KIND_TAIL[PromptKind(kind)]).encode("ascii")
+
+    def key(self, input_text: str) -> str:
+        state = self._state.copy()
+        state.update(_json_string(input_text)[1:-1].encode("ascii"))
+        state.update(self._end)
+        return state.hexdigest()
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .backend import (
     CompletionClient,
     CompletionRequest,
     EmbeddingGateway,
+    PrefixKeyer,
     cache_key,
     default_params,
 )
@@ -81,6 +82,8 @@ __all__ = [
 
 _EXTRACTION_K_CHOICES = (1, 3, 5)
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+# What starts a turn's line in the conversation text.
+_SPEAKER_LABEL = {speaker: speaker.value.capitalize() + ": " for speaker in Speaker}
 
 
 class SelectionMode(str, Enum):
@@ -168,12 +171,12 @@ def encounter_seed(encounter_id: str, run_seed: int) -> int:
 def encounter_text(enc: Encounter) -> str:
     """The whole conversation as plain text, opening message first."""
     lines = [f"Reason for encounter: {enc.rfe}"]
-    lines.extend(f"{t.speaker.value.capitalize()}: {t.text}" for t in enc.turns)
+    lines.extend(_SPEAKER_LABEL[t.speaker] + t.text for t in enc.turns)
     return "\n".join(lines)
 
 
 def window_text(window: Sequence[Turn]) -> str:
-    return "\n".join(f"{t.speaker.value.capitalize()}: {t.text}" for t in window)
+    return "\n".join(_SPEAKER_LABEL[t.speaker] + t.text for t in window)
 
 
 def pair_turns(turns: Sequence[Turn]) -> list[tuple[Turn, ...]]:
@@ -275,15 +278,18 @@ def _extraction_requests(
     ("turn-pair <i>")."""
     prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
     yield ("rfe", *_request(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe)))
-    # A random draw ignores the query text, so one draw, bound once, serves
-    # every window; a semantic draw differs per window.
-    shared = None
+    # A random draw ignores the query text, so one draw, bound and keyed
+    # once, serves every window; a semantic draw differs per window.
+    kind = PromptKind.DIALOGUE_EXTRACTION
+    params = default_params(kind)
+    keyer = None
     for i, window in enumerate(pair_turns(enc.turns)):
         text = window_text(window)
-        prompt = shared or _extraction_prompt(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
-        if cfg.selection_mode is SelectionMode.RANDOM:
-            shared = prompt
-        yield (f"turn-pair {i}", *_request(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text)))
+        if keyer is None or cfg.selection_mode is not SelectionMode.RANDOM:
+            prompt = _extraction_prompt(kind, text, enc, cfg, deps)
+            keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
+        req = CompletionRequest(prompt=prompt.fill(text), params=params, prompt_kind=kind)
+        yield (f"turn-pair {i}", req, keyer.key(text))
 
 
 def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:

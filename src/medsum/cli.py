@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import sys
@@ -282,20 +283,49 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not problems else EXIT_CONFIG
 
 
-def _existing_record_ids(path: Path) -> set[str]:
+def _existing_record_ids(path: Path) -> tuple[set[str], int | None]:
+    """Encounter ids of the records in a run's output, and where a torn
+    last line starts, if there is one.
+
+    A last line with no newline after it is what a run killed mid-write
+    leaves. If it does not parse, it is dropped with a warning (`cmd_run`
+    cuts it off and reruns its encounter); if it does, its record counts.
+    A corrupt line anywhere else, or bytes that are not UTF-8, are a CliError.
+    """
     ids: set[str] = set()
     if not path.exists():
-        return ids
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids.add(json.loads(line)["encounter_id"])
-            except (ValueError, KeyError, TypeError):
-                raise CliError(f"output file {path} holds a corrupt record line")
-    return ids
+        return ids, None
+    try:
+        with path.open("r", encoding="utf-8", newline="\n") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    ids.add(json.loads(line)["encounter_id"])
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.endswith("\n"):
+                        raise CliError(f"output file {path} holds a corrupt record line")
+                    print(
+                        f"WARN output file {path}: dropping torn last line {lineno} ({exc})",
+                        file=sys.stderr,
+                    )
+                    return ids, os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise CliError(f"output file {path} is not UTF-8 text: {exc}") from exc
+    return ids, None
+
+
+def _mend_output_tail(path: Path, torn_at: int | None) -> None:
+    """Cut a torn last line off a run's output and end its last line with a
+    newline, so the next record appended starts a line of its own."""
+    if torn_at is not None:
+        os.truncate(path, torn_at)
+    if not path.exists() or not path.stat().st_size:
+        return
+    with path.open("rb+") as fh:
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            fh.write(b"\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -306,7 +336,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     encounters = load_dataset(args.dataset)
 
     output = Path(args.output)
-    done = _existing_record_ids(output)
+    done, torn_at = _existing_record_ids(output)
+    _mend_output_tail(output, torn_at)
     todo = [enc for enc in encounters if enc.id not in done]
     if done:
         print(f"resuming: {len(done)} encounters already in {output}")

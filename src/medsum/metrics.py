@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .backend import CompletionClient, CompletionRequest
+from .backend import CompletionClient, CompletionRequest, PrefixKeyer, default_params
 from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
-from .promptkit import PromptTemplate, TokenBudget, render
+from .model import collapse_whitespace
+from .promptkit import PromptTemplate, TokenBudget, bind
 
 __all__ = [
     "ConceptParseError",
@@ -138,13 +139,12 @@ def _parse_concepts(completion: str) -> list[str]:
     return concepts
 
 
-class LLMConceptExtractor:
-    """Concept extraction through one completion call per non-empty text.
+class _Judge:
+    """A metric prompt of kind `_kind`, its template bound once, with the
+    kind's default parameters and a keyer for its fixed text. A template
+    that declares {age} or {sex} raises TemplateError here."""
 
-    Runs at the metric-extraction defaults (temperature 0) so repeated
-    scoring of the same text is reproducible. Duplicate concept lines are
-    dropped, first occurrence kept.
-    """
+    _kind: PromptKind
 
     def __init__(
         self,
@@ -153,17 +153,29 @@ class LLMConceptExtractor:
         budget: TokenBudget | None = None,
     ):
         self._client = client
-        self._template = template
-        self._budget = budget or TokenBudget()
+        self._params = default_params(self._kind)
+        self._prompt = bind(template, budget=budget or TokenBudget())
+        self._keyer = PrefixKeyer(self._kind, self._params, self._prompt.head, self._prompt.tail)
+
+    def _complete(self, input_text: str) -> str:
+        req = CompletionRequest(self._prompt.fill(input_text), self._params, self._kind)
+        return self._client.complete(req, self._keyer.key(input_text))
+
+
+class LLMConceptExtractor(_Judge):
+    """Concept extraction through one completion call per non-empty text.
+
+    Runs at the metric-extraction defaults (temperature 0) so repeated
+    scoring of the same text is reproducible. Duplicate concept lines are
+    dropped, first occurrence kept.
+    """
+
+    _kind = PromptKind.METRIC_EXTRACTION
 
     def __call__(self, text: str) -> list[str]:
         if not text.strip():
             return []
-        prompt = render(self._template, input_text=text, budget=self._budget)
-        completion = self._client.complete(
-            CompletionRequest.build(PromptKind.METRIC_EXTRACTION, prompt)
-        )
-        return _parse_concepts(completion)
+        return _parse_concepts(self._complete(text))
 
 
 def _parse_verdicts(completion: str, expected: int) -> list[bool]:
@@ -186,22 +198,14 @@ def _parse_verdicts(completion: str, expected: int) -> list[bool]:
     return verdicts
 
 
-class LLMVerifier:
+class LLMVerifier(_Judge):
     """Paraphrase-tolerant presence judge backed by completion calls.
 
     All concepts for one target go into a single call, one yes/no verdict
     per line, aligned with the input order. Zero concepts means zero calls.
     """
 
-    def __init__(
-        self,
-        client: CompletionClient,
-        template: PromptTemplate,
-        budget: TokenBudget | None = None,
-    ):
-        self._client = client
-        self._template = template
-        self._budget = budget or TokenBudget()
+    _kind = PromptKind.METRIC_VERIFICATION
 
     def __call__(self, concepts: Sequence[str], target_text: str) -> list[bool]:
         if not concepts:
@@ -212,21 +216,13 @@ class LLMVerifier:
             + "\n\nText:\n"
             + target_text
         )
-        prompt = render(self._template, input_text=input_text, budget=self._budget)
-        completion = self._client.complete(
-            CompletionRequest.build(PromptKind.METRIC_VERIFICATION, prompt)
-        )
-        return _parse_verdicts(completion, len(concepts))
-
-
-def _normalize(text: str) -> str:
-    return " ".join(text.casefold().split())
+        return _parse_verdicts(self._complete(input_text), len(concepts))
 
 
 def exact_match_verifier(concepts: Sequence[str], target_text: str) -> list[bool]:
     """Deterministic oracle: case-folded, whitespace-collapsed substring test."""
-    target = _normalize(target_text)
-    return [_normalize(c) in target for c in concepts]
+    target = collapse_whitespace(target_text)
+    return [collapse_whitespace(c) in target for c in concepts]
 
 
 _SEGMENT_SPLIT_RE = re.compile(r"[\n.;,]+")
@@ -241,7 +237,7 @@ def segment_concept_extractor(text: str) -> list[str]:
     concepts: list[str] = []
     seen: set[str] = set()
     for fragment in _SEGMENT_SPLIT_RE.split(text):
-        concept = _normalize(fragment)
+        concept = collapse_whitespace(fragment)
         if concept and concept not in seen:
             seen.add(concept)
             concepts.append(concept)

@@ -19,6 +19,7 @@ __all__ = [
     "ExampleKind",
     "Method",
     "ValidationError",
+    "collapse_whitespace",
     "normalize_entity_name",
     "Turn",
     "Encounter",
@@ -97,13 +98,17 @@ def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
         return enum(value)
 
 
-def normalize_entity_name(name: str) -> str:
-    """Case-fold, trim, and collapse internal whitespace runs to one space.
+def collapse_whitespace(text: str) -> str:
+    """Case-fold, trim, and collapse internal whitespace runs to one space."""
+    return " ".join(text.casefold().split())
 
-    Raises ValueError if nothing is left afterwards. Entity identity across
-    the pipeline is equality of this normalized form.
+
+def normalize_entity_name(name: str) -> str:
+    """`collapse_whitespace(name)`; raises ValueError if nothing is left.
+
+    Entity identity across the pipeline is equality of this normalized form.
     """
-    normalized = " ".join(name.casefold().split())
+    normalized = collapse_whitespace(name)
     if not normalized:
         raise ValueError("entity name is empty after normalization")
     return normalized

@@ -9,6 +9,7 @@ seed reproduces the same draw on every platform.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,9 +129,21 @@ def select_random(pool: ExamplePool, k: int, seed: int) -> list[LabeledExample]:
         raise ValueError("k must be non-negative")
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(pool))
-    return [pool.examples[i] for i in order[:k]]
+    return [pool.examples[i] for i in _order(seed, len(pool))[:k].tolist()]
+
+
+@functools.lru_cache(maxsize=16)
+def _order(seed: int, n: int) -> np.ndarray:
+    """The seeded permutation of range(n), read-only.
+
+    Building the generator costs more than the draws a prompt needs, and
+    the draws of one encounter (one seed, pools of one size) repeat it; the
+    permutation is drawn whole because its first k entries depend on all of
+    it.
+    """
+    order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
+    order.flags.writeable = False
+    return order
 
 
 def select_semantic(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import medsum.backend as backend
@@ -20,6 +20,7 @@ from medsum.backend import (
     CompletionParams,
     CompletionRequest,
     HashEmbedder,
+    PrefixKeyer,
     RecordingTransport,
     ReplayMissError,
     ReplayStore,
@@ -77,6 +78,15 @@ class TestCompletionParams:
             CompletionParams(**kwargs)
 
 
+# Text that the key's string encoder escapes or encodes specially: quotes,
+# backslashes, control characters, U+2028, non-ASCII and astral characters,
+# and lone surrogates of both halves; an edge is one of them or nothing,
+# put at a join between head, input and tail.
+_KEY_SPECIALS = '"\\/\x00\x07\x1f\x7f\n\r\t\u2028é—\U0001f600\U0010ffff\ud800\udbff\udc00\udfff'
+_KEY_PIECE = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from(_KEY_SPECIALS)), max_size=12)
+_KEY_EDGE = st.sampled_from(["", *_KEY_SPECIALS])
+
+
 class TestCacheKey:
     def test_stable_across_processes(self):
         # Frozen constant: the key is a sha256 over a canonical serialization,
@@ -132,6 +142,30 @@ class TestCacheKey:
             separators=(",", ":"),
         )
         assert cache_key(req) == hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    @given(
+        parts=st.tuples(*[_KEY_PIECE] * 3, *[_KEY_EDGE] * 4),
+        kind=st.sampled_from(PromptKind),
+        params=st.sampled_from(sorted(set(backend.DEFAULT_COMPLETION_PARAMS.values()), key=repr)),
+    )
+    def test_prefix_keyer_matches_cache_key(self, parts, kind, params):
+        head, middle, end, head_end, input_start, input_end, tail_start = parts
+        head += head_end
+        input_text = input_start + middle + input_end
+        tail = tail_start + end
+        assume(head + input_text + tail)
+        req = CompletionRequest(head + input_text + tail, params, kind)
+        assert PrefixKeyer(kind, params, head, tail).key(input_text) == cache_key(req)
+
+    def test_prefix_keyer_serves_many_inputs(self):
+        keyer = PrefixKeyer(PromptKind.DIALOGUE_EXTRACTION, default_params("dialogue_extraction"),
+                            "Doctor: Any fever?\nPatient: ", "")
+        for answer in ("No fever — none at all.", "Yes.", ""):
+            prompt = "Doctor: Any fever?\nPatient: " + answer
+            assert keyer.key(answer) == cache_key(CompletionRequest.build("dialogue_extraction", prompt))
+        assert keyer.key("No fever — none at all.") == (
+            "81db519273139defb63da62e6b44df440752b0ee286fb081a34dd536bb8ce78e"
+        )
 
     def test_every_field_feeds_the_key(self):
         base = request_for("hello", PromptKind.SUMMARIZATION)

@@ -714,16 +714,23 @@ class TestFanOut:
 
     @pytest.mark.parametrize("runner", [run_medsum_ent, run_naive_baseline])
     def test_cache_key_computed_once_per_request(self, scripted_deps, monkeypatch, runner):
+        """Whole-prompt keys and prefix-keyed window keys together: one per request."""
         deps, transport = scripted_deps
         keys = []
         cache_key = backend.cache_key
+        prefix_key = backend.PrefixKeyer.key
 
         def counted(req):
             keys.append(req)
             return cache_key(req)
 
+        def counted_prefix(keyer, input_text):
+            keys.append(input_text)
+            return prefix_key(keyer, input_text)
+
         monkeypatch.setattr(backend, "cache_key", counted)
         monkeypatch.setattr(chain, "cache_key", counted)
+        monkeypatch.setattr(backend.PrefixKeyer, "key", counted_prefix)
         record = runner(make_encounter(with_belly=True), ChainConfig(), deps)
         assert len(keys) == len(transport.requests) == len(record.llm_call_trace)
 

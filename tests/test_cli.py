@@ -147,6 +147,61 @@ class TestRun:
         assert len(lines) == 3
         assert lines[:2] == kept
 
+    def run_args(self, workspace, output, method="medsum"):
+        return [
+            "run",
+            str(workspace["dataset"]),
+            str(output),
+            "--config",
+            str(workspace["config"]),
+            "--method",
+            method,
+            "--backend",
+            "replay",
+            "--replay-store",
+            str(workspace["store"]),
+        ]
+
+    def test_resume_over_every_cut_of_the_last_line(self, workspace, capsys):
+        """A run killed while writing its last record, at any byte, resumes
+        to the uninterrupted output: a torn line is cut off and rerun, a
+        whole one that lost its newline gets it back."""
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "naive.jsonl"
+        args = self.run_args(workspace, output, method="naive")
+        assert main(args) == EXIT_OK
+        whole = output.read_bytes()
+        last_start = whole.rindex(b"\n", 0, len(whole) - 1) + 1
+        for cut in range(last_start, len(whole)):
+            output.write_bytes(whole[:cut])
+            capsys.readouterr()
+            assert main(args) == EXIT_OK, cut
+            assert output.read_bytes() == whole, cut
+            torn = last_start < cut < len(whole) - 1
+            assert ("dropping torn last line 3" in capsys.readouterr().err) == torn, cut
+
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_corrupt_terminated_line_exits_1(self, workspace, capsys, at_end):
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "medsum.jsonl"
+        args = self.run_args(workspace, output)
+        assert main(args) == EXIT_OK
+        lines = output.read_text().splitlines(keepends=True)
+        lines[-1 if at_end else 0] = lines[-1 if at_end else 0][:40] + "\n"
+        output.write_text("".join(lines))
+        before = output.read_bytes()
+        assert main(args) == EXIT_CONFIG
+        assert "corrupt record line" in capsys.readouterr().err
+        assert output.read_bytes() == before
+
+    def test_output_that_is_not_utf8_exits_1(self, workspace, capsys):
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "medsum.jsonl"
+        output.write_bytes(b"\xff\xfe\n")
+        assert main(self.run_args(workspace, output)) == EXIT_CONFIG
+        assert "is not UTF-8 text" in capsys.readouterr().err
+        assert output.read_bytes() == b"\xff\xfe\n"
+
     def test_config_violation_exits_1(self, workspace):
         bad_config = workspace["dir"] / "bad.json"
         bad_config.write_text(json.dumps({"extraction_k": 2, "pools": str(workspace["pools"])}))

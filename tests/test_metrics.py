@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,7 +28,7 @@ from medsum.model import (
     RunRecord,
     StructuredSummary,
 )
-from medsum.promptkit import load_templates
+from medsum.promptkit import PromptTemplate, TemplateError, load_templates
 
 from conftest import make_client
 
@@ -216,6 +218,24 @@ class TestLLMVerifier:
         assert transport.requests[0].params == default_params(
             PromptKind.METRIC_VERIFICATION
         )
+
+
+
+@pytest.mark.parametrize(
+    "judge, kind, ask",
+    [
+        (LLMConceptExtractor, PromptKind.METRIC_EXTRACTION, lambda judge: judge("fever")),
+        (LLMVerifier, PromptKind.METRIC_VERIFICATION, lambda judge: judge(["fever"], "fever")),
+    ],
+)
+def test_metric_template_declaring_age_is_template_error(judge, kind, ask):
+    """Metric prompts carry no demographics, so a custom template that
+    declares {age} fails with the TemplateError that rendering it gives."""
+    client, transport = make_client(lambda req: pytest.fail("should not be called"))
+    template = PromptTemplate(kind, "Patient age: {age}\nText:\n{input}\nAnswer:")
+    with pytest.raises(TemplateError, match=re.escape("template declares {age} but no age given")):
+        ask(judge(client, template))
+    assert transport.requests == []
 
 
 class TestEvaluateEncounter:

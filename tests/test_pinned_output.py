@@ -12,7 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from medsum.backend import CompletionClient, HashEmbedder, ScriptedTransport
+import medsum.cli as cli
+from medsum.backend import CompletionClient, HashEmbedder, ReplayStore, ScriptedTransport
 from medsum.chain import ChainConfig, ChainDeps, SelectionMode, run_many
 from medsum.cli import load_dataset
 from medsum.metrics import (
@@ -36,6 +37,9 @@ SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 RECORDS_SHA256 = "515da6b06eace4180051654a346c989cd6353bb1a99eeeffd3628b32168cbfdd"
 CSV_SHA256 = "8718205f434d0950e9bad73a406dc9d99ee96d64bfbf5d91f8ee6b7194c80f98"
 JSONL_SHA256 = "138d8a275cf2d960e529bc4abed5c31e65a9a091848d51e864ef1e7c42d53506"
+# The sorted cache keys of every metric-judge request of that eval; they
+# appear in no record or report, only in a recorded metric store.
+METRIC_KEYS_SHA256 = "16edc5c3acb8c41a200d4bf293bd9a3a71d01cf39269a9e25514538117f6fabc"
 
 
 def metric_responder(req):
@@ -107,3 +111,32 @@ def test_sample_corpus_output_bytes_are_pinned(tmp_path):
     write_jsonl_report(evaluations, jsonl_path)
     assert sha256(csv_path.read_bytes()) == CSV_SHA256
     assert sha256(jsonl_path.read_bytes()) == JSONL_SHA256
+
+
+def test_metric_request_keys_are_pinned(tmp_path, monkeypatch):
+    """`eval --verifier llm --backend record` over the sample records stores
+    the metric judge's completions under pinned keys."""
+    _, records = sample_records()
+    records_path = tmp_path / "records.jsonl"
+    records_path.write_text(
+        "".join(
+            json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records
+        ),
+        encoding="utf-8",
+    )
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"endpoint": "http://localhost:9/never-contacted"}))
+    # The recording store wraps this scripted transport in place of HTTP.
+    monkeypatch.setattr(cli, "HTTPTransport", lambda *a, **kw: ScriptedTransport(metric_responder))
+    store = tmp_path / "metric_store.jsonl"
+    code = cli.main([
+        "eval", str(records_path), str(SAMPLE / "encounters.jsonl"),
+        "--verifier", "llm", "--config", str(config),
+        "--backend", "record", "--replay-store", str(store),
+        "--csv", str(tmp_path / "report.csv"), "--jsonl", str(tmp_path / "report.jsonl"),
+    ])
+    assert code == 0
+    keys = sorted(json.loads(line)["key_hex"] for line in store.read_text().splitlines())
+    assert len(keys) == len(ReplayStore(store))
+    assert sha256("".join(k + "\n" for k in keys).encode("ascii")) == METRIC_KEYS_SHA256

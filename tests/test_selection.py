@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -113,6 +115,52 @@ class TestSelectRandom:
         pool = make_pool(ExampleKind.RFE_EXTRACTION, 5)
         drawn = select_random(pool, 3, seed=42)
         assert [pool.examples.index(e) for e in drawn] == [4, 2, 3]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                # A few small seeds repeat across calls; large ones do not.
+                st.one_of(st.integers(0, 5), st.integers(0, 2**64 - 1)),
+                st.integers(1, 40),
+                st.integers(0, 40),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_memoized_draws_equal_a_fresh_generator(self, calls):
+        """Draws repeated and interleaved from 8 threads are each the first
+        k of a fresh PCG64 permutation, whatever the memo holds."""
+        pools = {n: make_pool(ExampleKind.RFE_EXTRACTION, n) for _, n, _ in calls}
+        calls = [(seed, n, min(k, n)) for seed, n, k in calls]
+        expected = [
+            np.random.Generator(np.random.PCG64(seed)).permutation(n)[:k].tolist()
+            for seed, n, k in calls
+        ]
+        results = [[None] * len(calls) for _ in range(8)]
+        start = threading.Barrier(8)
+
+        def worker(t):
+            start.wait(timeout=10)
+            order = range(len(calls)) if t % 2 else reversed(range(len(calls)))
+            for i in order:
+                seed, n, k = calls[i]
+                drawn = select_random(pools[n], k, seed)
+                results[t][i] = [pools[n].examples.index(e) for e in drawn]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == expected for result in results)
 
 
 class TestSelectSemantic:
