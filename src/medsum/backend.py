@@ -21,11 +21,12 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import IO, Any, Callable, Protocol
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Any, Callable, Protocol
 
 from .model import PromptKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -673,6 +674,8 @@ class HashEmbedder:
     def embed(self, text: str) -> np.ndarray:
         if not text:
             raise ValueError("cannot embed empty text")
+        import numpy as np
+
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = np.random.Generator(np.random.PCG64(seed))
         vector = rng.standard_normal(self.dimension)

@@ -14,7 +14,7 @@ import random
 import statistics
 import sys
 from pathlib import Path
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .backend import (
     BackendError,
@@ -42,7 +42,13 @@ from .metrics import (
     write_jsonl_report,
 )
 from .model import Encounter, ExampleKind, RunRecord, ValidationError, validate_encounter
-from .promptkit import TokenBudget, estimate_tokens, load_templates, serialize_summary
+from .promptkit import (
+    TemplateError,
+    TokenBudget,
+    estimate_tokens,
+    load_templates,
+    serialize_summary,
+)
 from .selection import build_index, load_example_pools
 
 EXIT_OK = 0
@@ -140,21 +146,23 @@ def load_dataset(path: str | Path) -> list[Encounter]:
     return [enc for _, enc in encounters]
 
 
-def load_records(path: str | Path) -> list[RunRecord]:
+def load_records(path: str | Path) -> Iterator[RunRecord]:
+    """The records of a run's output, decoded one line at a time as the
+    caller takes them; a line that does not decode is a CliError when it
+    is reached. Wrap the call in `list()` for a list."""
     path = Path(path)
     if not path.exists():
         raise CliError(f"run records not found: {path}")
-    records = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                records.append(RunRecord.from_json_dict(json.loads(line)))
+                record = RunRecord.from_json_dict(json.loads(line))
             except (ValueError, KeyError, TypeError) as exc:
                 raise CliError(f"{path}: bad record at line {lineno}: {exc}") from exc
-    return records
+            yield record
 
 
 def load_config(path: str | None) -> dict[str, Any]:
@@ -227,7 +235,10 @@ def build_deps(
         build_transport(args, config),
         max_in_flight=config.get("max_in_flight"),
     )
-    templates = load_templates(config.get("templates_dir"))
+    try:
+        templates = load_templates(config.get("templates_dir"))
+    except TemplateError as exc:
+        raise CliError(f"bad template: {exc}") from exc
     embedder = HashEmbedder(dimension=int(config.get("embedder_dim", 32)))
 
     needed: list[ExampleKind] = []
@@ -283,9 +294,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not problems else EXIT_CONFIG
 
 
-def _existing_record_ids(path: Path) -> tuple[set[str], int | None]:
+def _existing_record_ids(
+    path: Path, method: Method, config: dict[str, Any]
+) -> tuple[set[str], int | None]:
     """Encounter ids of the records in a run's output, and where a torn
     last line starts, if there is one.
+
+    Every record must come from `method` run with `config` (a ChainConfig
+    snapshot); a record of another method or configuration is a CliError
+    naming both, so one output file never mixes configurations.
 
     A last line with no newline after it is what a run killed mid-write
     leaves. If it does not parse, it is dropped with a warning (`cmd_run`
@@ -301,7 +318,8 @@ def _existing_record_ids(path: Path) -> tuple[set[str], int | None]:
                 if not line.strip():
                     continue
                 try:
-                    ids.add(json.loads(line)["encounter_id"])
+                    raw = json.loads(line)
+                    encounter_id, found = raw["encounter_id"], (raw["method"], raw["config"])
                 except (ValueError, KeyError, TypeError) as exc:
                     if line.endswith("\n"):
                         raise CliError(f"output file {path} holds a corrupt record line")
@@ -310,9 +328,21 @@ def _existing_record_ids(path: Path) -> tuple[set[str], int | None]:
                         file=sys.stderr,
                     )
                     return ids, os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                if found != (method.value, config):
+                    raise CliError(
+                        f"output file {path} holds records of another configuration: line "
+                        f"{lineno} has method {found[0]!r} and config {_snapshot_text(found[1])}; "
+                        f"this run has method {method.value!r} and config "
+                        f"{_snapshot_text(config)}. Write to another output file."
+                    )
+                ids.add(encounter_id)
     except UnicodeDecodeError as exc:
         raise CliError(f"output file {path} is not UTF-8 text: {exc}") from exc
     return ids, None
+
+
+def _snapshot_text(config: Any) -> str:
+    return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
 def _mend_output_tail(path: Path, torn_at: int | None) -> None:
@@ -336,7 +366,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     encounters = load_dataset(args.dataset)
 
     output = Path(args.output)
-    done, torn_at = _existing_record_ids(output)
+    done, torn_at = _existing_record_ids(output, method, cfg.snapshot())
     _mend_output_tail(output, torn_at)
     todo = [enc for enc in encounters if enc.id not in done]
     if done:
@@ -346,12 +376,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     workers = args.workers or int(config.get("workers", 1))
-    outcomes = run_many(todo, cfg, deps, method, workers=workers)
-
     output.parent.mkdir(parents=True, exist_ok=True)
     succeeded = failed = 0
+    # Each record is written and flushed once it and every earlier one are
+    # done, so an interrupted run keeps a prefix of its output to resume.
     with output.open("a", encoding="utf-8") as fh:
-        for outcome in outcomes:
+        for outcome in run_many(todo, cfg, deps, method, workers=workers):
             if outcome.record is not None:
                 fh.write(
                     json.dumps(
@@ -361,6 +391,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     )
                     + "\n"
                 )
+                fh.flush()
                 succeeded += 1
             else:
                 failed += 1
@@ -374,8 +405,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    records = load_records(args.records)
-    dataset = {enc.id: enc for enc in load_dataset(args.dataset)}
+    # Every record line is decoded before the first scoring call; only what
+    # scoring needs is kept of each.
+    scorable = [
+        (record.encounter_id, RowKey.from_record(record), record.summary)
+        for record in load_records(args.records)
+    ]
+    references = {enc.id: enc.reference_summary for enc in load_dataset(args.dataset)}
 
     if args.verifier == "exact":
         verifier = exact_match_verifier
@@ -383,27 +419,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         config = load_config(args.config)
         client = CompletionClient(build_transport(args, config))
-        templates = load_templates(config.get("templates_dir"))
         budget = build_budget(config)
-        extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
-        verifier = LLMVerifier(client, templates["metric_verification"], budget)
+        try:
+            templates = load_templates(config.get("templates_dir"))
+            extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
+            verifier = LLMVerifier(client, templates["metric_verification"], budget)
+        except TemplateError as exc:
+            raise CliError(f"bad template: {exc}") from exc
 
     evaluations: list[EncounterEvaluation] = []
     skipped = 0
     try:
-        for record in records:
-            enc = dataset.get(record.encounter_id)
-            if enc is None or enc.reference_summary is None:
-                why = "not in dataset" if enc is None else "has no reference summary"
-                print(f"WARN encounter {record.encounter_id!r} {why}, skipped", file=sys.stderr)
+        for encounter_id, row_key, summary in scorable:
+            reference = references.get(encounter_id)
+            if reference is None:
+                known = encounter_id in references
+                why = "has no reference summary" if known else "not in dataset"
+                print(f"WARN encounter {encounter_id!r} {why}, skipped", file=sys.stderr)
                 skipped += 1
                 continue
-            scores = evaluate_encounter(
-                record.summary, enc.reference_summary, verifier, extractor
-            )
-            evaluations.append(
-                EncounterEvaluation(record.encounter_id, RowKey.from_record(record), scores)
-            )
+            scores = evaluate_encounter(summary, reference, verifier, extractor)
+            evaluations.append(EncounterEvaluation(encounter_id, row_key, scores))
     except (BackendError, ConceptParseError, VerificationParseError) as exc:
         raise CliError(f"backend failure during evaluation: {exc}", EXIT_BACKEND) from exc
 

@@ -324,9 +324,12 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             if template_id == "baseline_summarization"
             else PromptKind(template_id)
         )
-        templates[template_id] = PromptTemplate(
-            kind=kind, preamble=path.read_text(encoding="utf-8")
-        )
+        try:
+            templates[template_id] = PromptTemplate(
+                kind=kind, preamble=path.read_text(encoding="utf-8")
+            )
+        except TemplateError as exc:
+            raise TemplateError(f"{path}: {exc}") from exc
     return templates
 
 

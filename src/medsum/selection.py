@@ -4,7 +4,9 @@ Two strategies: seeded uniform draws without replacement, and exact
 nearest-neighbor retrieval by cosine similarity over embedded queries.
 Pools are small, so retrieval is a full linear scan; an example's id is its
 position in the pool. Random selection uses numpy's PCG64 generator so a
-seed reproduces the same draw on every platform.
+seed reproduces the same draw on every platform. numpy is imported by the
+functions that draw, index or score, so importing this module does not load
+it.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .backend import EmbeddingGateway
 from .model import ExampleKind, LabeledExample
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SelectionError",
@@ -70,6 +74,8 @@ class ExamplePool:
         if self.index is not None:
             if len(self.index) != len(self.examples):
                 raise SelectionError("index size does not match pool size")
+            import numpy as np
+
             self.row_norms = np.sqrt((self.index * self.index).sum(axis=1))
 
     def __len__(self) -> int:
@@ -110,6 +116,8 @@ def build_index(pool: ExamplePool, embedder: EmbeddingGateway) -> ExamplePool:
     """Embed every example's own query rendering and attach the index."""
     if not pool.examples:
         raise SelectionError("cannot index an empty pool")
+    import numpy as np
+
     rows = []
     for i, example in enumerate(pool.examples):
         query = SelectionQuery(age=example.age, sex=example.sex, text=example.input_text)
@@ -141,6 +149,8 @@ def _order(seed: int, n: int) -> np.ndarray:
     permutation is drawn whole because its first k entries depend on all of
     it.
     """
+    import numpy as np
+
     order = np.random.Generator(np.random.PCG64(seed)).permutation(n)
     order.flags.writeable = False
     return order
@@ -162,6 +172,8 @@ def select_semantic(
         raise ValueError("k must be non-negative")
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
+    import numpy as np
+
     query_vector = np.asarray(embedder.embed(query.render()), dtype=float)
     similarities = _cosine_scores(pool.index, pool.row_norms, query_vector)
     # A stable sort keeps equal scores in id order.
@@ -175,6 +187,8 @@ def _cosine_scores(
     # Elementwise multiply + per-row sum rather than a BLAS matvec: BLAS may
     # accumulate different rows in different orders, so bit-identical rows
     # could score apart by one ulp and defeat the deterministic tie rule.
+    import numpy as np
+
     dots = (index * query_vector).sum(axis=1)
     query_norm = np.sqrt(float(query_vector @ query_vector))
     denom = row_norms * query_norm

@@ -569,8 +569,8 @@ class TestRunMany:
         client, _ = make_client(scripted_pipeline_responder)
         deps = ChainDeps(client=client, templates=templates, pools=pools)
         encounters = [make_encounter(enc_id=f"enc-{i:03d}") for i in range(6)]
-        outcomes = run_many(
-            encounters, ChainConfig(), deps, Method.MEDSUM_ENT, workers=4
+        outcomes = list(
+            run_many(encounters, ChainConfig(), deps, Method.MEDSUM_ENT, workers=4)
         )
         assert [o.encounter_id for o in outcomes] == [e.id for e in encounters]
         assert all(o.record is not None for o in outcomes)
@@ -587,10 +587,59 @@ class TestRunMany:
         good = make_encounter(enc_id="enc-good")
         bad = make_encounter(enc_id="enc-bad", rfe="POISON")
 
-        outcomes = run_many([bad, good], ChainConfig(), deps, Method.MEDSUM_ENT)
+        outcomes = list(run_many([bad, good], ChainConfig(), deps, Method.MEDSUM_ENT))
         assert outcomes[0].record is None
         assert isinstance(outcomes[0].error, ChainError)
         assert outcomes[1].record is not None
+
+
+    def test_streams_in_order_within_the_look_ahead_bound(self, monkeypatch):
+        """Outcome 0 comes out while later encounters still run; no more
+        than LOOKAHEAD_PER_WORKER x workers encounters start beyond the
+        outcomes taken; closing the iterator starts no more and waits for
+        the running ones."""
+        workers, n = 3, 20
+        bound = chain.LOOKAHEAD_PER_WORKER * workers
+        release = threading.Event()
+        lock = threading.Lock()
+        started, finished = [], set()
+
+        def runner(enc, cfg, deps):
+            with lock:
+                started.append(enc.id)
+            if enc.id != "enc-000":
+                assert release.wait(timeout=10)
+            with lock:
+                finished.add(enc.id)
+            return enc.id
+
+        def settle(expected):
+            """How many encounters have started, once `expected` have, or
+            10 s passed, and a pause left room to start more."""
+            deadline = time.monotonic() + 10
+            while len(started) < expected and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.02)
+            return len(started)
+
+        monkeypatch.setattr(chain, "run_medsum_ent", runner)
+        encounters = [make_encounter(enc_id=f"enc-{i:03d}") for i in range(n)]
+        outcomes = run_many(encounters, ChainConfig(), None, Method.MEDSUM_ENT, workers=workers)
+        taken = [next(outcomes)]
+        assert settle(workers + 1) == workers + 1
+        assert finished == {"enc-000"}
+
+        release.set()
+        while True:
+            assert settle(len(taken) + bound) == len(taken) + bound
+            if len(taken) == n // 2:
+                break
+            taken.append(next(outcomes))
+        outcomes.close()
+        assert [o.record for o in taken] == [e.id for e in encounters[: n // 2]]
+        time.sleep(0.02)
+        assert len(started) == n // 2 + bound
+        assert finished == set(started)
 
 
 def run_in_thread(fn, timeout=30):
@@ -655,7 +704,9 @@ class TestFanOut:
             make_encounter(enc_id=f"enc-{i:03d}", n_turns=12, with_belly=True) for i in range(8)
         ]
         outcomes = run_in_thread(
-            lambda: run_many(encounters, ChainConfig(), deps, Method.MEDSUM_ENT, workers=4)
+            lambda: list(
+                run_many(encounters, ChainConfig(), deps, Method.MEDSUM_ENT, workers=4)
+            )
         )
         assert all(o.record is not None for o in outcomes)
 

@@ -1,9 +1,16 @@
 import csv
 import json
+import threading
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import medsum.chain as chain
+import medsum.cli as cli
 from medsum.backend import ReplayStore
+from medsum.chain import run_medsum_ent
 from medsum.cli import (
     EXIT_BACKEND,
     EXIT_CONFIG,
@@ -15,6 +22,7 @@ from medsum.cli import (
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
+    scripted_pipeline_responder,
     write_dataset,
     write_pools,
 )
@@ -201,6 +209,48 @@ class TestRun:
         assert main(self.run_args(workspace, output)) == EXIT_CONFIG
         assert "is not UTF-8 text" in capsys.readouterr().err
         assert output.read_bytes() == b"\xff\xfe\n"
+
+    @pytest.mark.parametrize(
+        "change, found",
+        [
+            (["--method", "naive"], "method 'naive_baseline'"),
+            (["--seed", "7"], '"run_seed":7'),
+        ],
+        ids=["method", "seed"],
+    )
+    def test_resume_refuses_another_configuration(self, workspace, capsys, change, found):
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "medsum.jsonl"
+        assert main(self.run_args(workspace, output)) == EXIT_OK
+        before = output.read_bytes()
+        capsys.readouterr()
+        assert main(self.run_args(workspace, output) + change) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output file {output} holds records of another configuration")
+        assert "line 1 has method 'medsum_ent' and config {" in err
+        assert '"run_seed":0' in err
+        assert found in err.split("this run has", 1)[1]
+        assert output.read_bytes() == before
+
+    def test_template_without_input_slot_exits_1(self, workspace, capsys):
+        ReplayStore(workspace["store"], create=True)
+        templates = workspace["dir"] / "templates"
+        templates.mkdir()
+        (templates / "summarization.txt").write_text("Summarize the conversation.\n")
+        config = workspace["dir"] / "templated.json"
+        config.write_text(
+            json.dumps({"pools": str(workspace["pools"]), "templates_dir": str(templates)})
+        )
+        output = workspace["dir"] / "out.jsonl"
+        argv = self.run_args(workspace, output)
+        argv[argv.index("--config") + 1] = str(config)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: bad template: {templates / 'summarization.txt'}: "
+            "template has no {input} slot\n"
+        )
+        assert not output.exists()
 
     def test_config_violation_exits_1(self, workspace):
         bad_config = workspace["dir"] / "bad.json"
@@ -543,6 +593,113 @@ class TestEval:
         with csv_path.open(newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["average"] == "100.0"
+
+
+    def test_metric_template_declaring_age_exits_1(self, workspace, capsys):
+        records = self.run_and_eval(workspace)
+        templates = workspace["dir"] / "templates"
+        templates.mkdir()
+        (templates / "metric_extraction.txt").write_text(
+            "Concepts for a patient aged {age}.\n\nText:\n{input}\nConcepts:\n"
+        )
+        config = workspace["dir"] / "templated.json"
+        config.write_text(json.dumps({"templates_dir": str(templates)}))
+        capsys.readouterr()
+        argv = ["eval", str(records), str(workspace["dataset"]), "--verifier", "llm",
+                "--config", str(config), "--replay-store", str(workspace["store"])]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: bad template: template declares {age} but no age given\n"
+
+
+class InterruptingEndpoint:
+    """Scripted stand-in for the live endpoint whose k-th call raises
+    KeyboardInterrupt, as a Ctrl-C landing during that call would. At each
+    call it notes how many encounters had finished (`finished` lists them)."""
+
+    def __init__(self, k):
+        self.k = k
+        self.calls = 0
+        self.finished = []
+        self.finished_before_call = []
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.calls += 1
+            interrupt = self.calls == self.k
+            self.finished_before_call.append(len(self.finished))
+        if interrupt:
+            raise KeyboardInterrupt
+        return scripted_pipeline_responder(req)
+
+
+def _crash_workspace(root):
+    dataset, pools, config = root / "dataset.jsonl", root / "pools.jsonl", root / "config.json"
+    write_dataset(
+        dataset,
+        [
+            encounter_record(f"enc-{i:03d}", n_turns=4 + 2 * (i % 4), with_belly=i % 3 == 0)
+            for i in range(12)
+        ],
+    )
+    write_pools(pools)
+    config.write_text(json.dumps({"pools": str(pools), "endpoint": "http://stand-in"}))
+    return dataset, config
+
+
+def _record_run(root, dataset, config, endpoint, workers):
+    """`medsum run --backend record` with `endpoint` standing in for HTTP."""
+    output = root / "out.jsonl"
+    argv = ["run", str(dataset), str(output), "--config", str(config), "--backend", "record",
+            "--replay-store", str(root / "store.jsonl"), "--workers", str(workers)]
+    with mock.patch.object(cli, "HTTPTransport", lambda url, model: endpoint):
+        code = main(argv)
+    return code, output
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The output lines of an uninterrupted record run at one worker, and
+    for each of its calls how many encounters had finished before it."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    endpoint = InterruptingEndpoint(k=0)
+
+    def counted(*args):
+        record = run_medsum_ent(*args)
+        endpoint.finished.append(record.encounter_id)
+        return record
+
+    with mock.patch.object(chain, "run_medsum_ent", counted):
+        code, output = _record_run(root, *_crash_workspace(root), endpoint, workers=1)
+    assert code == EXIT_OK
+    return output.read_bytes().splitlines(keepends=True), endpoint.finished_before_call
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_interrupted_run_resumes_to_the_uninterrupted_output(
+    tmp_path_factory, uninterrupted, workers, data
+):
+    """A run interrupted at its k-th call keeps every record finished before
+    it, whole and in order, and a rerun completes it to the bytes of a run
+    never interrupted."""
+    lines, finished_before_call = uninterrupted
+    expected = b"".join(lines)
+    k = data.draw(st.integers(1, len(finished_before_call)), label="k")
+    root = tmp_path_factory.mktemp("interrupted")
+    dataset, config = _crash_workspace(root)
+    with pytest.raises(KeyboardInterrupt):
+        _record_run(root, dataset, config, InterruptingEndpoint(k), workers)
+    kept = root.joinpath("out.jsonl").read_bytes()
+    if workers == 1:
+        # One encounter at a time: every encounter before the one interrupted is written.
+        assert kept == b"".join(lines[: finished_before_call[k - 1]])
+    assert expected.startswith(kept) and kept[-1:] in (b"", b"\n")
+    code, output = _record_run(root, dataset, config, InterruptingEndpoint(0), workers)
+    assert code == EXIT_OK
+    assert output.read_bytes() == expected
 
 
 class TestReviewPackets:

@@ -1,6 +1,7 @@
-"""The ways in that do not go through `cli.main` in-process: the README's
-library quickstart and `python -m`."""
+"""What needs a fresh interpreter: the README's library quickstart,
+`python -m`, and which commands load numpy."""
 
+import json
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import prerecord
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,3 +41,38 @@ def test_python_dash_m_validate(tmp_path, module):
     assert result.returncode == 1, result.stderr
     assert result.stdout.startswith("FAIL line 1: invalid JSON: ")
     assert "invalid lines: 1" in result.stdout
+
+
+_COMMANDS_THEN_REPORT = """
+import json, sys
+from medsum.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def run_commands(argvs, cwd):
+    """Exit codes of `medsum` commands run in one fresh interpreter, and
+    whether numpy was loaded when they were done."""
+    result = run_python(["-c", _COMMANDS_THEN_REPORT, json.dumps(argvs)], cwd=cwd)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    return report["codes"], report["numpy"]
+
+
+def test_only_selection_and_embedding_load_numpy(tmp_path):
+    """`validate`, `eval --verifier exact` and `review-packets` never load
+    numpy; `run` with random selection does, to draw its examples."""
+    dataset, pools = ROOT / "sample_data" / "encounters.jsonl", ROOT / "sample_data" / "pools.jsonl"
+    store, config, records = tmp_path / "store.jsonl", tmp_path / "config.json", tmp_path / "r.jsonl"
+    prerecord(store, dataset, pools)
+    config.write_text(json.dumps({"pools": str(pools), "selection_mode": "random"}))
+    run = ["run", str(dataset), str(records), "--config", str(config), "--replay-store", str(store)]
+    assert run_commands([run], tmp_path) == ([0], True)
+
+    scoring = [
+        ["validate", str(dataset)],
+        ["eval", str(records), str(dataset), "--verifier", "exact"],
+        ["review-packets", str(records), str(records), str(tmp_path / "review")],
+    ]
+    assert run_commands(scoring, tmp_path) == ([0, 0, 0], False)
