@@ -10,9 +10,7 @@ issues one summarization call with no entity grounding.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import logging
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -83,9 +81,6 @@ __all__ = [
 ]
 
 _EXTRACTION_K_CHOICES = (1, 3, 5)
-# run_many submits at most this many encounters per worker beyond the
-# outcomes its consumer has taken.
-LOOKAHEAD_PER_WORKER = 2
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 # What starts a turn's line in the conversation text.
 _SPEAKER_LABEL = {speaker: speaker.value.capitalize() + ": " for speaker in Speaker}
@@ -563,11 +558,9 @@ def run_many(
 
     Yields one outcome per encounter, in input order whatever order the
     workers finish in, so downstream output files are deterministic.
-    Outcome *i* comes out as soon as outcomes 0..*i* are done. With several
-    workers, at most LOOKAHEAD_PER_WORKER x `workers` encounters are
-    submitted beyond the outcomes already taken, so memory is bounded by
-    the worker count, not the corpus size. Closing the iterator early
-    cancels the encounters not yet started and waits for the running ones.
+    Outcome *i* comes out as soon as outcomes 0..*i* are done, and the
+    iterator keeps no outcome it has yielded. Closing it early cancels the
+    encounters not yet started and waits for the running ones.
     Wrap the call in `list()` for a list.
     """
     runner = run_medsum_ent if method is Method.MEDSUM_ENT else run_naive_baseline
@@ -582,19 +575,5 @@ def run_many(
     if workers <= 1:
         yield from map(one, encounters)
         return
-    todo = iter(encounters)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque(
-            pool.submit(one, enc)
-            for enc in itertools.islice(todo, LOOKAHEAD_PER_WORKER * workers)
-        )
-        try:
-            while pending:
-                outcome = pending.popleft().result()
-                enc = next(todo, None)
-                if enc is not None:
-                    pending.append(pool.submit(one, enc))
-                yield outcome
-        finally:
-            for future in pending:
-                future.cancel()
+        yield from pool.map(one, encounters)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -187,12 +188,9 @@ def _cosine_scores(
     # Elementwise multiply + per-row sum rather than a BLAS matvec: BLAS may
     # accumulate different rows in different orders, so bit-identical rows
     # could score apart by one ulp and defeat the deterministic tie rule.
-    import numpy as np
-
-    dots = (index * query_vector).sum(axis=1)
-    query_norm = np.sqrt(float(query_vector @ query_vector))
-    denom = row_norms * query_norm
-    scores = np.zeros(len(index))
+    scores = (index * query_vector).sum(axis=1)
+    denom = row_norms * math.sqrt(float(query_vector @ query_vector))
     nonzero = denom > 0
-    scores[nonzero] = dots[nonzero] / denom[nonzero]
+    scores[nonzero] /= denom[nonzero]
+    scores[~nonzero] = 0.0
     return scores

@@ -593,13 +593,10 @@ class TestRunMany:
         assert outcomes[1].record is not None
 
 
-    def test_streams_in_order_within_the_look_ahead_bound(self, monkeypatch):
-        """Outcome 0 comes out while later encounters still run; no more
-        than LOOKAHEAD_PER_WORKER x workers encounters start beyond the
-        outcomes taken; closing the iterator starts no more and waits for
-        the running ones."""
+    def test_yields_outcome_0_while_later_encounters_run(self, monkeypatch):
+        """Outcome 0 comes out while later encounters still run; closing the
+        iterator starts no more encounters and waits for the running ones."""
         workers, n = 3, 20
-        bound = chain.LOOKAHEAD_PER_WORKER * workers
         release = threading.Event()
         lock = threading.Lock()
         started, finished = [], set()
@@ -613,32 +610,22 @@ class TestRunMany:
                 finished.add(enc.id)
             return enc.id
 
-        def settle(expected):
-            """How many encounters have started, once `expected` have, or
-            10 s passed, and a pause left room to start more."""
-            deadline = time.monotonic() + 10
-            while len(started) < expected and time.monotonic() < deadline:
-                time.sleep(0.001)
-            time.sleep(0.02)
-            return len(started)
-
         monkeypatch.setattr(chain, "run_medsum_ent", runner)
         encounters = [make_encounter(enc_id=f"enc-{i:03d}") for i in range(n)]
         outcomes = run_many(encounters, ChainConfig(), None, Method.MEDSUM_ENT, workers=workers)
-        taken = [next(outcomes)]
-        assert settle(workers + 1) == workers + 1
+        assert next(outcomes).record == "enc-000"
+        deadline = time.monotonic() + 10
+        while len(started) < workers + 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.02)
+        assert started == [e.id for e in encounters[: workers + 1]]
         assert finished == {"enc-000"}
 
-        release.set()
-        while True:
-            assert settle(len(taken) + bound) == len(taken) + bound
-            if len(taken) == n // 2:
-                break
-            taken.append(next(outcomes))
+        # close() cancels the queued encounters at once, then waits for the
+        # running ones, which the timer lets finish.
+        threading.Timer(0.05, release.set).start()
         outcomes.close()
-        assert [o.record for o in taken] == [e.id for e in encounters[: n // 2]]
-        time.sleep(0.02)
-        assert len(started) == n // 2 + bound
+        assert started == [e.id for e in encounters[: workers + 1]]
         assert finished == set(started)
 
 
