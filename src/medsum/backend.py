@@ -19,9 +19,10 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Protocol
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 
 from .model import PromptKind
 
@@ -46,6 +47,8 @@ __all__ = [
     "Transport",
     "ScriptedTransport",
     "HTTPTransport",
+    "CorruptLineError",
+    "JsonlLog",
     "ReplayStore",
     "ReplayTransport",
     "RecordingTransport",
@@ -322,6 +325,88 @@ class HTTPTransport:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
 
 
+class CorruptLineError(ValueError):
+    """A line of a JSONL log that does not decode, other than a torn last
+    line, or a log that is not UTF-8 text."""
+
+
+class JsonlLog:
+    """An append-only file of one JSON record per line that a writer killed
+    mid-append leaves readable.
+
+    Such a writer leaves a last line with no newline after it. If that line
+    does not decode, `read` drops it through `warn` and the next `open`
+    cuts it off the file; if it does, the next `open` ends it with a
+    newline. Corruption anywhere else is a CorruptLineError. Each `append`
+    is written and flushed to the OS before it returns. Not thread-safe:
+    concurrent writers hold a lock of their own around `append`.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh: IO[str] | None = None
+        self._finalizer: weakref.finalize | None = None
+        # Set by read for the next open: where a torn last line starts, or
+        # that the last line decoded but has no newline.
+        self._cut_at: int | None = None
+        self._needs_newline = False
+
+    def read(self, take: Callable[[int, str], None], warn: Callable[[str], None]) -> None:
+        """Call take(line number, line) for each line in file order, none if
+        the file is missing. A line on which `take` raises ValueError,
+        KeyError or TypeError is skipped if blank, handled as above if not."""
+        if not self.path.exists():
+            return
+        line = ""
+        try:
+            with self.path.open("r", encoding="utf-8", newline="\n") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    try:
+                        take(lineno, line)
+                    except (ValueError, KeyError, TypeError) as exc:
+                        if not line.strip():
+                            continue
+                        if line.endswith("\n"):
+                            raise CorruptLineError(
+                                f"{self.path} holds a corrupt record line (line {lineno}: {exc})"
+                            ) from exc
+                        warn(f"dropping torn last line {lineno} ({exc})")
+                        size = os.fstat(fh.fileno()).st_size
+                        self._cut_at = size - len(line.encode("utf-8"))
+                        return
+        except UnicodeDecodeError as exc:
+            raise CorruptLineError(f"{self.path} is not UTF-8 text: {exc}") from exc
+        self._needs_newline = bool(line) and not line.endswith("\n")
+
+    def open(self) -> None:
+        """Open for appending, creating the file, after mending the tail
+        the last `read` found (see the class docstring)."""
+        if self._cut_at is not None:
+            os.truncate(self.path, self._cut_at)
+        fh = self.path.open("a", encoding="utf-8")
+        if self._needs_newline:
+            fh.write("\n")
+            fh.flush()
+        self._cut_at, self._needs_newline = None, False
+        self._fh = fh
+        # Closes the handle on close() or when the log is collected.
+        self._finalizer = weakref.finalize(self, fh.close)
+
+    def append(self, line: str) -> None:
+        """Write `line`, which ends with a newline, opening the file first
+        if it is not open."""
+        if self._fh is None:
+            self.open()
+        self._fh.write(line)
+        self._fh.flush()
+
+    def close(self) -> None:
+        """Close the append handle, if open; a later append reopens it."""
+        if self._finalizer is not None:
+            self._finalizer()
+        self._fh = self._finalizer = None
+
+
 _json_decoder = json.JSONDecoder()
 
 
@@ -329,26 +414,18 @@ class ReplayStore:
     """Persistent map from cache key to completion text.
 
     File format: one JSON object per line with keys key_hex, prompt_kind,
-    response_text. On load, a later line for the same key wins. Appends are
-    serialized through a lock, so a store may back concurrent recording;
-    each is written and flushed to the OS before `put` returns.
-
-    A last line with no newline after it is what a run killed mid-append
-    leaves. If it does not parse, load drops it with a warning and the
-    first `put` cuts it off the file; if it does, the first `put` ends it
-    with a newline. Corruption anywhere else is a ReplayStoreError.
+    response_text, kept in a JsonlLog, so a torn last line is recovered.
+    On load, a later line for the same key wins. Appends are serialized
+    through a lock, so a store may back concurrent recording; each is
+    written and flushed to the OS before `put` returns. Corruption is a
+    ReplayStoreError.
     """
 
     def __init__(self, path: str | Path, create: bool = False):
         self.path = Path(path)
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
-        self._append: IO[str] | None = None
-        self._append_finalizer: weakref.finalize | None = None
-        # Set by _load for the first put: where a torn last line starts,
-        # or that the last line parsed but has no newline.
-        self._cut_at: int | None = None
-        self._needs_newline = False
+        self._log = JsonlLog(self.path)
         if self.path.exists():
             self._load()
         elif create:
@@ -359,32 +436,17 @@ class ReplayStore:
 
     def _load(self) -> None:
         decode = _json_decoder.decode  # json.loads without its per-call checks
-        line = ""
+        entries = self._entries
+
+        def take(lineno: int, line: str) -> None:
+            item = decode(line)
+            entries[item["key_hex"]] = item["response_text"]
+
+        warn = partial(logger.warning, "%s: %s; the next record replaces it", self.path)
         try:
-            with self.path.open("r", encoding="utf-8", newline="\n") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        item = decode(line)
-                        self._entries[item["key_hex"]] = item["response_text"]
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if not line.strip():
-                            continue
-                        if line.endswith("\n"):
-                            raise ReplayStoreError(
-                                f"{self.path}: corrupt entry at line {lineno}: {exc}"
-                            ) from exc
-                        logger.warning(
-                            "%s: dropping torn last line %d (%s); the next record replaces it",
-                            self.path,
-                            lineno,
-                            exc,
-                        )
-                        size = os.fstat(fh.fileno()).st_size
-                        self._cut_at = size - len(line.encode("utf-8"))
-                        return
-        except UnicodeDecodeError as exc:
-            raise ReplayStoreError(f"{self.path}: not UTF-8 text: {exc}") from exc
-        self._needs_newline = bool(line) and not line.endswith("\n")
+            self._log.read(take, warn)
+        except CorruptLineError as exc:
+            raise ReplayStoreError(str(exc)) from exc
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)
@@ -405,30 +467,13 @@ class ReplayStore:
         with self._lock:
             if self._entries.get(key) == response_text:
                 return
-            if self._append is None:
-                self._open_append()
-            self._append.write(line)
-            self._append.flush()
+            self._log.append(line)
             self._entries[key] = response_text
-
-    def _open_append(self) -> None:
-        """Open the append handle, first ending or cutting off a torn tail."""
-        if self._cut_at is not None:
-            os.truncate(self.path, self._cut_at)
-        fh = self.path.open("a", encoding="utf-8")
-        if self._needs_newline:
-            fh.write("\n")
-        self._cut_at, self._needs_newline = None, False
-        self._append = fh
-        # Closes the handle on close() or when the store is collected.
-        self._append_finalizer = weakref.finalize(self, fh.close)
 
     def close(self) -> None:
         """Close the append handle, if a put opened one; a later put reopens it."""
         with self._lock:
-            if self._append_finalizer is not None:
-                self._append_finalizer()
-            self._append = self._append_finalizer = None
+            self._log.close()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -443,34 +488,28 @@ class ReplayTransport:
     def send(self, req: CompletionRequest, key: str | None = None) -> str:
         key = key or cache_key(req)
         text = self.store.get(key)
-        if text is None:
-            raise ReplayMissError(key)
-        return text
+        return self._miss(req, key) if text is None else text
+
+    def _miss(self, req: CompletionRequest, key: str) -> str:
+        raise ReplayMissError(key)
 
     def peek(self, key: str) -> str | None:
         return self.store.get(key)
 
 
-class RecordingTransport:
+class RecordingTransport(ReplayTransport):
     """Record-through transport: serve from the store when possible,
     otherwise delegate to the inner transport and persist the response.
     """
 
     def __init__(self, inner: Transport, store: ReplayStore):
+        super().__init__(store)
         self.inner = inner
-        self.store = store
 
-    def send(self, req: CompletionRequest, key: str | None = None) -> str:
-        key = key or cache_key(req)
-        stored = self.store.get(key)
-        if stored is not None:
-            return stored
+    def _miss(self, req: CompletionRequest, key: str) -> str:
         text = self.inner.send(req)
         self.store.put(key, req.prompt_kind, text)
         return text
-
-    def peek(self, key: str) -> str | None:
-        return self.store.get(key)
 
 
 # Width of the fan-out executor when max_in_flight is not set. On the
@@ -502,31 +541,6 @@ def _fan_out_executor(width: int) -> ThreadPoolExecutor:
         return executor
 
 
-class _Completed:
-    """The outcome of a call that finished before it was handed out, read
-    like a done Future: `done`, `result`, `exception` and `cancel`."""
-
-    __slots__ = ("_text", "_error")
-
-    def __init__(self, text: str | None = None, error: BaseException | None = None):
-        self._text = text
-        self._error = error
-
-    def done(self) -> bool:
-        return True
-
-    def cancel(self) -> bool:
-        return False
-
-    def result(self, timeout: float | None = None) -> str | None:
-        if self._error is not None:
-            raise self._error
-        return self._text
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        return self._error
-
-
 class CompletionClient:
     """Caching, retrying front door for completion calls.
 
@@ -541,7 +555,7 @@ class CompletionClient:
     (single-flight): all get its text, or all get its error. `max_in_flight`
     bounds concurrent transport calls when set.
 
-    `submit` fans independent requests out to a long-lived executor,
+    `gather` fans independent requests out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
     FAN_OUT_WIDTH wide otherwise, and shared by the clients of that width.
     """
@@ -608,22 +622,37 @@ class CompletionClient:
             flight.set_result(text)
         return text
 
-    def submit(self, req: CompletionRequest, key: str) -> Future[str] | _Completed:
-        """Start `complete(req, key)` and return its future.
+    def gather(self, calls: Iterable[tuple[CompletionRequest, str]]) -> Iterator[str]:
+        """The texts of `complete(req, key)` for (request, cache key) pairs,
+        in order, as the caller takes them.
 
-        A request that the cache can serve completes on the calling thread
-        before this returns, and comes back as an already-done result with
-        the reading methods of a Future; any other runs on the fan-out
-        executor. Never call this from a task running on that executor: a
-        worker waiting on its own pool can deadlock it.
+        On the first take every call starts: one the cache can serve
+        completes on the calling thread, any other runs on the fan-out
+        executor. A call's failure, or one raised by `calls` itself, is
+        raised in its turn, after the texts before it. Closing the iterator
+        cancels the calls not yet started. Never call this from a task
+        running on that executor: a worker waiting on its own pool can
+        deadlock it.
         """
-        if self._lookup(key) is None:
-            executor = _fan_out_executor(self._fan_out_width)
-            return executor.submit(self.complete, req, key)
+        pending: list[str | Future[str]] = []
         try:
-            return _Completed(self.complete(req, key))
-        except Exception as exc:
-            return _Completed(error=exc)
+            try:
+                for req, key in calls:
+                    if self._lookup(key) is None:
+                        executor = _fan_out_executor(self._fan_out_width)
+                        pending.append(executor.submit(self.complete, req, key))
+                    else:
+                        pending.append(self.complete(req, key))
+            except Exception as exc:  # raised in its turn, after the calls before it
+                failed: Future[str] = Future()
+                failed.set_exception(exc)
+                pending.append(failed)
+            for item in pending:
+                yield item if type(item) is str else item.result()
+        finally:
+            for item in pending:
+                if type(item) is not str:
+                    item.cancel()
 
     def _send_with_retries(self, req: CompletionRequest, key: str) -> str:
         for attempt in range(1, self._policy.max_attempts + 1):

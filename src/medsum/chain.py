@@ -453,37 +453,30 @@ def _extract_all(
 ) -> list[list[MedicalEntity]]:
     """Entities of the RFE and of every turn window, in chain order.
 
-    The requests are built first and then all sent through
-    `CompletionClient.submit`, so their calls overlap in one round;
-    completions are parsed, traced and warned about in chain order. A
-    failure raises ChainError naming the first stage that fails in that
-    order ("rfe extraction" or "turn extraction"), and cancels the
-    requests not yet started.
+    All the requests go out through `CompletionClient.gather`, so their
+    calls overlap in one round; completions are parsed and warned about in
+    chain order. A failure raises ChainError naming the first stage that
+    fails in that order ("rfe extraction" or "turn extraction"), and
+    cancels the requests not yet started.
     """
-    calls: list[tuple[str, CompletionRequest, str]] = []
-    build_error: Exception | None = None
-    try:
-        for call in _extraction_requests(enc, cfg, deps):
-            calls.append(call)
-    except Exception as exc:  # raised in its turn, after the calls before it
-        build_error = exc
-    futures = [deps.client.submit(req, key) for _, req, key in calls]
-    entity_lists: list[list[MedicalEntity]] = []
-    stage = "rfe extraction"
-    try:
-        for (tag, req, key), future in zip(calls, futures):
-            stage = "rfe extraction" if tag == "rfe" else "turn extraction"
-            text = future.result()
+    tags: list[str] = []
+
+    def calls() -> Iterator[tuple[CompletionRequest, str]]:
+        for tag, req, key in _extraction_requests(enc, cfg, deps):
+            tags.append(tag)
             _traced(log, req, key)
-            entity_lists.append(_parse_extraction(tag, text, log))
-        if build_error is not None:
-            stage = "turn extraction" if calls else "rfe extraction"
-            raise build_error
+            yield req, key
+
+    texts = deps.client.gather(calls())
+    entity_lists: list[list[MedicalEntity]] = []
+    try:
+        for text in texts:
+            entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
     except Exception as exc:
+        stage = "turn extraction" if entity_lists else "rfe extraction"
         raise ChainError(enc.id, stage, exc) from exc
     finally:
-        for future in futures:
-            future.cancel()
+        texts.close()
     return entity_lists
 
 
@@ -491,7 +484,7 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
     """Full staged run for one encounter.
 
     The RFE request and one request per turn window go out together
-    through `CompletionClient.submit`; their completions are parsed and
+    through `CompletionClient.gather`; their completions are parsed and
     collated in chain order (RFE first, then windows in order). The
     resolver (if it fires) and the summary follow one after the other, so
     the critical path is three stages: {RFE, windows} -> resolver ->

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from .backend import (
     BackendError,
     CompletionClient,
+    CorruptLineError,
     HashEmbedder,
     HTTPTransport,
+    JsonlLog,
     RecordingTransport,
     ReplayStore,
     ReplayTransport,
@@ -294,68 +296,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not problems else EXIT_CONFIG
 
 
-def _existing_record_ids(
-    path: Path, method: Method, config: dict[str, Any]
-) -> tuple[set[str], int | None]:
-    """Encounter ids of the records in a run's output, and where a torn
-    last line starts, if there is one.
+def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any]) -> set[str]:
+    """Encounter ids of the records in a run's output.
 
     Every record must come from `method` run with `config` (a ChainConfig
     snapshot); a record of another method or configuration is a CliError
-    naming both, so one output file never mixes configurations.
-
-    A last line with no newline after it is what a run killed mid-write
-    leaves. If it does not parse, it is dropped with a warning (`cmd_run`
-    cuts it off and reruns its encounter); if it does, its record counts.
-    A corrupt line anywhere else, or bytes that are not UTF-8, are a CliError.
+    naming both, so one output file never mixes configurations. A torn
+    last line is dropped with a warning, and its encounter runs again.
     """
     ids: set[str] = set()
-    if not path.exists():
-        return ids, None
+
+    def take(lineno: int, line: str) -> None:
+        raw = json.loads(line)
+        encounter_id, found = raw["encounter_id"], (raw["method"], raw["config"])
+        if found != (method.value, config):
+            raise CliError(
+                f"output file {output.path} holds records of another configuration: line "
+                f"{lineno} has method {found[0]!r} and config {_snapshot_text(found[1])}; "
+                f"this run has method {method.value!r} and config "
+                f"{_snapshot_text(config)}. Write to another output file."
+            )
+        ids.add(encounter_id)
+
     try:
-        with path.open("r", encoding="utf-8", newline="\n") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                    encounter_id, found = raw["encounter_id"], (raw["method"], raw["config"])
-                except (ValueError, KeyError, TypeError) as exc:
-                    if line.endswith("\n"):
-                        raise CliError(f"output file {path} holds a corrupt record line")
-                    print(
-                        f"WARN output file {path}: dropping torn last line {lineno} ({exc})",
-                        file=sys.stderr,
-                    )
-                    return ids, os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
-                if found != (method.value, config):
-                    raise CliError(
-                        f"output file {path} holds records of another configuration: line "
-                        f"{lineno} has method {found[0]!r} and config {_snapshot_text(found[1])}; "
-                        f"this run has method {method.value!r} and config "
-                        f"{_snapshot_text(config)}. Write to another output file."
-                    )
-                ids.add(encounter_id)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"output file {path} is not UTF-8 text: {exc}") from exc
-    return ids, None
+        output.read(take, partial(print, f"WARN output file {output.path}:", file=sys.stderr))
+    except CorruptLineError as exc:
+        raise CliError(f"output file {exc}") from exc
+    return ids
 
 
 def _snapshot_text(config: Any) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
-def _mend_output_tail(path: Path, torn_at: int | None) -> None:
-    """Cut a torn last line off a run's output and end its last line with a
-    newline, so the next record appended starts a line of its own."""
-    if torn_at is not None:
-        os.truncate(path, torn_at)
-    if not path.exists() or not path.stat().st_size:
-        return
-    with path.open("rb+") as fh:
-        fh.seek(-1, os.SEEK_END)
-        if fh.read(1) != b"\n":
-            fh.write(b"\n")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -365,25 +336,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     deps = build_deps(args, config, cfg, method)
     encounters = load_dataset(args.dataset)
 
-    output = Path(args.output)
-    done, torn_at = _existing_record_ids(output, method, cfg.snapshot())
-    _mend_output_tail(output, torn_at)
+    output = JsonlLog(args.output)
+    done = _existing_record_ids(output, method, cfg.snapshot())
     todo = [enc for enc in encounters if enc.id not in done]
     if done:
-        print(f"resuming: {len(done)} encounters already in {output}")
-    if not todo:
-        print("nothing to do")
-        return EXIT_OK
-
-    workers = args.workers or int(config.get("workers", 1))
-    output.parent.mkdir(parents=True, exist_ok=True)
+        print(f"resuming: {len(done)} encounters already in {output.path}")
+    # Opened before anything runs, so the file exists and a torn tail is
+    # mended even when nothing runs or the run stops before its first record.
+    output.path.parent.mkdir(parents=True, exist_ok=True)
+    output.open()
     succeeded = failed = 0
-    # Each record is written and flushed once it and every earlier one are
-    # done, so an interrupted run keeps a prefix of its output to resume.
-    with output.open("a", encoding="utf-8") as fh:
+    try:
+        if not todo:
+            print("nothing to do")
+            return EXIT_OK
+        workers = args.workers or int(config.get("workers", 1))
+        # Each record is written and flushed once it and every earlier one
+        # are done, so an interrupted run keeps a prefix of its output to
+        # resume.
         for outcome in run_many(todo, cfg, deps, method, workers=workers):
             if outcome.record is not None:
-                fh.write(
+                output.append(
                     json.dumps(
                         outcome.record.to_json_dict(),
                         sort_keys=True,
@@ -391,12 +364,13 @@ def cmd_run(args: argparse.Namespace) -> int:
                     )
                     + "\n"
                 )
-                fh.flush()
                 succeeded += 1
             else:
                 failed += 1
                 print(f"FAIL {outcome.encounter_id}: {outcome.error}", file=sys.stderr)
-    print(f"ran {succeeded} encounters, {failed} failures -> {output}")
+    finally:
+        output.close()
+    print(f"ran {succeeded} encounters, {failed} failures -> {output.path}")
     if failed and succeeded:
         return EXIT_PARTIAL
     if failed:
@@ -459,8 +433,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_review_packets(args: argparse.Namespace) -> int:
-    records_a = {r.encounter_id: r for r in load_records(args.records_a)}
-    records_b = {r.encounter_id: r for r in load_records(args.records_b)}
+    # Only each encounter's (method, summary) is kept; a later record wins.
+    records_a = {r.encounter_id: (r.method, r.summary) for r in load_records(args.records_a)}
+    records_b = {r.encounter_id: (r.method, r.summary) for r in load_records(args.records_b)}
     context = {}
     if args.dataset:
         context = {enc.id: enc for enc in load_dataset(args.dataset)}
@@ -481,12 +456,13 @@ def cmd_review_packets(args: argparse.Namespace) -> int:
         pair = [records_a[encounter_id], records_b[encounter_id]]
         if rng.random() < 0.5:
             pair.reverse()
-        key[encounter_id] = {"A": pair[0].method.value, "B": pair[1].method.value}
+        (method_a, summary_a), (method_b, summary_b) = pair
+        key[encounter_id] = {"A": method_a.value, "B": method_b.value}
         packet: dict[str, Any] = {
             "encounter_id": encounter_id,
             "questions": list(REVIEW_QUESTIONS),
-            "summary_a": serialize_summary(pair[0].summary),
-            "summary_b": serialize_summary(pair[1].summary),
+            "summary_a": serialize_summary(summary_a),
+            "summary_b": serialize_summary(summary_b),
         }
         enc = context.get(encounter_id)
         if enc is not None:

@@ -5,7 +5,6 @@ import sys
 import tempfile
 import threading
 import time
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +336,7 @@ class TestStoreBackedClient:
         sends = []
         transport.send = lambda *args: sends.append(args)
         client = CompletionClient(transport)
-        assert client.complete(req) == client.submit(req, cache_key(req)).result() == "first"
+        assert [client.complete(req), *client.gather([(req, cache_key(req))])] == ["first"] * 2
         # The store is the only cache: what it holds now is what is served.
         store.put(cache_key(req), req.prompt_kind, "second")
         assert client.complete(req) == "second"
@@ -391,7 +390,11 @@ class TestStoreBackedClient:
         assert len(store_path.read_text(encoding="utf-8").splitlines()) == 5
 
 
-class TestSubmit:
+def keyed(*requests):
+    return [(req, cache_key(req)) for req in requests]
+
+
+class TestGather:
     def test_cache_and_store_hits_complete_on_the_calling_thread(self, tmp_path):
         threads = []
 
@@ -408,28 +411,34 @@ class TestSubmit:
         client.complete(cached)
         threads.clear()
 
-        for req, text in ((stored, "from the store"), (cached, "echo:cached")):
-            future = client.submit(req, cache_key(req))
-            assert future.done() and future.result() == text
-        assert threads == []
-        assert client.submit(fresh, cache_key(fresh)).result(timeout=5) == "echo:fresh"
-        assert threads and threads[0] is not threading.current_thread()
+        texts = client.gather(keyed(stored, cached, fresh))
+        assert next(texts) == "from the store"
+        assert next(texts) == "echo:cached"
+        assert next(texts) == "echo:fresh"
+        # Only the miss reached the transport, and it ran on the executor.
+        assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
-    def test_hit_returns_a_done_result_without_a_future(self, tmp_path):
+    def test_hits_run_through_complete_before_the_first_text_without_the_executor(
+        self, tmp_path, monkeypatch
+    ):
         store = ReplayStore(tmp_path / "store.jsonl", create=True)
-        req = request_for("stored")
-        store.put(cache_key(req), req.prompt_kind, "from the store")
+        first, second = request_for("first"), request_for("second")
+        for req in (first, second):
+            store.put(cache_key(req), req.prompt_kind, f"stored {req.prompt}")
         client = CompletionClient(ReplayTransport(store))
         calls = []
         complete = client.complete
         client.complete = lambda *args: calls.append(threading.current_thread()) or complete(*args)
 
-        result = client.submit(req, cache_key(req))
-        assert calls == [threading.current_thread()]
-        assert not isinstance(result, Future)
-        assert result.done() and not result.cancel()
-        assert result.result() == result.result(timeout=1) == "from the store"
-        assert result.exception() is None
+        def no_executor(width):
+            raise AssertionError("a hit reached the fan-out executor")
+
+        monkeypatch.setattr(backend, "_fan_out_executor", no_executor)
+        texts = client.gather(keyed(first, second))
+        assert calls == []  # lazy: nothing runs before the first take
+        assert next(texts) == "stored first"
+        assert calls == [threading.current_thread()] * 2
+        assert list(texts) == ["stored second"]
 
     def test_replay_transport_peeks_its_store(self, tmp_path):
         store = ReplayStore(tmp_path / "store.jsonl", create=True)
@@ -438,17 +447,41 @@ class TestSubmit:
         replay = ReplayTransport(store)
         assert replay.peek(cache_key(req)) == "answer"
         assert replay.peek(cache_key(request_for("other"))) is None
-        future = CompletionClient(replay).submit(req, cache_key(req))
-        assert future.done() and future.result() == "answer"
+        assert list(CompletionClient(replay).gather(keyed(req))) == ["answer"]
 
-    def test_transport_error_lands_in_the_future(self):
-        def broken(req):
-            raise BackendProtocolError("bad request")
+    def test_transport_error_surfaces_at_its_position(self):
+        def respond(req):
+            if req.prompt == "broken":
+                raise BackendProtocolError("bad request")
+            return f"echo:{req.prompt}"
 
-        client, _ = make_client(broken)
-        future = client.submit(request_for(), cache_key(request_for()))
+        client, _ = make_client(respond)
+        texts = client.gather(keyed(*(request_for(p) for p in ("first", "broken", "third"))))
+        assert next(texts) == "echo:first"
         with pytest.raises(BackendProtocolError):
-            future.result(timeout=5)
+            next(texts)
+
+    def test_closing_after_the_first_text_cancels_queued_calls(self):
+        started, release = threading.Event(), threading.Event()
+
+        def respond(req):
+            if req.prompt == "blocks":
+                started.set()
+                assert release.wait(timeout=5)
+            return f"echo:{req.prompt}"
+
+        client, transport = make_client(respond, max_in_flight=1)
+        texts = client.gather(keyed(*(request_for(p) for p in ("first", "blocks", "queued"))))
+        try:
+            assert next(texts) == "echo:first"
+            assert started.wait(timeout=5)
+            texts.close()
+        finally:
+            release.set()
+        # The one-wide executor runs tasks in order: once this sentinel has
+        # run, the call queued behind the blocked one would have run too.
+        backend._fan_out_executor(1).submit(lambda: None).result(timeout=5)
+        assert [req.prompt for req in transport.requests] == ["first", "blocks"]
 
 
 class TestRetryPolicy:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import threading
 from unittest import mock
@@ -19,6 +20,7 @@ from medsum.cli import (
     REVIEW_QUESTIONS,
     main,
 )
+from medsum.model import RunRecord
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
@@ -758,6 +760,20 @@ class TestReviewPackets:
         assert main(["review-packets", str(a), str(b), str(out)]) == EXIT_OK
         assert len(list((out / "packets").glob("*.json"))) == 2
         assert "enc-003" in capsys.readouterr().err
+
+    def test_keeps_no_whole_record_while_writing_packets(self, workspace, monkeypatch):
+        a, b = self.make_record_files(workspace)
+        alive = []
+        serialize = cli.serialize_summary
+
+        def counting(summary):
+            gc.collect()
+            alive.append(sum(isinstance(o, RunRecord) for o in gc.get_objects()))
+            return serialize(summary)
+
+        monkeypatch.setattr(cli, "serialize_summary", counting)
+        assert main(["review-packets", str(a), str(b), str(workspace["dir"] / "review")]) == EXIT_OK
+        assert alive == [0] * 6
 
     def test_key_file_lives_outside_packets_dir(self, workspace):
         a, b = self.make_record_files(workspace)
