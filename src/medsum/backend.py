@@ -48,6 +48,7 @@ __all__ = [
     "ScriptedTransport",
     "HTTPTransport",
     "CorruptLineError",
+    "read_lines",
     "JsonlLog",
     "ReplayStore",
     "ReplayTransport",
@@ -330,6 +331,19 @@ class CorruptLineError(ValueError):
     line, or a log that is not UTF-8 text."""
 
 
+def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each non-blank line of a text file, as
+    the caller takes them; a file that is not UTF-8 is an `error` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    yield lineno, line
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 class JsonlLog:
     """An append-only file of one JSON record per line that a writer killed
     mid-append leaves readable.
@@ -575,7 +589,7 @@ class CompletionClient:
         peek = getattr(transport, "peek", None)
         self._memory: dict[str, str] | None = None if peek else {}
         self._lookup: Callable[[str], str | None] = peek or self._memory.get
-        self._flights: dict[str, Future[str] | None] = {}
+        self._flights: dict[str, Future[str]] = {}
         self._lock = threading.Lock()
         self._gate = (
             threading.BoundedSemaphore(max_in_flight) if max_in_flight else None
@@ -590,36 +604,28 @@ class CompletionClient:
         if text is not None:
             return text
         with self._lock:
-            leader = key not in self._flights
-            if leader:
+            waiting = self._flights.get(key)
+            if waiting is None:
                 # The flight that fetched this text may have landed since
                 # the lookup above.
                 text = self._lookup(key)
                 if text is not None:
                     return text
-                # A flight gets a future only once a second caller needs
-                # something to wait on.
-                self._flights[key] = None
-            else:
-                flight = self._flights[key]
-                if flight is None:
-                    flight = self._flights[key] = Future()
-        if not leader:
-            return flight.result()
+                flight = self._flights[key] = Future()
+        if waiting is not None:
+            return waiting.result()
         try:
             text = self._send_with_retries(req, key)
         except BaseException as exc:
             with self._lock:
-                flight = self._flights.pop(key)
-            if flight is not None:
-                flight.set_exception(exc)
+                del self._flights[key]
+            flight.set_exception(exc)
             raise
         with self._lock:
             if self._memory is not None:
                 self._memory[key] = text
-            flight = self._flights.pop(key)
-        if flight is not None:
-            flight.set_result(text)
+            del self._flights[key]
+        flight.set_result(text)
         return text
 
     def gather(self, calls: Iterable[tuple[CompletionRequest, str]]) -> Iterator[str]:

@@ -100,6 +100,21 @@ class ChainError(RuntimeError):
         super().__init__(f"encounter {encounter_id}: {stage} failed: {cause}")
 
 
+class _stage:
+    """Raises an exception in its block as stage `name`'s ChainError for `enc`.
+    A class: five run per encounter, and a @contextmanager costs 3x as much."""
+
+    def __init__(self, enc: Encounter, name: str):
+        self.encounter_id, self.name = enc.id, name
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind: Any, exc: BaseException | None, tb: Any) -> None:
+        if isinstance(exc, Exception):
+            raise ChainError(self.encounter_id, self.name, exc) from exc
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Run configuration snapshot.
@@ -468,13 +483,12 @@ def _extract_all(
             yield req, key
 
     texts = deps.client.gather(calls())
-    entity_lists: list[list[MedicalEntity]] = []
     try:
-        for text in texts:
-            entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
-    except Exception as exc:
-        stage = "turn extraction" if entity_lists else "rfe extraction"
-        raise ChainError(enc.id, stage, exc) from exc
+        with _stage(enc, "rfe extraction"):
+            entity_lists = [_parse_extraction("rfe", next(texts), log)]
+        with _stage(enc, "turn extraction"):
+            for text in texts:
+                entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
     finally:
         texts.close()
     return entity_lists
@@ -499,29 +513,23 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
     """
     log = RunLog()
     entity_lists = _extract_all(enc, cfg, deps, log)
-    stage = "collation"
-    try:
+    with _stage(enc, "collation"):
         ledger = collate(entity_lists)
-        stage = "unknown resolution"
+    with _stage(enc, "unknown resolution"):
         ledger = resolve_unknowns(ledger, enc, cfg, deps, log)
-        stage = "summarization"
+    with _stage(enc, "summarization"):
         summary = summarize(enc, ledger, cfg, deps, log)
-    except Exception as exc:
-        raise ChainError(enc.id, stage, exc) from exc
     return _record(enc, cfg, log, Method.MEDSUM_ENT, ledger, summary)
 
 
 def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
     """Single-prompt baseline: one summarization call, empty ledger."""
     log = RunLog()
-    stage = "example selection"
-    try:
+    with _stage(enc, "example selection"):
         conversation = encounter_text(enc)
         examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
-        stage = "summarization"
+    with _stage(enc, "summarization"):
         summary = _summary("baseline_summarization", conversation, examples, enc, cfg, deps, log)
-    except Exception as exc:
-        raise ChainError(enc.id, stage, exc) from exc
     return _record(enc, cfg, log, Method.NAIVE_BASELINE, EntityLedger(), summary)
 
 

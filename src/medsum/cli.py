@@ -27,6 +27,7 @@ from .backend import (
     ReplayStore,
     ReplayTransport,
     Transport,
+    read_lines,
 )
 from .chain import ChainConfig, ChainDeps, Method, SelectionMode, run_many
 from .metrics import (
@@ -45,13 +46,14 @@ from .metrics import (
 )
 from .model import Encounter, ExampleKind, RunRecord, ValidationError, validate_encounter
 from .promptkit import (
+    PromptTemplate,
     TemplateError,
     TokenBudget,
     estimate_tokens,
     load_templates,
     serialize_summary,
 )
-from .selection import build_index, load_example_pools
+from .selection import SelectionError, build_index, load_example_pools
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -107,35 +109,29 @@ def read_dataset(
     encounters: list[tuple[int, Encounter]] = []
     problems: list[DatasetProblem] = []
     first_line_for_id: dict[str, int] = {}
-    saw_any = False
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            saw_any = True
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:
-                problems.append(DatasetProblem(lineno, f"invalid JSON: {exc}"))
-                continue
-            try:
-                enc = validate_encounter(raw)
-            except ValidationError as exc:
-                problems.append(DatasetProblem(lineno, str(exc)))
-                continue
-            if enc.id in first_line_for_id:
-                problems.append(
-                    DatasetProblem(
-                        lineno,
-                        f"duplicate id {enc.id!r} "
-                        f"(first seen at line {first_line_for_id[enc.id]})",
-                    )
+    for lineno, line in read_lines(path, CliError):
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            problems.append(DatasetProblem(lineno, f"invalid JSON: {exc}"))
+            continue
+        try:
+            enc = validate_encounter(raw)
+        except ValidationError as exc:
+            problems.append(DatasetProblem(lineno, str(exc)))
+            continue
+        if enc.id in first_line_for_id:
+            problems.append(
+                DatasetProblem(
+                    lineno,
+                    f"duplicate id {enc.id!r} "
+                    f"(first seen at line {first_line_for_id[enc.id]})",
                 )
-                continue
-            first_line_for_id[enc.id] = lineno
-            encounters.append((lineno, enc))
-    if not saw_any:
+            )
+            continue
+        first_line_for_id[enc.id] = lineno
+        encounters.append((lineno, enc))
+    if not encounters and not problems:
         raise CliError(f"dataset file is empty: {path}")
     return encounters, problems
 
@@ -155,16 +151,12 @@ def load_records(path: str | Path) -> Iterator[RunRecord]:
     path = Path(path)
     if not path.exists():
         raise CliError(f"run records not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = RunRecord.from_json_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise CliError(f"{path}: bad record at line {lineno}: {exc}") from exc
-            yield record
+    for lineno, line in read_lines(path, CliError):
+        try:
+            record = RunRecord.from_json_dict(json.loads(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CliError(f"{path}: bad record at line {lineno}: {exc}") from exc
+        yield record
 
 
 def load_config(path: str | None) -> dict[str, Any]:
@@ -190,6 +182,13 @@ def build_budget(config: dict[str, Any]) -> TokenBudget:
         )
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
+
+
+def _positive_int(key: str, value: Any) -> int | None:
+    """A config value that must be a positive integer when it is set."""
+    if value is not None and (type(value) is not int or value <= 0):
+        raise CliError(f"bad run configuration: {key} must be a positive integer, got {value!r}")
+    return value
 
 
 def build_chain_config(config: dict[str, Any], seed_override: int | None) -> ChainConfig:
@@ -227,21 +226,23 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     return live
 
 
+def build_backend(
+    args: argparse.Namespace, config: dict[str, Any]
+) -> tuple[CompletionClient, dict[str, PromptTemplate]]:
+    """The completion client and the prompt templates of `run` and `eval`."""
+    max_in_flight = _positive_int("max_in_flight", config.get("max_in_flight"))
+    client = CompletionClient(build_transport(args, config), max_in_flight=max_in_flight)
+    return client, load_templates(config.get("templates_dir"))
+
+
 def build_deps(
     args: argparse.Namespace,
     config: dict[str, Any],
     cfg: ChainConfig,
     method: Method,
 ) -> ChainDeps:
-    client = CompletionClient(
-        build_transport(args, config),
-        max_in_flight=config.get("max_in_flight"),
-    )
-    try:
-        templates = load_templates(config.get("templates_dir"))
-    except TemplateError as exc:
-        raise CliError(f"bad template: {exc}") from exc
-    embedder = HashEmbedder(dimension=int(config.get("embedder_dim", 32)))
+    client, templates = build_backend(args, config)
+    embedder = HashEmbedder()
 
     needed: list[ExampleKind] = []
     if method is Method.MEDSUM_ENT:
@@ -254,7 +255,10 @@ def build_deps(
         pools_path = config.get("pools")
         if not pools_path:
             raise CliError("config needs a 'pools' path to an example-pool JSONL file")
-        loaded = load_example_pools(pools_path)
+        try:
+            loaded = load_example_pools(pools_path)
+        except (OSError, SelectionError) as exc:
+            raise CliError(f"example pools: {exc}") from exc
         for kind in needed:
             if kind not in loaded:
                 raise CliError(f"example pool file has no {kind.value!r} examples")
@@ -267,17 +271,12 @@ def build_deps(
 
 def cmd_validate(args: argparse.Namespace) -> int:
     encounters, problems = read_dataset(args.dataset)
-    by_line = {lineno: enc for lineno, enc in encounters}
-    failed_lines: dict[int, list[DatasetProblem]] = {}
-    for problem in problems:
-        failed_lines.setdefault(problem.lineno, []).append(problem)
-
-    for lineno in sorted(set(by_line) | set(failed_lines)):
-        if lineno in failed_lines:
-            for problem in failed_lines[lineno]:
-                print(f"FAIL {problem}")
+    # Each line has one encounter or one problem.
+    for lineno, found in sorted([*encounters, *problems], key=lambda item: item[0]):
+        if isinstance(found, Encounter):
+            print(f"PASS line {lineno}: encounter {found.id!r}")
         else:
-            print(f"PASS line {lineno}: encounter {by_line[lineno].id!r}")
+            print(f"FAIL line {lineno}: {found}")
 
     if encounters:
         turn_counts = [len(enc.turns) for _, enc in encounters]
@@ -292,7 +291,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             )
         )
         print(f"whitespace tokens: mean {statistics.fmean(token_counts):.1f}")
-    print(f"invalid lines: {len(failed_lines)}")
+    print(f"invalid lines: {len(problems)}")
     return EXIT_OK if not problems else EXIT_CONFIG
 
 
@@ -332,6 +331,7 @@ def _snapshot_text(config: Any) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = build_chain_config(config, args.seed)
+    workers = args.workers or _positive_int("workers", config.get("workers")) or 1
     method = _METHOD_ALIASES[args.method]
     deps = build_deps(args, config, cfg, method)
     encounters = load_dataset(args.dataset)
@@ -350,7 +350,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if not todo:
             print("nothing to do")
             return EXIT_OK
-        workers = args.workers or int(config.get("workers", 1))
         # Each record is written and flushed once it and every earlier one
         # are done, so an interrupted run keeps a prefix of its output to
         # resume.
@@ -392,14 +391,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         extractor = segment_concept_extractor
     else:
         config = load_config(args.config)
-        client = CompletionClient(build_transport(args, config))
+        client, templates = build_backend(args, config)
         budget = build_budget(config)
-        try:
-            templates = load_templates(config.get("templates_dir"))
-            extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
-            verifier = LLMVerifier(client, templates["metric_verification"], budget)
-        except TemplateError as exc:
-            raise CliError(f"bad template: {exc}") from exc
+        extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
+        verifier = LLMVerifier(client, templates["metric_verification"], budget)
 
     evaluations: list[EncounterEvaluation] = []
     skipped = 0
@@ -541,6 +536,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except TemplateError as exc:  # a template that fails its checks
+        print(f"error: bad template: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .model import (
     SECTION_KEYS,
@@ -117,7 +117,6 @@ class TokenBudget:
 
 _SLOTS = ("age", "sex", "input", "examples")
 _SLOT_RE = re.compile(r"\{(age|sex|input|examples)\}")
-DEFAULT_EXAMPLE_SEPARATOR = "\n\n---\n\n"
 
 # Which example kind each prompt kind consumes; kinds absent here take none.
 _EXAMPLE_KIND_FOR_PROMPT = {
@@ -149,14 +148,12 @@ class PromptTemplate:
 
     kind: PromptKind
     preamble: str
-    example_separator: str = DEFAULT_EXAMPLE_SEPARATOR
+    example_separator: ClassVar[str] = "\n\n---\n\n"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", PromptKind(self.kind))
         if not self.preamble.strip():
             raise TemplateError("template preamble is empty")
-        if not self.example_separator:
-            raise TemplateError("example separator is empty")
         for slot in _SLOTS:
             if self.preamble.count("{%s}" % slot) > 1:
                 raise TemplateError(f"slot {{{slot}}} appears more than once")
@@ -165,13 +162,10 @@ class PromptTemplate:
         if "{examples}" in self.preamble:
             if self.preamble.index("{examples}") > self.preamble.index("{input}"):
                 raise TemplateError("{examples} must precede {input}")
-        # Built once for bind: the declared slots, the preamble around
-        # {input}, and that text's word counts for templates with no other slot.
+        # Built once for bind: the declared slots and the preamble around {input}.
         slots = tuple(s for s in _SLOTS if "{%s}" % s in self.preamble)
-        head, tail = self.preamble.split("{input}")
         object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_parts", (head, tail))
-        object.__setattr__(self, "_words", len(head.split()) + len(tail.split()))
+        object.__setattr__(self, "_parts", tuple(self.preamble.split("{input}")))
 
     def slots(self) -> tuple[str, ...]:
         return self._slots
@@ -201,12 +195,11 @@ class BoundPrompt:
 
     __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open")
 
-    def __init__(self, head: str, tail: str, budget: TokenBudget, words: int | None = None):
+    def __init__(self, head: str, tail: str, budget: TokenBudget):
         self.head = head
         self.tail = tail
         self.budget = budget
-        # Whitespace words of head and tail, when the caller has counted them.
-        self._words = len(head.split()) + len(tail.split()) if words is None else words
+        self._words = len(head.split()) + len(tail.split())
         # Whether a word at the end of head (start of tail) would run on
         # into text put right after (before) it.
         self._head_open = bool(head) and not head[-1].isspace()
@@ -258,11 +251,6 @@ def bind(
                 f"example of kind {example.kind.value} offered to "
                 f"{template.kind.value} prompt"
             )
-    budget = budget or TokenBudget()
-    head, tail = template._parts
-    if declared == ("input",):  # nothing to substitute
-        return BoundPrompt(head, tail, budget, template._words)
-
     values = {
         "examples": "".join(
             _render_example(e) + template.example_separator for e in examples
@@ -282,7 +270,10 @@ def bind(
     def fill_slot(match: re.Match[str]) -> str:
         return values[match.group(1)]
 
-    return BoundPrompt(_SLOT_RE.sub(fill_slot, head), _SLOT_RE.sub(fill_slot, tail), budget)
+    head, tail = template._parts
+    return BoundPrompt(
+        _SLOT_RE.sub(fill_slot, head), _SLOT_RE.sub(fill_slot, tail), budget or TokenBudget()
+    )
 
 
 def render(

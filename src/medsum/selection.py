@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .backend import EmbeddingGateway
+from .backend import EmbeddingGateway, read_lines
 from .model import ExampleKind, LabeledExample
 
 if TYPE_CHECKING:
@@ -90,23 +90,19 @@ def load_example_pools(path: str | Path) -> dict[ExampleKind, ExamplePool]:
     the offending line number.
     """
     grouped: dict[ExampleKind, list[LabeledExample]] = {}
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                example = LabeledExample(
-                    kind=ExampleKind(record["kind"]),
-                    input_text=record["input_text"],
-                    age=record["age"],
-                    sex=record["sex"],
-                    label=record["label"],
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise SelectionError(f"{path}: bad example at line {lineno}: {exc}") from exc
-            grouped.setdefault(example.kind, []).append(example)
+    for lineno, line in read_lines(path, SelectionError):
+        try:
+            record = json.loads(line)
+            example = LabeledExample(
+                kind=ExampleKind(record["kind"]),
+                input_text=record["input_text"],
+                age=record["age"],
+                sex=record["sex"],
+                label=record["label"],
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise SelectionError(f"{path}: bad example at line {lineno}: {exc}") from exc
+        grouped.setdefault(example.kind, []).append(example)
     return {
         kind: ExamplePool(kind=kind, examples=tuple(examples))
         for kind, examples in grouped.items()

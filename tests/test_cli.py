@@ -1,7 +1,9 @@
 import csv
 import gc
 import json
+import re
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -254,6 +256,27 @@ class TestRun:
         )
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "pools_text, message",
+        [
+            (None, "No such file or directory"),
+            ("not json\n", "bad example at line 1"),
+            ('{"kind": "rfe_extraction"}\n', "bad example at line 1"),
+        ],
+        ids=["missing", "not-json", "no-label"],
+    )
+    def test_bad_example_pool_file_exits_1(self, workspace, capsys, pools_text, message):
+        ReplayStore(workspace["store"], create=True)
+        workspace["pools"].unlink()
+        if pools_text is not None:
+            workspace["pools"].write_text(pools_text)
+        output = workspace["dir"] / "out.jsonl"
+        assert main(self.run_args(workspace, output)) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: example pools: ") and err.count("\n") == 1
+        assert message in err
+        assert not output.exists()
+
     def test_config_violation_exits_1(self, workspace):
         bad_config = workspace["dir"] / "bad.json"
         bad_config.write_text(json.dumps({"extraction_k": 2, "pools": str(workspace["pools"])}))
@@ -378,12 +401,10 @@ class TestRun:
         assert workspace["dataset"].read_bytes() == before
 
 
-@pytest.mark.parametrize("command", ["run", "eval"])
-@pytest.mark.parametrize(
-    "setting", [{"max_context_tokens": "abc"}, {"inflation_factor": [1.5]}]
-)
-def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
-    config = workspace["dir"] / "bad_budget.json"
+def _set_up_argv(workspace, command, setting):
+    """Arguments for `run` or `eval --verifier llm` over an empty replay store
+    with a config of the workspace's pools plus `setting`."""
+    config = workspace["dir"] / "setting.json"
     config.write_text(json.dumps({"pools": str(workspace["pools"]), **setting}))
     ReplayStore(workspace["store"], create=True)
     if command == "run":
@@ -392,9 +413,78 @@ def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
         records = workspace["dir"] / "records.jsonl"
         records.write_text("")
         argv = ["eval", str(records), str(workspace["dataset"]), "--verifier", "llm"]
-    argv += ["--config", str(config), "--replay-store", str(workspace["store"])]
-    assert main(argv) == EXIT_CONFIG
+    return argv + ["--config", str(config), "--replay-store", str(workspace["store"])]
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize(
+    "setting", [{"max_context_tokens": "abc"}, {"inflation_factor": [1.5]}]
+)
+def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
+    assert main(_set_up_argv(workspace, command, setting)) == EXIT_CONFIG
     assert "error: bad run configuration: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("run", "workers", "abc"),
+        ("run", "workers", 0),
+        ("run", "workers", 1.5),
+        ("run", "max_in_flight", "4"),
+        ("run", "max_in_flight", -1),
+        ("run", "max_in_flight", 0),
+        ("eval", "max_in_flight", "4"),
+        ("eval", "max_in_flight", 0),
+    ],
+)
+def test_limits_must_be_positive_integers(workspace, capsys, command, key, value):
+    assert main(_set_up_argv(workspace, command, {key: value})) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: bad run configuration: {key} must be a positive integer, got {value!r}\n"
+    )
+    assert not (workspace["dir"] / "out.jsonl").exists()
+
+
+def test_eval_client_honours_max_in_flight(workspace, monkeypatch):
+    built, build = [], cli.CompletionClient
+
+    def client(*args, **kwargs):
+        built.append(kwargs)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "CompletionClient", client)
+    main(_set_up_argv(workspace, "eval", {"max_in_flight": 3}))
+    assert built == [{"max_in_flight": 3}]
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("validate", "dataset"),
+        ("run", "dataset"),
+        ("run", "pools"),
+        ("eval", "records"),
+        ("eval", "dataset"),
+        ("review-packets", "records"),
+    ],
+)
+def test_input_file_that_is_not_utf8_exits_1(workspace, capsys, command, bad):
+    if command == "validate":
+        argv = ["validate", str(workspace["dataset"])]
+    elif command == "review-packets":
+        records = workspace["dir"] / "records.jsonl"
+        argv = ["review-packets", str(records), str(records), str(workspace["dir"] / "review")]
+    else:
+        argv = _set_up_argv(workspace, command, {})
+    path = workspace["dir"] / "records.jsonl" if bad == "records" else workspace[bad]
+    # A valid line first, then a line with bytes that are not UTF-8.
+    lines = path.read_bytes().splitlines(keepends=True)[:1] if path.exists() else []
+    path.write_bytes(b"".join(lines) + b'{"id": "\xff\xfe"}\n')
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{path} is not UTF-8 text: " in err
 
 
 class TestEval:
@@ -781,3 +871,13 @@ class TestReviewPackets:
         main(["review-packets", str(a), str(b), str(out)])
         assert (out / "key.json").exists()
         assert not (out / "packets" / "key.json").exists()
+
+
+def test_every_config_key_is_documented():
+    """Each key the command line reads from the config file is named in
+    README's "Config file" section."""
+    keys = set(re.findall(r'config\.get\("(\w+)"', Path(cli.__file__).read_text(encoding="utf-8")))
+    assert {"workers", "max_in_flight", "pools"} <= keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Config file\n", 1)[1].split("\n#", 1)[0]
+    assert sorted(k for k in keys if f"`{k}`" not in section and f'"{k}"' not in section) == []
