@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 
-from .model import PromptKind
+from .model import PromptKind, compact_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -113,7 +113,7 @@ class CompletionParams:
         object.__setattr__(
             self,
             "_json",
-            json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":")),
+            compact_json(self.as_dict()),
         )
 
     def as_dict(self) -> dict[str, Any]:
@@ -333,8 +333,13 @@ class CorruptLineError(ValueError):
 
 def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
     """(line number, stripped line) of each non-blank line of a text file, as
-    the caller takes them; a file that is not UTF-8 is an `error` naming it."""
-    with open(path, encoding="utf-8") as fh:
+    the caller takes them; a file that cannot be opened (a directory, say) or
+    is not UTF-8 is an `error` naming it."""
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from exc
+    with fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -428,11 +433,11 @@ class ReplayStore:
     """Persistent map from cache key to completion text.
 
     File format: one JSON object per line with keys key_hex, prompt_kind,
-    response_text, kept in a JsonlLog, so a torn last line is recovered.
-    On load, a later line for the same key wins. Appends are serialized
-    through a lock, so a store may back concurrent recording; each is
-    written and flushed to the OS before `put` returns. Corruption is a
-    ReplayStoreError.
+    response_text, in the bytes `compact_json` gives, kept in a JsonlLog, so
+    a torn last line is recovered. On load, a later line for the same key
+    wins. Appends are serialized through a lock, so a store may back
+    concurrent recording; each is written and flushed to the OS before
+    `put` returns. Corruption is a ReplayStoreError.
     """
 
     def __init__(self, path: str | Path, create: bool = False):
@@ -467,16 +472,13 @@ class ReplayStore:
 
     def put(self, key: str, prompt_kind: PromptKind | str, response_text: str) -> None:
         line = (
-            json.dumps(
-                {
-                    "key_hex": key,
-                    "prompt_kind": PromptKind(prompt_kind).value,
-                    "response_text": response_text,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            + "\n"
+            '{"key_hex":'
+            + _json_string(key)
+            + ',"prompt_kind":'
+            + _json_string(PromptKind(prompt_kind).value)
+            + ',"response_text":'
+            + _json_string(response_text)
+            + "}\n"
         )
         with self._lock:
             if self._entries.get(key) == response_text:

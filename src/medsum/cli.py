@@ -44,7 +44,14 @@ from .metrics import (
     write_csv_report,
     write_jsonl_report,
 )
-from .model import Encounter, ExampleKind, RunRecord, ValidationError, validate_encounter
+from .model import (
+    Encounter,
+    ExampleKind,
+    RunRecord,
+    ValidationError,
+    compact_json,
+    validate_encounter,
+)
 from .promptkit import (
     PromptTemplate,
     TemplateError,
@@ -311,9 +318,9 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
         if found != (method.value, config):
             raise CliError(
                 f"output file {output.path} holds records of another configuration: line "
-                f"{lineno} has method {found[0]!r} and config {_snapshot_text(found[1])}; "
+                f"{lineno} has method {found[0]!r} and config {compact_json(found[1])}; "
                 f"this run has method {method.value!r} and config "
-                f"{_snapshot_text(config)}. Write to another output file."
+                f"{compact_json(config)}. Write to another output file."
             )
         ids.add(encounter_id)
 
@@ -324,14 +331,12 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
     return ids
 
 
-def _snapshot_text(config: Any) -> str:
-    return json.dumps(config, sort_keys=True, separators=(",", ":"))
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = build_chain_config(config, args.seed)
-    workers = args.workers or _positive_int("workers", config.get("workers")) or 1
+    workers = _positive_int("--workers", args.workers)
+    if workers is None:
+        workers = _positive_int("workers", config.get("workers")) or 1
     method = _METHOD_ALIASES[args.method]
     deps = build_deps(args, config, cfg, method)
     encounters = load_dataset(args.dataset)
@@ -355,14 +360,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # resume.
         for outcome in run_many(todo, cfg, deps, method, workers=workers):
             if outcome.record is not None:
-                output.append(
-                    json.dumps(
-                        outcome.record.to_json_dict(),
-                        sort_keys=True,
-                        separators=(",", ":"),
-                    )
-                    + "\n"
-                )
+                output.append(outcome.record.to_json_line())
                 succeeded += 1
             else:
                 failed += 1

@@ -16,7 +16,6 @@ ratio is 0.
 from __future__ import annotations
 
 import csv
-import json
 import re
 import statistics
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .backend import CompletionClient, CompletionRequest, PrefixKeyer, default_params
 from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
-from .model import collapse_whitespace
+from .model import collapse_whitespace, compact_json
 from .promptkit import PromptTemplate, TokenBudget, bind
 
 __all__ = [
@@ -461,7 +460,4 @@ def write_jsonl_report(
     """Per-encounter detail, one JSON object per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for evaluation in evaluations:
-            fh.write(
-                json.dumps(evaluation.to_dict(), sort_keys=True, separators=(",", ":"))
-                + "\n"
-            )
+            fh.write(compact_json(evaluation.to_dict()) + "\n")

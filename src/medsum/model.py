@@ -8,8 +8,10 @@ safe to share across concurrent workers.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "TraceEntry",
     "RunRecord",
     "validate_encounter",
+    "compact_json",
 ]
 
 
@@ -96,6 +99,16 @@ def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
         return by_value[value]
     except (KeyError, TypeError):
         return enum(value)
+
+
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def compact_json(value: Any) -> str:
+    """`json.dumps(value, sort_keys=True, separators=(",", ":"))`, through one
+    shared encoder instead of a new one per call: the sorted, compact,
+    ASCII-escaped JSON of the JSONL files medsum writes."""
+    return _compact.encode(value)
 
 
 def collapse_whitespace(text: str) -> str:
@@ -315,6 +328,45 @@ class TraceEntry:
             object.__setattr__(self, "params", dict(self.params))
 
 
+# Value types whose equal values always encode alike, except the float
+# zeros and NaN, which _params_json leaves out of its memo.
+_MEMO_TYPES = frozenset({str, int, float, bool, type(None)})
+_MEMO_LIMIT = 256
+_params_memo: dict[tuple, str] = {}
+
+
+def _params_json(params: dict[str, Any]) -> str:
+    """`compact_json(params)`, memoised for flat params of str keys.
+
+    The memo key holds each value's type beside the value, since `True`,
+    `1` and `1.0` compare equal but encode apart; `0.0` and `-0.0` compare
+    equal too, and NaN compares unequal to itself, so params holding either
+    are encoded every time."""
+    key: list[Any] = []
+    for name, value in params.items():
+        kind = type(value)
+        if (
+            type(name) is not str
+            or kind not in _MEMO_TYPES
+            or (kind is float and (value == 0.0 or value != value))
+        ):
+            return _compact.encode(params)
+        key += (name, kind, value)
+    memo_key = tuple(key)
+    text = _params_memo.get(memo_key)
+    if text is None:
+        text = _compact.encode(params)
+        if len(_params_memo) >= _MEMO_LIMIT:
+            _params_memo.clear()
+        _params_memo[memo_key] = text
+    return text
+
+
+# Fixed pieces of a record line, in json.dumps's sorted key order.
+_STATUS_TAIL = {s: ',"status":' + _json_string(s.value) + "}" for s in EntityStatus}
+_KIND_TAIL = {k: ',"prompt_kind":' + _json_string(k.value) + "}" for k in PromptKind}
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """Audit record for one encounter run: config, ledger, summary, call trace."""
@@ -353,6 +405,59 @@ class RunRecord:
             ],
             "warnings": list(self.warnings),
         }
+
+    def to_json_line(self) -> str:
+        """`json.dumps(self.to_json_dict(), sort_keys=True, separators=(",",
+        ":")) + "\\n"`, joined from pieces in that key order.
+
+        Strings go through the encoder json.dumps uses for them; config,
+        summary and params go through `compact_json`. A record holding
+        something other than a str where a str belongs (as one decoded from
+        a hand-edited file may) is encoded through `to_json_dict`.
+        """
+        try:
+            ledger = ",".join(
+                [
+                    '{"name":'
+                    + _json_string(e.name)
+                    + ',"provenance":['
+                    + ",".join(map(_json_string, e.provenance))
+                    + "]"
+                    + _STATUS_TAIL[e.status]
+                    for e in self.ledger.entities
+                ]
+            )
+            trace = ",".join(
+                [
+                    '{"params":'
+                    + _params_json(t.params)
+                    + ',"prompt_hash":'
+                    + _json_string(t.prompt_hash)
+                    + _KIND_TAIL[t.prompt_kind]
+                    for t in self.llm_call_trace
+                ]
+            )
+            return "".join(
+                (
+                    '{"config":',
+                    _compact.encode(self.config),
+                    ',"encounter_id":',
+                    _json_string(self.encounter_id),
+                    ',"ledger":[',
+                    ledger,
+                    '],"llm_call_trace":[',
+                    trace,
+                    '],"method":',
+                    _json_string(self.method.value),
+                    ',"summary":',
+                    _compact.encode(self.summary.to_dict()),
+                    ',"warnings":[',
+                    ",".join(map(_json_string, self.warnings)),
+                    "]}\n",
+                )
+            )
+        except TypeError:
+            return _compact.encode(self.to_json_dict()) + "\n"
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":

@@ -316,9 +316,11 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             else PromptKind(template_id)
         )
         try:
-            templates[template_id] = PromptTemplate(
-                kind=kind, preamble=path.read_text(encoding="utf-8")
-            )
+            preamble = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise TemplateError(f"{path} is not UTF-8 text") from exc
+        try:
+            templates[template_id] = PromptTemplate(kind=kind, preamble=preamble)
         except TemplateError as exc:
             raise TemplateError(f"{path}: {exc}") from exc
     return templates

@@ -611,6 +611,33 @@ class TestReplayStore:
         assert store_path.read_bytes() == expected.encode("utf-8")
         assert ReplayStore(store_path).get("k1") == "revised"
 
+    @given(
+        entries=st.lists(
+            st.tuples(
+                _KEY_PIECE,
+                st.sampled_from([*PromptKind, *(kind.value for kind in PromptKind)]),
+                _KEY_PIECE,
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_put_line_is_the_json_dumps_reference(self, entries):
+        with tempfile.TemporaryDirectory() as tmp:
+            store_path = Path(tmp) / "store.jsonl"
+            store = ReplayStore(store_path, create=True)
+            expected = []
+            for key, kind, text in entries:
+                if store.get(key) != text:
+                    record = {"key_hex": key, "prompt_kind": PromptKind(kind).value}
+                    record["response_text"] = text
+                    expected.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+                store.put(key, kind, text)
+            store.close()
+            assert store_path.read_bytes() == "".join(
+                line + "\n" for line in expected
+            ).encode("ascii")
+
     def test_each_put_reaches_the_file_before_returning(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
         store = ReplayStore(store_path, create=True)

@@ -256,6 +256,24 @@ class TestRun:
         )
         assert not output.exists()
 
+    def test_template_that_is_not_utf8_exits_1(self, workspace, capsys):
+        ReplayStore(workspace["store"], create=True)
+        templates = workspace["dir"] / "templates"
+        templates.mkdir()
+        (templates / "summarization.txt").write_bytes(b"Summarize \xff{input}\n")
+        config = workspace["dir"] / "templated.json"
+        config.write_text(
+            json.dumps({"pools": str(workspace["pools"]), "templates_dir": str(templates)})
+        )
+        output = workspace["dir"] / "out.jsonl"
+        argv = self.run_args(workspace, output)
+        argv[argv.index("--config") + 1] = str(config)
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: bad template: {templates / 'summarization.txt'} is not UTF-8 text\n"
+        )
+        assert not output.exists()
+
     @pytest.mark.parametrize(
         "pools_text, message",
         [
@@ -458,7 +476,30 @@ def test_eval_client_honours_max_in_flight(workspace, monkeypatch):
     assert built == [{"max_in_flight": 3}]
 
 
-@pytest.mark.parametrize(
+@pytest.mark.parametrize("value", [-3, 0])
+def test_workers_flag_must_be_a_positive_integer(workspace, capsys, value):
+    argv = _set_up_argv(workspace, "run", {"workers": 2}) + ["--workers", str(value)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: bad run configuration: --workers must be a positive integer, got {value}\n"
+    )
+    assert not (workspace["dir"] / "out.jsonl").exists()
+
+
+def _input_file_argv(workspace, command, bad):
+    """Arguments for `command` and the path of its input file `bad`."""
+    if command == "validate":
+        argv = ["validate", str(workspace["dataset"])]
+    elif command == "review-packets":
+        records = workspace["dir"] / "records.jsonl"
+        argv = ["review-packets", str(records), str(records), str(workspace["dir"] / "review")]
+    else:
+        argv = _set_up_argv(workspace, command, {})
+    path = workspace["dir"] / "records.jsonl" if bad == "records" else workspace[bad]
+    return argv, path
+
+
+_INPUT_FILES = pytest.mark.parametrize(
     "command, bad",
     [
         ("validate", "dataset"),
@@ -469,15 +510,23 @@ def test_eval_client_honours_max_in_flight(workspace, monkeypatch):
         ("review-packets", "records"),
     ],
 )
+
+
+@_INPUT_FILES
+def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad):
+    argv, path = _input_file_argv(workspace, command, bad)
+    if path.exists():
+        path.unlink()
+    path.mkdir()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"cannot read {path}: " in err
+
+
+@_INPUT_FILES
 def test_input_file_that_is_not_utf8_exits_1(workspace, capsys, command, bad):
-    if command == "validate":
-        argv = ["validate", str(workspace["dataset"])]
-    elif command == "review-packets":
-        records = workspace["dir"] / "records.jsonl"
-        argv = ["review-packets", str(records), str(records), str(workspace["dir"] / "review")]
-    else:
-        argv = _set_up_argv(workspace, command, {})
-    path = workspace["dir"] / "records.jsonl" if bad == "records" else workspace[bad]
+    argv, path = _input_file_argv(workspace, command, bad)
     # A valid line first, then a line with bytes that are not UTF-8.
     lines = path.read_bytes().splitlines(keepends=True)[:1] if path.exists() else []
     path.write_bytes(b"".join(lines) + b'{"id": "\xff\xfe"}\n')

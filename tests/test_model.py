@@ -1,3 +1,6 @@
+import json
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,7 +11,11 @@ from medsum.model import (
     EntityLedger,
     EntityStatus,
     MedicalEntity,
+    Method,
+    PromptKind,
+    RunRecord,
     StructuredSummary,
+    TraceEntry,
     Turn,
     ValidationError,
     normalize_entity_name,
@@ -177,3 +184,78 @@ class TestDomainTypes:
             warnings=("rfe: something odd",),
         )
         assert RunRecord.from_json_dict(record.to_json_dict()) == record
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII, astral
+# characters and lone surrogates, all of which the encoder escapes.
+_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=10),
+    st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\u2028é—😀\ud800\udfff'), max_size=10),
+)
+# Values that compare equal but encode apart, and the floats JSON spells out.
+_TRICKY = st.sampled_from(
+    [True, 1, 1.0, False, 0, 0.0, -0.0, math.nan, math.inf, -math.inf, None, "1"]
+)
+_SCALAR = st.one_of(_TRICKY, st.integers(), st.floats(), _TEXT)
+_VALUE = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+# Mostly two names and the values above, so params dicts that differ only
+# in the type or sign of a value follow each other within a run.
+_PARAMS = st.one_of(
+    st.dictionaries(st.sampled_from(["temperature", "top_p"]), _TRICKY, max_size=2),
+    st.dictionaries(_TEXT, _VALUE, max_size=3),
+)
+
+
+@st.composite
+def run_records(draw):
+    names = draw(st.lists(_TEXT, max_size=4))
+    entities = {}
+    for name in names:
+        try:
+            entity = MedicalEntity(
+                name, draw(st.sampled_from(EntityStatus)), tuple(draw(st.lists(_TEXT, max_size=3)))
+            )
+        except ValueError:  # nothing left after normalization
+            continue
+        entities.setdefault(entity.name, entity)
+    trace = draw(
+        st.lists(
+            st.builds(TraceEntry, st.sampled_from(PromptKind), _TEXT, _PARAMS), max_size=8
+        )
+    )
+    return RunRecord(
+        encounter_id=draw(st.one_of(_TEXT, st.integers())),
+        method=draw(st.sampled_from(Method)),
+        config=draw(st.dictionaries(_TEXT, _VALUE, max_size=3)),
+        ledger=EntityLedger(tuple(entities.values())),
+        summary=StructuredSummary(**draw(st.fixed_dictionaries({k: _TEXT for k in SECTION_KEYS}))),
+        llm_call_trace=tuple(trace),
+        warnings=tuple(draw(st.lists(_TEXT, max_size=3))),
+    )
+
+
+@given(run_records())
+def test_run_record_line_is_the_json_dumps_reference(record):
+    line = record.to_json_line()
+    reference = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert line == reference + "\n"
+    assert RunRecord.from_json_dict(json.loads(line)).to_json_line() == line
+
+
+def test_params_that_compare_equal_encode_apart():
+    values = [True, 1, 1.0, False, 0, 0.0, -0.0, math.nan]
+    trace = tuple(
+        TraceEntry(PromptKind.SUMMARIZATION, "h", {"top_p": value})
+        for value in values + values[::-1]
+    )
+    record = RunRecord(
+        "enc-1", Method.MEDSUM_ENT, {}, EntityLedger(), StructuredSummary(), trace
+    )
+    reference = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    assert record.to_json_line() == reference + "\n"

@@ -140,3 +140,39 @@ def test_metric_request_keys_are_pinned(tmp_path, monkeypatch):
     keys = sorted(json.loads(line)["key_hex"] for line in store.read_text().splitlines())
     assert len(keys) == len(ReplayStore(store))
     assert sha256("".join(k + "\n" for k in keys).encode("ascii")) == METRIC_KEYS_SHA256
+
+
+def test_run_writes_the_json_dumps_reference_bytes(tmp_path, monkeypatch):
+    """`medsum run` on the sample corpus writes each record as
+    json.dumps(to_json_dict(), sort_keys=True, separators=(",", ":")), and
+    each store line as the json.dumps of its three keys."""
+    settings = {"extraction_k": 3, "summarization_k": 1, "seed": 7}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        **settings, "pools": str(SAMPLE / "pools.jsonl"),
+        "endpoint": "http://localhost:9/never-contacted",
+    }))
+    # The recording store wraps this scripted transport in place of HTTP.
+    monkeypatch.setattr(
+        cli, "HTTPTransport", lambda *a, **kw: ScriptedTransport(scripted_pipeline_responder)
+    )
+    output, store = tmp_path / "records.jsonl", tmp_path / "store.jsonl"
+    code = cli.main([
+        "run", str(SAMPLE / "encounters.jsonl"), str(output), "--config", str(config),
+        "--backend", "record", "--replay-store", str(store),
+    ])
+    assert code == 0
+
+    client = CompletionClient(
+        ScriptedTransport(scripted_pipeline_responder), sleeper=lambda _: None
+    )
+    deps = ChainDeps(client, load_templates(), load_example_pools(SAMPLE / "pools.jsonl"))
+    cfg = cli.build_chain_config(settings, None)
+    outcomes = run_many(load_dataset(SAMPLE / "encounters.jsonl"), cfg, deps, Method.MEDSUM_ENT)
+    expected = "".join(
+        json.dumps(outcome.record.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        for outcome in outcomes
+    )
+    assert output.read_bytes() == expected.encode("ascii")
+    for line in store.read_text(encoding="ascii").splitlines():
+        assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
