@@ -18,13 +18,13 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 
-from .model import PromptKind, compact_json
+from .model import _KIND_TAIL, PromptKind, compact_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,6 +101,9 @@ class CompletionParams:
     temperature: float
     max_tokens: int
     top_p: float
+    # The sorted, compact JSON of as_dict(), built once for cache_key and
+    # the chain's trace entries.
+    json_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.temperature <= 2.0:
@@ -109,12 +112,7 @@ class CompletionParams:
             raise ValueError("max_tokens must be positive")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError(f"top_p {self.top_p} outside (0, 1]")
-        # The sorted, compact JSON of as_dict(), built once for cache_key.
-        object.__setattr__(
-            self,
-            "_json",
-            compact_json(self.as_dict()),
-        )
+        object.__setattr__(self, "json_text", compact_json(self.as_dict()))
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -165,10 +163,6 @@ class CompletionRequest:
         return cls(prompt=prompt, params=params or default_params(kind), prompt_kind=kind)
 
 
-# The end of the hashed text for each prompt kind; see cache_key.
-_KIND_TAIL = {kind: ',"prompt_kind":' + _json_string(kind.value) + "}" for kind in PromptKind}
-
-
 def cache_key(req: CompletionRequest) -> str:
     """Content hash over (prompt_kind, prompt, params); stable across runs.
 
@@ -182,7 +176,7 @@ def cache_key(req: CompletionRequest) -> str:
     """
     payload = (
         '{"params":'
-        + req.params._json
+        + req.params.json_text
         + ',"prompt":'
         + _json_string(req.prompt)
         + _KIND_TAIL[req.prompt_kind]
@@ -204,7 +198,7 @@ class PrefixKeyer:
     __slots__ = ("_state", "_end")
 
     def __init__(self, kind: PromptKind, params: CompletionParams, head: str, tail: str):
-        opening = '{"params":' + params._json + ',"prompt":' + _json_string(head)[:-1]
+        opening = '{"params":' + params.json_text + ',"prompt":' + _json_string(head)[:-1]
         self._state = hashlib.sha256(opening.encode("ascii"))
         self._end = (_json_string(tail)[1:] + _KIND_TAIL[PromptKind(kind)]).encode("ascii")
 

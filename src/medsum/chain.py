@@ -242,7 +242,8 @@ def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
 
 
 def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
-    log.trace.append(TraceEntry(req.prompt_kind, key, req.params.as_dict()))
+    params = req.params
+    log.trace.append(TraceEntry(req.prompt_kind, key, params.as_dict(), params.json_text))
 
 
 def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:

@@ -9,7 +9,7 @@ safe to share across concurrent workers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Any, Iterator, Mapping, Sequence
@@ -314,12 +314,15 @@ class TraceEntry:
     """One completion call: what kind, the request's content hash, and params.
 
     A params dict is kept as given, not copied; any other mapping is copied
-    into a dict.
+    into a dict. `params_json`, when given, must be `compact_json(params)`:
+    the chain passes the JSON its request params already hold, so writing
+    the record does not encode them again.
     """
 
     prompt_kind: PromptKind
     prompt_hash: str
     params: Mapping[str, Any]
+    params_json: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if type(self.prompt_kind) is not PromptKind:
@@ -328,41 +331,8 @@ class TraceEntry:
             object.__setattr__(self, "params", dict(self.params))
 
 
-# Value types whose equal values always encode alike, except the float
-# zeros and NaN, which _params_json leaves out of its memo.
-_MEMO_TYPES = frozenset({str, int, float, bool, type(None)})
-_MEMO_LIMIT = 256
-_params_memo: dict[tuple, str] = {}
-
-
-def _params_json(params: dict[str, Any]) -> str:
-    """`compact_json(params)`, memoised for flat params of str keys.
-
-    The memo key holds each value's type beside the value, since `True`,
-    `1` and `1.0` compare equal but encode apart; `0.0` and `-0.0` compare
-    equal too, and NaN compares unequal to itself, so params holding either
-    are encoded every time."""
-    key: list[Any] = []
-    for name, value in params.items():
-        kind = type(value)
-        if (
-            type(name) is not str
-            or kind not in _MEMO_TYPES
-            or (kind is float and (value == 0.0 or value != value))
-        ):
-            return _compact.encode(params)
-        key += (name, kind, value)
-    memo_key = tuple(key)
-    text = _params_memo.get(memo_key)
-    if text is None:
-        text = _compact.encode(params)
-        if len(_params_memo) >= _MEMO_LIMIT:
-            _params_memo.clear()
-        _params_memo[memo_key] = text
-    return text
-
-
-# Fixed pieces of a record line, in json.dumps's sorted key order.
+# Fixed pieces of a record line, in json.dumps's sorted key order; the kind
+# tail also ends each cache key's hashed text (see backend.cache_key).
 _STATUS_TAIL = {s: ',"status":' + _json_string(s.value) + "}" for s in EntityStatus}
 _KIND_TAIL = {k: ',"prompt_kind":' + _json_string(k.value) + "}" for k in PromptKind}
 
@@ -411,53 +381,49 @@ class RunRecord:
         ":")) + "\\n"`, joined from pieces in that key order.
 
         Strings go through the encoder json.dumps uses for them; config,
-        summary and params go through `compact_json`. A record holding
-        something other than a str where a str belongs (as one decoded from
-        a hand-edited file may) is encoded through `to_json_dict`.
+        summary and params (unless the trace entry holds their JSON) go
+        through `compact_json`. Every str field must hold a str.
         """
-        try:
-            ledger = ",".join(
-                [
-                    '{"name":'
-                    + _json_string(e.name)
-                    + ',"provenance":['
-                    + ",".join(map(_json_string, e.provenance))
-                    + "]"
-                    + _STATUS_TAIL[e.status]
-                    for e in self.ledger.entities
-                ]
+        ledger = ",".join(
+            [
+                '{"name":'
+                + _json_string(e.name)
+                + ',"provenance":['
+                + ",".join(map(_json_string, e.provenance))
+                + "]"
+                + _STATUS_TAIL[e.status]
+                for e in self.ledger.entities
+            ]
+        )
+        trace = ",".join(
+            [
+                '{"params":'
+                + (t.params_json or _compact.encode(t.params))
+                + ',"prompt_hash":'
+                + _json_string(t.prompt_hash)
+                + _KIND_TAIL[t.prompt_kind]
+                for t in self.llm_call_trace
+            ]
+        )
+        return "".join(
+            (
+                '{"config":',
+                _compact.encode(self.config),
+                ',"encounter_id":',
+                _json_string(self.encounter_id),
+                ',"ledger":[',
+                ledger,
+                '],"llm_call_trace":[',
+                trace,
+                '],"method":',
+                _json_string(self.method.value),
+                ',"summary":',
+                _compact.encode(self.summary.to_dict()),
+                ',"warnings":[',
+                ",".join(map(_json_string, self.warnings)),
+                "]}\n",
             )
-            trace = ",".join(
-                [
-                    '{"params":'
-                    + _params_json(t.params)
-                    + ',"prompt_hash":'
-                    + _json_string(t.prompt_hash)
-                    + _KIND_TAIL[t.prompt_kind]
-                    for t in self.llm_call_trace
-                ]
-            )
-            return "".join(
-                (
-                    '{"config":',
-                    _compact.encode(self.config),
-                    ',"encounter_id":',
-                    _json_string(self.encounter_id),
-                    ',"ledger":[',
-                    ledger,
-                    '],"llm_call_trace":[',
-                    trace,
-                    '],"method":',
-                    _json_string(self.method.value),
-                    ',"summary":',
-                    _compact.encode(self.summary.to_dict()),
-                    ',"warnings":[',
-                    ",".join(map(_json_string, self.warnings)),
-                    "]}\n",
-                )
-            )
-        except TypeError:
-            return _compact.encode(self.to_json_dict()) + "\n"
+        )
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
@@ -468,10 +434,11 @@ class RunRecord:
             ledger=EntityLedger.from_json_list(data["ledger"]),
             summary=StructuredSummary.from_dict(data["summary"]),
             llm_call_trace=tuple(
+                # Positional: a keyword call costs more, once per entry.
                 TraceEntry(
-                    prompt_kind=_member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
-                    prompt_hash=t["prompt_hash"],
-                    params=dict(t["params"]),
+                    _member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
+                    t["prompt_hash"],
+                    dict(t["params"]),
                 )
                 for t in data["llm_call_trace"]
             ),

