@@ -173,7 +173,11 @@ def load_config(path: str | None) -> dict[str, Any]:
     if not config_path.exists():
         raise CliError(f"config file not found: {config_path}")
     try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
+        text = config_path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot read {config_path}: {exc.strerror}") from exc
+    try:
+        config = json.loads(text)
     except ValueError as exc:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -220,17 +224,23 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
-        store = Path(store_path)
-        if not store.exists():
-            raise CliError(f"replay store not found: {store}")
-        return ReplayTransport(ReplayStore(store))
+        if not Path(store_path).exists():
+            raise CliError(f"replay store not found: {store_path}")
+        return ReplayTransport(_open_store(store_path, create=False))
     endpoint = config.get("endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
     live = HTTPTransport(endpoint, model=config.get("model", "completion-model"))
     if mode == "record":
-        return RecordingTransport(live, ReplayStore(store_path, create=True))
+        return RecordingTransport(live, _open_store(store_path, create=True))
     return live
+
+
+def _open_store(path: str | Path, create: bool) -> ReplayStore:
+    try:
+        return ReplayStore(path, create=create)
+    except OSError as exc:  # a directory, say
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def build_backend(
@@ -328,6 +338,8 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
         output.read(take, partial(print, f"WARN output file {output.path}:", file=sys.stderr))
     except CorruptLineError as exc:
         raise CliError(f"output file {exc}") from exc
+    except OSError as exc:  # a directory, say
+        raise CliError(f"cannot read {output.path}: {exc.strerror}") from exc
     return ids
 
 
@@ -418,8 +430,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     jsonl_path = (
         Path(args.jsonl) if args.jsonl else Path(args.records).with_suffix(".report.jsonl")
     )
-    write_csv_report(rows, csv_path)
-    write_jsonl_report(evaluations, jsonl_path)
+    try:
+        write_csv_report(rows, csv_path)
+        write_jsonl_report(evaluations, jsonl_path)
+    except OSError as exc:  # a directory, say
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     print(f"scored {len(evaluations)} encounters ({skipped} skipped)")
     print(f"wrote {csv_path} and {jsonl_path}")
     return EXIT_OK

@@ -127,7 +127,14 @@ def normalize_entity_name(name: str) -> str:
     return normalized
 
 
-@dataclass(frozen=True)
+# The decoders build Turn, MedicalEntity and TraceEntry from fields they
+# have already checked through the `_checked_*` builders below each class:
+# those set the slots directly, so __init__ and __post_init__ do not run,
+# and a builder's caller must pass exactly what __post_init__ would store.
+_new = object.__new__
+
+
+@dataclass(frozen=True, slots=True)
 class Turn:
     """One utterance in the conversation. Text must survive a whitespace trim."""
 
@@ -139,6 +146,19 @@ class Turn:
             object.__setattr__(self, "speaker", Speaker(self.speaker))
         if not self.text.strip():
             raise ValueError("turn text is empty")
+
+
+_set_turn_speaker = Turn.speaker.__set__
+_set_turn_text = Turn.text.__set__
+
+
+def _checked_turn(speaker: Speaker, text: str) -> Turn:
+    """`Turn(speaker, text)` for a Speaker member and a str with a
+    non-blank character."""
+    turn = _new(Turn)
+    _set_turn_speaker(turn, speaker)
+    _set_turn_text(turn, text)
+    return turn
 
 
 # Canonical section keys of a structured visit summary, in presentation order.
@@ -184,6 +204,8 @@ class StructuredSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, str]) -> "StructuredSummary":
+        if not isinstance(data, Mapping):
+            raise TypeError(f"summary is not an object: {data!r}")
         unknown = sorted(set(data) - set(SECTION_KEYS))
         if unknown:
             raise ValueError(f"unknown summary sections: {', '.join(unknown)}")
@@ -218,7 +240,7 @@ class Encounter:
             raise ValueError("turns empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MedicalEntity:
     """A named medical concept with its affirmation status and provenance tags.
 
@@ -238,6 +260,21 @@ class MedicalEntity:
             object.__setattr__(self, "status", EntityStatus(self.status))
         if type(self.provenance) is not tuple:
             object.__setattr__(self, "provenance", tuple(self.provenance))
+
+
+_set_entity_name = MedicalEntity.name.__set__
+_set_entity_status = MedicalEntity.status.__set__
+_set_entity_provenance = MedicalEntity.provenance.__set__
+
+
+def _checked_entity(name: str, status: EntityStatus, provenance: tuple) -> MedicalEntity:
+    """`MedicalEntity(name, status, provenance)` for a name that is its own
+    `normalize_entity_name`, an EntityStatus member and a tuple."""
+    entity = _new(MedicalEntity)
+    _set_entity_name(entity, name)
+    _set_entity_status(entity, status)
+    _set_entity_provenance(entity, provenance)
+    return entity
 
 
 @dataclass(frozen=True)
@@ -278,16 +315,17 @@ class EntityLedger:
 
     @classmethod
     def from_json_list(cls, items: Sequence[Mapping[str, Any]]) -> "EntityLedger":
-        return cls(
-            tuple(
-                MedicalEntity(
-                    name=item["name"],
-                    status=_member(_STATUS_BY_VALUE, EntityStatus, item["status"]),
-                    provenance=tuple(item.get("provenance", ())),
-                )
-                for item in items
-            )
-        )
+        """The ledger of decoded JSON entity objects, each checked as
+        MedicalEntity checks it, and its name for being a str."""
+        entities = []
+        for item in items:
+            name = item["name"]
+            status = _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
+            provenance = tuple(item.get("provenance", ()))
+            if not isinstance(name, str):
+                raise TypeError(f"entity name is not a string: {name!r}")
+            entities.append(_checked_entity(normalize_entity_name(name), status, provenance))
+        return cls(tuple(entities))
 
 
 @dataclass(frozen=True)
@@ -309,12 +347,14 @@ class LabeledExample:
             object.__setattr__(self, "kind", ExampleKind(self.kind))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One completion call: what kind, the request's content hash, and params.
 
     A params dict is kept as given, not copied; any other mapping is copied
-    into a dict. `params_json`, when given, must be `compact_json(params)`:
+    into a dict. `RunRecord.from_json_dict` gives each entry a copy of its
+    decoded params, so a record never shares a dict with the data it was
+    decoded from. `params_json`, when given, must be `compact_json(params)`:
     the chain passes the JSON its request params already hold, so writing
     the record does not encode them again.
     """
@@ -329,6 +369,23 @@ class TraceEntry:
             object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
         if type(self.params) is not dict:
             object.__setattr__(self, "params", dict(self.params))
+
+
+_set_trace_kind = TraceEntry.prompt_kind.__set__
+_set_trace_hash = TraceEntry.prompt_hash.__set__
+_set_trace_params = TraceEntry.params.__set__
+_set_trace_params_json = TraceEntry.params_json.__set__
+
+
+def _checked_trace_entry(prompt_kind: PromptKind, prompt_hash: str, params: dict) -> TraceEntry:
+    """`TraceEntry(prompt_kind, prompt_hash, params)` for a PromptKind member
+    and a dict."""
+    entry = _new(TraceEntry)
+    _set_trace_kind(entry, prompt_kind)
+    _set_trace_hash(entry, prompt_hash)
+    _set_trace_params(entry, params)
+    _set_trace_params_json(entry, None)
+    return entry
 
 
 # Fixed pieces of a record line, in json.dumps's sorted key order; the kind
@@ -427,23 +484,33 @@ class RunRecord:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
-        return cls(
-            encounter_id=data["encounter_id"],
+        """The record of a decoded JSON record object, each field checked as
+        the constructors check it, and `encounter_id` for being a str."""
+        encounter_id = data["encounter_id"]
+        if not isinstance(encounter_id, str):
+            raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
+        # Filled in as __post_init__ leaves it, field by field in the order
+        # the fields are checked; config is copied once.
+        record = _new(cls)
+        vars(record).update(
+            encounter_id=encounter_id,
             method=_member(_METHOD_BY_VALUE, Method, data["method"]),
             config=dict(data["config"]),
             ledger=EntityLedger.from_json_list(data["ledger"]),
             summary=StructuredSummary.from_dict(data["summary"]),
             llm_call_trace=tuple(
-                # Positional: a keyword call costs more, once per entry.
-                TraceEntry(
-                    _member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
-                    t["prompt_hash"],
-                    dict(t["params"]),
-                )
-                for t in data["llm_call_trace"]
+                [
+                    _checked_trace_entry(
+                        _member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
+                        t["prompt_hash"],
+                        dict(t["params"]),
+                    )
+                    for t in data["llm_call_trace"]
+                ]
             ),
             warnings=tuple(data.get("warnings", ())),
         )
+        return record
 
 
 def validate_encounter(raw: Any) -> Encounter:
@@ -494,7 +561,7 @@ def validate_encounter(raw: Any) -> Encounter:
             if not isinstance(text, str) or not text.strip():
                 problems.append(f"turn {i}: empty text")
             elif member is not None:
-                turns.append(Turn(speaker=member, text=text))
+                turns.append(_checked_turn(member, text))
 
     reference = None
     ref_raw = raw.get("reference_summary")

@@ -22,7 +22,7 @@ from medsum.cli import (
     REVIEW_QUESTIONS,
     main,
 )
-from medsum.model import RunRecord
+from medsum.model import EntityLedger, RunRecord, StructuredSummary
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
@@ -495,24 +495,36 @@ def _input_file_argv(workspace, command, bad):
         argv = ["review-packets", str(records), str(records), str(workspace["dir"] / "review")]
     else:
         argv = _set_up_argv(workspace, command, {})
-    path = workspace["dir"] / "records.jsonl" if bad == "records" else workspace[bad]
+    path = {
+        "records": workspace["dir"] / "records.jsonl",
+        "config": workspace["dir"] / "setting.json",
+        "output": workspace["dir"] / "out.jsonl",
+    }.get(bad) or workspace[bad]
     return argv, path
 
 
-_INPUT_FILES = pytest.mark.parametrize(
+_INPUT_FILE_CASES = [
+    ("validate", "dataset"),
+    ("run", "dataset"),
+    ("run", "pools"),
+    ("eval", "records"),
+    ("eval", "dataset"),
+    ("review-packets", "records"),
+]
+_INPUT_FILES = pytest.mark.parametrize("command, bad", _INPUT_FILE_CASES)
+
+
+@pytest.mark.parametrize(
     "command, bad",
     [
-        ("validate", "dataset"),
-        ("run", "dataset"),
-        ("run", "pools"),
-        ("eval", "records"),
-        ("eval", "dataset"),
-        ("review-packets", "records"),
+        *_INPUT_FILE_CASES,
+        ("run", "config"),
+        ("run", "store"),
+        ("run", "output"),
+        ("eval", "config"),
+        ("eval", "store"),
     ],
 )
-
-
-@_INPUT_FILES
 def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad):
     argv, path = _input_file_argv(workspace, command, bad)
     if path.exists():
@@ -534,6 +546,39 @@ def test_input_file_that_is_not_utf8_exits_1(workspace, capsys, command, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{path} is not UTF-8 text: " in err
+
+
+@pytest.mark.parametrize("report", ["--csv", "--jsonl"])
+def test_report_path_that_is_a_directory_exits_1(workspace, capsys, report):
+    TestEval().identity_dataset(workspace)
+    records = TestEval().run_and_eval(workspace)
+    capsys.readouterr()
+    path = workspace["dir"] / "report"
+    path.mkdir()
+    argv = ["eval", str(records), str(workspace["dataset"]), report, str(path)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "review-packets"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("summary", [], "summary is not an object: []"),
+        ("summary", "", "summary is not an object: ''"),
+        ("encounter_id", 7, "encounter_id is not a string: 7"),
+        ("encounter_id", None, "encounter_id is not a string: None"),
+        ("ledger", [{"name": 7, "status": "present"}], "entity name is not a string: 7"),
+    ],
+)
+def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, field, value, message):
+    argv, path = _input_file_argv(workspace, command, "records")
+    good = RunRecord("enc-001", "naive_baseline", {}, EntityLedger(), StructuredSummary(), ())
+    bad = {**good.to_json_dict(), field: value}
+    path.write_text(good.to_json_line() + json.dumps(bad) + "\n")
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {path}: bad record at line 2: {message}\n"
 
 
 class TestEval:

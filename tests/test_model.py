@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,10 +15,12 @@ from medsum.model import (
     Method,
     PromptKind,
     RunRecord,
+    Speaker,
     StructuredSummary,
     TraceEntry,
     Turn,
     ValidationError,
+    collapse_whitespace,
     normalize_entity_name,
     validate_encounter,
 )
@@ -246,3 +249,201 @@ def test_run_record_line_is_the_json_dumps_reference(record):
     reference = json.dumps(record.to_json_dict(), sort_keys=True, separators=(",", ":"))
     assert line == reference + "\n"
     assert RunRecord.from_json_dict(json.loads(line)).to_json_line() == line
+
+
+@pytest.mark.parametrize(
+    "value, field, new, bad",
+    [
+        (Turn(Speaker.DOCTOR, "hello"), "text", "bye", {"text": " "}),
+        (
+            MedicalEntity("Fever", EntityStatus.PRESENT, ("rfe",)),
+            "status",
+            EntityStatus.ABSENT,
+            {"name": " "},
+        ),
+        (
+            TraceEntry(PromptKind.SUMMARIZATION, "ab", {"top_p": 1.0}, '{"top_p":1.0}'),
+            "prompt_hash",
+            "cd",
+            {"prompt_kind": "x"},
+        ),
+    ],
+    ids=["Turn", "MedicalEntity", "TraceEntry"],
+)
+def test_hot_value_types_are_slotted_and_frozen(value, field, new, bad):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, new)
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = 1
+    same, changed = dataclasses.replace(value), dataclasses.replace(value, **{field: new})
+    assert same == value and same is not value
+    assert getattr(changed, field) == new and changed != value
+    if isinstance(value, TraceEntry):  # its params are a dict
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(same) == hash(value) and len({value, same, changed}) == 2
+    # replace builds through the constructor, so its checks run.
+    with pytest.raises(ValueError):
+        dataclasses.replace(value, **bad)
+
+
+def assert_same(built, expected):
+    """Equal field for field, and each field of the same type."""
+    assert type(built) is type(expected)
+    if dataclasses.is_dataclass(expected):
+        for f in dataclasses.fields(expected):
+            assert_same(getattr(built, f.name), getattr(expected, f.name))
+    elif isinstance(expected, (tuple, list)):
+        assert len(built) == len(expected)
+        for b, e in zip(built, expected):
+            assert_same(b, e)
+    elif isinstance(expected, dict):
+        assert built.keys() == expected.keys()
+        for key in expected:
+            assert_same(built[key], expected[key])
+    else:
+        assert built == expected
+
+
+_NAME = st.text(st.sampled_from("aB \tßİé"), max_size=6)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _TEXT),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+_RAW_TURN = st.fixed_dictionaries(
+    {"speaker": st.sampled_from(["doctor", "patient"]), "text": _TEXT.filter(str.strip)}
+)
+
+
+@st.composite
+def raw_encounters(draw):
+    raw = {
+        "id": draw(_TEXT.filter(bool)),
+        "rfe": draw(_TEXT),
+        "age": draw(st.integers(min_value=0)),
+        "sex": draw(_TEXT.filter(str.strip)),
+        "turns": draw(st.lists(_RAW_TURN, min_size=1, max_size=6)),
+    }
+    if draw(st.booleans()):
+        raw["reference_summary"] = draw(
+            st.dictionaries(st.sampled_from(SECTION_KEYS), _TEXT, max_size=6)
+        )
+    return json.loads(json.dumps(raw))  # as a dataset line decodes
+
+
+@st.composite
+def raw_run_records(draw, min_size=0):
+    """A decoded JSON record object that every check accepts."""
+    ledger, names = [], set()
+    for _ in range(draw(st.integers(min_size, 4))):
+        name = draw(_NAME.filter(lambda n: n.strip() and collapse_whitespace(n) not in names))
+        names.add(collapse_whitespace(name))
+        item = {"name": name, "status": draw(st.sampled_from([s.value for s in EntityStatus]))}
+        if draw(st.booleans()):
+            item["provenance"] = draw(st.lists(_TEXT, max_size=3))
+        ledger.append(item)
+    trace = [
+        {
+            "prompt_kind": draw(st.sampled_from([k.value for k in PromptKind])),
+            "prompt_hash": draw(_TEXT),
+            "params": draw(st.dictionaries(_TEXT, _JSON, max_size=3)),
+        }
+        for _ in range(draw(st.integers(min_size, 4)))
+    ]
+    raw = {
+        "encounter_id": draw(_TEXT),
+        "method": draw(st.sampled_from([m.value for m in Method])),
+        "config": draw(st.dictionaries(_TEXT, _JSON, max_size=3)),
+        "ledger": ledger,
+        "summary": draw(st.dictionaries(st.sampled_from(SECTION_KEYS), _TEXT, max_size=6)),
+        "llm_call_trace": trace,
+    }
+    if draw(st.booleans()):
+        raw["warnings"] = draw(st.lists(_TEXT, max_size=3))
+    # As a record line decodes: JSON text cannot tell a surrogate pair held
+    # as two code units from the character it encodes, and decodes the latter.
+    return json.loads(json.dumps(raw))
+
+
+def build_record(raw):
+    """`raw` built through the public constructors, the decoder's reference."""
+    return RunRecord(
+        encounter_id=raw["encounter_id"],
+        method=raw["method"],
+        config=raw["config"],
+        ledger=EntityLedger(
+            tuple(
+                MedicalEntity(item["name"], item["status"], item.get("provenance", ()))
+                for item in raw["ledger"]
+            )
+        ),
+        summary=StructuredSummary(**raw["summary"]),
+        llm_call_trace=tuple(
+            TraceEntry(t["prompt_kind"], t["prompt_hash"], t["params"])
+            for t in raw["llm_call_trace"]
+        ),
+        warnings=tuple(raw.get("warnings", ())),
+    )
+
+
+@given(raw_encounters())
+def test_validate_encounter_builds_what_the_constructors_build(raw):
+    reference = raw.get("reference_summary")
+    expected = Encounter(
+        id=raw["id"],
+        rfe=raw["rfe"],
+        age=raw["age"],
+        sex=raw["sex"],
+        turns=tuple(Turn(t["speaker"], t["text"]) for t in raw["turns"]),
+        reference_summary=None if reference is None else StructuredSummary(**reference),
+    )
+    assert_same(validate_encounter(raw), expected)
+
+
+@given(raw_run_records())
+def test_record_decoder_builds_what_the_constructors_build(raw):
+    record, expected = RunRecord.from_json_dict(raw), build_record(raw)
+    assert_same(record, expected)
+    line = record.to_json_line()
+    assert line == expected.to_json_line()
+    again = RunRecord.from_json_dict(json.loads(line))
+    assert_same(again, record)
+    assert again.to_json_line() == line
+
+
+def _raised(build, raw):
+    try:
+        build(raw)
+    except Exception as exc:  # compared below, whatever it is
+        return type(exc), str(exc)
+    return None
+
+
+@given(
+    raw_run_records(min_size=1),
+    st.sampled_from(["status", "kind", "blank name", "duplicate name", "provenance"]),
+    st.data(),
+)
+def test_record_decoder_refuses_what_the_constructors_refuse(raw, fault, data):
+    item = data.draw(st.sampled_from(raw["ledger"]))
+    if fault == "status":
+        item["status"] = "maybe"
+    elif fault == "kind":
+        data.draw(st.sampled_from(raw["llm_call_trace"]))["prompt_kind"] = "bogus"
+    elif fault == "blank name":
+        item["name"] = " \t "
+    elif fault == "duplicate name":
+        twin = {**item, "name": "  " + item["name"].upper() + " "}
+        raw["ledger"].insert(data.draw(st.integers(0, len(raw["ledger"]))), twin)
+    else:
+        item["provenance"] = 5
+    refused = _raised(RunRecord.from_json_dict, raw)
+    assert refused is not None
+    assert refused == _raised(build_record, raw)
