@@ -14,7 +14,7 @@ import statistics
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .backend import (
     BackendError,
@@ -48,9 +48,11 @@ from .model import (
     Encounter,
     ExampleKind,
     RunRecord,
+    StructuredSummary,
     ValidationError,
     compact_json,
     validate_encounter,
+    validate_reference,
 )
 from .promptkit import (
     PromptTemplate,
@@ -66,6 +68,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BACKEND = 2
 EXIT_PARTIAL = 3
+
+T = TypeVar("T")
 
 # Shown to reviewers inside every blinded packet.
 REVIEW_QUESTIONS = (
@@ -103,17 +107,19 @@ class DatasetProblem(NamedTuple):
 
 
 def read_dataset(
-    path: str | Path,
-) -> tuple[list[tuple[int, Encounter]], list[DatasetProblem]]:
+    path: str | Path, check: Callable[[Any], T] = validate_encounter
+) -> tuple[list[tuple[int, T]], list[DatasetProblem]]:
     """Parse a dataset file line by line.
 
-    Returns (line number, encounter) pairs for valid lines plus the
-    problems of the others. Duplicate ids name both lines involved.
+    Returns (line number, `check(decoded line)`) pairs for valid lines plus
+    the problems of the others. `check` is `validate_encounter` or
+    `validate_reference`: it raises ValidationError or gives an object with
+    an `id`. Duplicate ids name both lines involved.
     """
     path = Path(path)
     if not path.exists():
         raise CliError(f"dataset not found: {path}")
-    encounters: list[tuple[int, Encounter]] = []
+    encounters: list[tuple[int, T]] = []
     problems: list[DatasetProblem] = []
     first_line_for_id: dict[str, int] = {}
     for lineno, line in read_lines(path, CliError):
@@ -123,7 +129,7 @@ def read_dataset(
             problems.append(DatasetProblem(lineno, f"invalid JSON: {exc}"))
             continue
         try:
-            enc = validate_encounter(raw)
+            enc = check(raw)
         except ValidationError as exc:
             problems.append(DatasetProblem(lineno, str(exc)))
             continue
@@ -143,12 +149,24 @@ def read_dataset(
     return encounters, problems
 
 
-def load_dataset(path: str | Path) -> list[Encounter]:
-    """Strict load: any invalid line aborts."""
-    encounters, problems = read_dataset(path)
+def _read_valid_dataset(path: str | Path, check: Callable[[Any], T]) -> list[T]:
+    """Strict read: any invalid line aborts."""
+    encounters, problems = read_dataset(path, check)
     if problems:
         raise CliError("dataset invalid:\n" + "\n".join(map(str, problems)))
     return [enc for _, enc in encounters]
+
+
+def load_dataset(path: str | Path) -> list[Encounter]:
+    """Strict load: any invalid line aborts."""
+    return _read_valid_dataset(path, validate_encounter)
+
+
+def load_references(path: str | Path) -> dict[str, StructuredSummary | None]:
+    """Each encounter's reference summary (or None) by id, after the checks
+    of `load_dataset`, which refuses the same files with the same message;
+    builds no Turn or Encounter."""
+    return dict(_read_valid_dataset(path, validate_reference))
 
 
 def load_records(path: str | Path) -> Iterator[RunRecord]:
@@ -388,13 +406,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    # Every record line is decoded before the first scoring call; only what
-    # scoring needs is kept of each.
+    # Every record and dataset line is decoded and checked before the first
+    # scoring call; only what scoring needs is kept of each.
     scorable = [
         (record.encounter_id, RowKey.from_record(record), record.summary)
         for record in load_records(args.records)
     ]
-    references = {enc.id: enc.reference_summary for enc in load_dataset(args.dataset)}
+    references = load_references(args.dataset)
 
     if args.verifier == "exact":
         verifier = exact_match_verifier

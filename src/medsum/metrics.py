@@ -19,6 +19,7 @@ import csv
 import re
 import statistics
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -125,15 +126,26 @@ def score_from_counts(
 _BULLET_RE = re.compile(r"^(?:[-*•]|\d+[.):])\s*")
 
 
+def _strip_bullet(line: str) -> str:
+    """`_BULLET_RE.sub("", line.strip()).strip()`: the line stripped, without
+    a leading `-`, `*` or `•` bullet or `<digits>.`, `)` or `:` number. The
+    regex runs only on a line that starts with a digit; its `\\d` is
+    `str.isdecimal` and its `\\s` is `str.isspace`, which `strip` strips."""
+    line = line.strip()
+    if not line:
+        return line
+    first = line[0]
+    if first in "-*•":
+        return line[1:].lstrip()
+    if first.isdecimal():
+        return _BULLET_RE.sub("", line).strip()
+    return line
+
+
 def _parse_concepts(completion: str) -> list[str]:
-    concepts: list[str] = []
-    seen: set[str] = set()
-    for line in completion.splitlines():
-        concept = _BULLET_RE.sub("", line.strip()).strip()
-        if concept and concept not in seen:
-            seen.add(concept)
-            concepts.append(concept)
-    if completion.strip() and not concepts:
+    # Each distinct non-empty concept once, in first-seen order.
+    concepts = list(dict.fromkeys(filter(None, map(_strip_bullet, completion.splitlines()))))
+    if not concepts and completion.strip():
         raise ConceptParseError(completion)
     return concepts
 
@@ -177,19 +189,22 @@ class LLMConceptExtractor(_Judge):
         return _parse_concepts(self._complete(text))
 
 
+_VERDICTS = {"yes": True, "true": True, "no": False, "false": False}
+
+
 def _parse_verdicts(completion: str, expected: int) -> list[bool]:
     verdicts: list[bool] = []
     for line in completion.splitlines():
-        token = _BULLET_RE.sub("", line.strip()).strip()
+        token = _strip_bullet(line)
         if not token:
             continue
-        word = token.split()[0].rstrip(".,").lower()
-        if word in ("yes", "true"):
-            verdicts.append(True)
-        elif word in ("no", "false"):
-            verdicts.append(False)
-        else:
-            raise VerificationParseError(f"unparseable verdict line: {line.strip()!r}")
+        # A bare verdict word is its own first word, as it stands.
+        verdict = _VERDICTS.get(token)
+        if verdict is None:
+            verdict = _VERDICTS.get(token.split(None, 1)[0].rstrip(".,").lower())
+            if verdict is None:
+                raise VerificationParseError(f"unparseable verdict line: {line.strip()!r}")
+        verdicts.append(verdict)
     if len(verdicts) != expected:
         raise VerificationParseError(
             f"expected {expected} verdicts, got {len(verdicts)}"
@@ -338,6 +353,18 @@ class RowKey:
         )
 
 
+# A JSONL report line in json.dumps's sorted key order; see to_json_line.
+_EVALUATION_LINE = (
+    '{"encounter_id":%s,"extraction_k":%s,"method":%s,"resolver":%s,'
+    '"scores":[%s],"selection":%s,"summarization_k":%r}\n'
+)
+_SCORE_OBJECT = (
+    '{"f_n":%r,"f_p":%r,"gpt_f1":%r,"gpt_precision":%r,"gpt_recall":%r,'
+    '"section":%s,"tp_gt":%r,"tp_pred":%r}'
+)
+_RESOLVER_JSON = {None: "null", True: "true", False: "false"}
+
+
 @dataclass(frozen=True)
 class EncounterEvaluation:
     encounter_id: str
@@ -354,6 +381,35 @@ class EncounterEvaluation:
             "resolver": self.key.resolver,
             "scores": [s.to_dict() for s in self.scores],
         }
+
+    def to_json_line(self) -> str:
+        """`json.dumps(self.to_dict(), sort_keys=True, separators=(",",
+        ":")) + "\\n"`, formatted from pieces in that key order.
+
+        Strings go through the encoder json.dumps uses for them, and a
+        selection that is not a str through `compact_json`. Every
+        other field must hold what `RowKey.from_record` and
+        `score_from_counts` give it: an int (not a bool) or None for the
+        shot counts, a bool or None for the resolver, ints for the counts
+        and finite floats for the scores, whose repr is their JSON.
+        """
+        key, selection = self.key, self.key.selection
+        scores = ",".join(
+            [
+                _SCORE_OBJECT % (s.f_n, s.f_p, s.gpt_f1, s.gpt_precision, s.gpt_recall,
+                                 _json_string(s.section), s.tp_gt, s.tp_pred)
+                for s in self.scores
+            ]
+        )
+        return _EVALUATION_LINE % (
+            _json_string(self.encounter_id),
+            "null" if key.extraction_k is None else repr(key.extraction_k),
+            _json_string(key.method),
+            _RESOLVER_JSON[key.resolver],
+            scores,
+            _json_string(selection) if type(selection) is str else compact_json(selection),
+            key.summarization_k,
+        )
 
 
 @dataclass(frozen=True)
@@ -459,5 +515,4 @@ def write_jsonl_report(
 ) -> None:
     """Per-encounter detail, one JSON object per line."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for evaluation in evaluations:
-            fh.write(compact_json(evaluation.to_dict()) + "\n")
+        fh.writelines([evaluation.to_json_line() for evaluation in evaluations])

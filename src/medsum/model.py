@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "Speaker",
@@ -33,7 +33,9 @@ __all__ = [
     "LabeledExample",
     "TraceEntry",
     "RunRecord",
+    "EncounterReference",
     "validate_encounter",
+    "validate_reference",
     "compact_json",
 ]
 
@@ -316,12 +318,13 @@ class EntityLedger:
     @classmethod
     def from_json_list(cls, items: Sequence[Mapping[str, Any]]) -> "EntityLedger":
         """The ledger of decoded JSON entity objects, each checked as
-        MedicalEntity checks it, and its name for being a str."""
+        MedicalEntity checks it, its name for being a str and its provenance
+        for being a list of str."""
         entities = []
         for item in items:
             name = item["name"]
             status = _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
-            provenance = tuple(item.get("provenance", ()))
+            provenance = _strings("provenance", item.get("provenance", []))
             if not isinstance(name, str):
                 raise TypeError(f"entity name is not a string: {name!r}")
             entities.append(_checked_entity(normalize_entity_name(name), status, provenance))
@@ -485,7 +488,8 @@ class RunRecord:
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         """The record of a decoded JSON record object, each field checked as
-        the constructors check it, and `encounter_id` for being a str."""
+        the constructors check it, `encounter_id` and each `prompt_hash` for
+        being a str, and `warnings` for being a list of str."""
         encounter_id = data["encounter_id"]
         if not isinstance(encounter_id, str):
             raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
@@ -498,19 +502,41 @@ class RunRecord:
             config=dict(data["config"]),
             ledger=EntityLedger.from_json_list(data["ledger"]),
             summary=StructuredSummary.from_dict(data["summary"]),
-            llm_call_trace=tuple(
-                [
-                    _checked_trace_entry(
-                        _member(_KIND_BY_VALUE, PromptKind, t["prompt_kind"]),
-                        t["prompt_hash"],
-                        dict(t["params"]),
-                    )
-                    for t in data["llm_call_trace"]
-                ]
-            ),
-            warnings=tuple(data.get("warnings", ())),
+            llm_call_trace=tuple([_decoded_trace_entry(t) for t in data["llm_call_trace"]]),
+            warnings=_strings("warnings", data.get("warnings", [])),
         )
         return record
+
+
+def _decoded_trace_entry(item: Mapping[str, Any]) -> TraceEntry:
+    """The trace entry of a decoded JSON object, checked as TraceEntry
+    checks it, and its `prompt_hash` for being a str."""
+    kind = _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
+    prompt_hash = item["prompt_hash"]
+    if not isinstance(prompt_hash, str):
+        raise TypeError(f"prompt_hash is not a string: {prompt_hash!r}")
+    return _checked_trace_entry(kind, prompt_hash, dict(item["params"]))
+
+
+def _strings(name: str, value: Any) -> tuple[str, ...]:
+    """The tuple of a decoded JSON list of str, or a TypeError; for a value
+    that is not iterable, the one `tuple()` raises, as the constructors do."""
+    items = tuple(value)
+    if type(value) is list:
+        for item in items:
+            if not isinstance(item, str):
+                break
+        else:
+            return items
+    raise TypeError(f"{name} is not a list of strings: {value!r}")
+
+
+class EncounterReference(NamedTuple):
+    """What `eval` keeps of a dataset line: the encounter id and its
+    reference summary, if it has one."""
+
+    id: str
+    reference_summary: StructuredSummary | None
 
 
 def validate_encounter(raw: Any) -> Encounter:
@@ -519,6 +545,32 @@ def validate_encounter(raw: Any) -> Encounter:
     Total over arbitrary decoded input: every record yields either an
     Encounter or a ValidationError listing every violated field.
     """
+    turns: list[Turn] = []
+    enc_id, rfe, age, sex, reference = _check_encounter(raw, turns)
+    return Encounter(
+        id=enc_id,
+        rfe=rfe,
+        age=age,
+        sex=sex,
+        turns=tuple(turns),
+        reference_summary=reference,
+    )
+
+
+def validate_reference(raw: Any) -> EncounterReference:
+    """The id and reference summary of a decoded dataset record, after the
+    checks of `validate_encounter`, which raise the same ValidationError;
+    builds no Turn or Encounter."""
+    enc_id, _, _, _, reference = _check_encounter(raw, None)
+    return EncounterReference(enc_id, reference)
+
+
+def _check_encounter(
+    raw: Any, turns: list[Turn] | None
+) -> tuple[str, str, int, str, StructuredSummary | None]:
+    """The id, RFE, age, sex and reference summary of a decoded dataset
+    record, or a ValidationError listing every violated field. Each turn is
+    appended to `turns` unless it is None."""
     if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ValidationError(["record is not an object"])
 
@@ -543,7 +595,6 @@ def validate_encounter(raw: Any) -> Encounter:
         problems.append("missing or empty 'sex'")
 
     turns_raw = raw.get("turns")
-    turns: list[Turn] = []
     if not isinstance(turns_raw, list):
         problems.append("missing 'turns'")
     elif not turns_raw:
@@ -560,7 +611,7 @@ def validate_encounter(raw: Any) -> Encounter:
                 problems.append(f"turn {i}: unknown speaker {speaker!r}")
             if not isinstance(text, str) or not text.strip():
                 problems.append(f"turn {i}: empty text")
-            elif member is not None:
+            elif member is not None and turns is not None:
                 turns.append(_checked_turn(member, text))
 
     reference = None
@@ -576,12 +627,4 @@ def validate_encounter(raw: Any) -> Encounter:
 
     if problems:
         raise ValidationError(problems)
-
-    return Encounter(
-        id=enc_id,
-        rfe=rfe,
-        age=age,
-        sex=sex,
-        turns=tuple(turns),
-        reference_summary=reference,
-    )
+    return enc_id, rfe, age, sex, reference

@@ -22,7 +22,13 @@ from medsum.cli import (
     REVIEW_QUESTIONS,
     main,
 )
-from medsum.model import EntityLedger, RunRecord, StructuredSummary
+from medsum.model import (
+    EncounterReference,
+    EntityLedger,
+    RunRecord,
+    StructuredSummary,
+    validate_reference,
+)
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
@@ -103,6 +109,86 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "FAIL line 2" in out
         assert "PASS line 1" in out
+
+
+_SHORT_TEXT = st.text(st.sampled_from("ab \t\n\u00e9\u2028"), max_size=3)
+_DATASET_TURN = st.one_of(
+    st.fixed_dictionaries({"speaker": st.sampled_from(["doctor", "patient"]), "text": st.just("hi")}),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "speaker": st.sampled_from(["doctor", "nurse", "", 1, None]),
+            "text": st.one_of(_SHORT_TEXT, st.integers()),
+        },
+    ),
+    st.sampled_from([[], "turn", 3, None]),
+)
+_REFERENCE = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["medical_history", "pertinent_positives", "bogus"]), _SHORT_TEXT),
+    st.sampled_from([[], "summary", 0]),
+)
+
+
+@st.composite
+def dataset_lines(draw):
+    """One dataset line: an encounter that may break any field check, other
+    JSON, text that is not JSON, or a blank line."""
+    kind = draw(st.sampled_from(["valid", "valid", "encounter", "encounter", "json", "text", "blank"]))
+    if kind == "json":
+        return json.dumps(draw(st.sampled_from([[], [1], 3, "enc", None, True])))
+    if kind == "text":
+        return draw(st.sampled_from(["{", "nope", '{"id": "a",', "[1,"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "  "]))
+    raw = {
+        "id": draw(st.sampled_from(["e1", "e2", "e3"])),
+        "rfe": "cough",
+        "age": 40,
+        "sex": "female",
+        "turns": [{"speaker": "doctor", "text": "hello"}],
+    }
+    if kind == "valid":
+        if draw(st.booleans()):
+            raw["reference_summary"] = {"medical_history": draw(_SHORT_TEXT)}
+        return json.dumps(raw)
+    if draw(st.booleans()):
+        raw["reference_summary"] = draw(_REFERENCE)
+    for field_name in draw(st.lists(st.sampled_from(sorted(raw) + ["reference_summary"]), max_size=2)):
+        raw[field_name] = draw(
+            st.one_of(st.none(), st.sampled_from(["", " ", "x", -1, 2, True, 1.5, [], {}]))
+        )
+    if draw(st.booleans()):
+        raw["turns"] = draw(st.lists(_DATASET_TURN, max_size=3))
+    if draw(st.booleans()):
+        del raw[draw(st.sampled_from(sorted(raw)))]
+    return json.dumps(raw)
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except cli.CliError as exc:
+        return "refused", str(exc)
+
+
+@settings(deadline=None)
+@given(st.lists(dataset_lines(), max_size=6))
+def test_reference_pass_refuses_and_keeps_what_the_dataset_reader_does(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("dataset") / "dataset.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    full = _read_outcome(cli.read_dataset, path)
+    kept = _read_outcome(lambda p: cli.read_dataset(p, validate_reference), path)
+    if full[0] == "refused":
+        assert kept == full
+    else:
+        assert kept == (
+            [(n, EncounterReference(enc.id, enc.reference_summary)) for n, enc in full[0]],
+            full[1],
+        )
+    assert _read_outcome(cli.load_references, path) == _read_outcome(
+        lambda p: {enc.id: enc.reference_summary for enc in cli.load_dataset(p)}, path
+    )
 
 
 class TestRun:
@@ -570,6 +656,23 @@ def test_report_path_that_is_a_directory_exits_1(workspace, capsys, report):
         ("encounter_id", 7, "encounter_id is not a string: 7"),
         ("encounter_id", None, "encounter_id is not a string: None"),
         ("ledger", [{"name": 7, "status": "present"}], "entity name is not a string: 7"),
+        ("warnings", "abc", "warnings is not a list of strings: 'abc'"),
+        ("warnings", ["a", 7], "warnings is not a list of strings: ['a', 7]"),
+        (
+            "ledger",
+            [{"name": "fever", "status": "present", "provenance": "rfe"}],
+            "provenance is not a list of strings: 'rfe'",
+        ),
+        (
+            "ledger",
+            [{"name": "fever", "status": "present", "provenance": [None]}],
+            "provenance is not a list of strings: [None]",
+        ),
+        (
+            "llm_call_trace",
+            [{"prompt_kind": "summarization", "prompt_hash": 7, "params": {}}],
+            "prompt_hash is not a string: 7",
+        ),
     ],
 )
 def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, field, value, message):

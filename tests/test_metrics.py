@@ -1,9 +1,12 @@
+import json
 import re
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import medsum.metrics as metrics
 from medsum.backend import default_params
 from medsum.metrics import (
     ConceptParseError,
@@ -379,3 +382,166 @@ class TestRowKey:
         )
         key = RowKey.from_record(record)
         assert key == RowKey("medsum_ent", 3, 1, "random", True)
+
+
+# The regex parsers that `_parse_concepts` and `_parse_verdicts` replaced,
+# kept as the reference they must agree with.
+_REFERENCE_BULLET_RE = re.compile(r"^(?:[-*•]|\d+[.):])\s*")
+
+
+def reference_parse_concepts(completion):
+    concepts, seen = [], set()
+    for line in completion.splitlines():
+        concept = _REFERENCE_BULLET_RE.sub("", line.strip()).strip()
+        if concept and concept not in seen:
+            seen.add(concept)
+            concepts.append(concept)
+    if completion.strip() and not concepts:
+        raise ConceptParseError(completion)
+    return concepts
+
+
+def reference_parse_verdicts(completion, expected):
+    verdicts = []
+    for line in completion.splitlines():
+        token = _REFERENCE_BULLET_RE.sub("", line.strip()).strip()
+        if not token:
+            continue
+        word = token.split()[0].rstrip(".,").lower()
+        if word in ("yes", "true"):
+            verdicts.append(True)
+        elif word in ("no", "false"):
+            verdicts.append(False)
+        else:
+            raise VerificationParseError(f"unparseable verdict line: {line.strip()!r}")
+    if len(verdicts) != expected:
+        raise VerificationParseError(f"expected {expected} verdicts, got {len(verdicts)}")
+    return verdicts
+
+
+def outcome(parse, *args):
+    """What `parse(*args)` returns, or the type and text of what it raises."""
+    try:
+        return parse(*args)
+    except (ConceptParseError, VerificationParseError) as exc:
+        return type(exc), str(exc)
+
+
+# Whitespace that str.strip strips: ASCII, Latin-1, Unicode spaces, and the
+# separators that str.splitlines also splits on.
+_SPACE = st.text(st.sampled_from(" \t\x0b\x0c\x1c\x1f\x85\xa0  　"), max_size=2)
+# Bullets, numbers (ASCII and other decimal digits, which \d matches too),
+# and look-alikes the bullet pattern does not take.
+_MARK = st.sampled_from(
+    ["", "", "-", "*", "•", "1.", "12)", "3:", "٣.", "１)", "٣", "1", "1-", "².", "Ⅻ.", "--", "-*"]
+)
+_WORD = st.one_of(
+    st.sampled_from(
+        ["yes", "no", "Yes.", "TRUE,", "false", "No,", "yes.,", "nope", "y", "", "fever", "-"]
+    ),
+    st.text(max_size=6),
+)
+_LINE = st.builds(
+    lambda *parts: "".join(parts), _SPACE, _MARK, _SPACE, _WORD, _SPACE, _WORD, _SPACE
+)
+_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1e", " "])
+_COMPLETION = st.builds(
+    lambda lines, breaks: "".join(l + b for l, b in zip(lines, breaks)) + lines[-1],
+    st.lists(_LINE, min_size=1, max_size=6),
+    st.lists(_BREAK, min_size=6, max_size=6),
+)
+
+
+@given(_COMPLETION)
+def test_concept_parser_matches_the_regex_reference(completion):
+    assert outcome(metrics._parse_concepts, completion) == outcome(
+        reference_parse_concepts, completion
+    )
+
+
+# Mostly lines that parse as verdicts.
+_VERDICT_LINE = st.builds(
+    lambda *parts: "".join(parts),
+    _SPACE,
+    st.sampled_from(["", "", "-", "*", "•", "1.", "12)", "3:", "٣.", "１)"]),
+    _SPACE,
+    st.sampled_from(["yes", "no", "Yes.", "TRUE,", "False", "NO.", "true", "yes,.", ""]),
+    st.sampled_from(["", "", " it is", "\tstated.", "."]),
+    _SPACE,
+)
+_VERDICT_COMPLETION = st.builds(
+    lambda lines, breaks: "".join(l + b for l, b in zip(lines, breaks)) + lines[-1],
+    st.lists(_VERDICT_LINE, min_size=1, max_size=6),
+    st.lists(st.sampled_from(["\n", "\r\n", "\x1e"]), min_size=6, max_size=6),
+)
+
+
+@given(st.one_of(_VERDICT_COMPLETION, _COMPLETION), st.one_of(st.just(-1), st.integers(0, 7)))
+def test_verdict_parser_matches_the_regex_reference(completion, expected):
+    if expected < 0:  # as many as the non-blank lines, so that verdicts parse
+        expected = sum(
+            1 for line in completion.splitlines() if _REFERENCE_BULLET_RE.sub("", line.strip()).strip()
+        )
+    assert outcome(metrics._parse_verdicts, completion, expected) == outcome(
+        reference_parse_verdicts, completion, expected
+    )
+
+
+def test_bullet_regex_classes_are_the_str_predicates():
+    """The parsers test `str.isdecimal` where the bullet pattern has `\\d`,
+    and `strip` strips what it has as `\\s`; both agree on every code point."""
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\d", every) == list(filter(str.isdecimal, every))
+    assert re.findall(r"\s", every) == list(filter(str.isspace, every))
+
+
+# Keys `RowKey.from_record` reads, with any JSON value as the selection mode.
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=4,
+)
+_RUN_CONFIG = st.fixed_dictionaries(
+    {},
+    optional={
+        "extraction_k": st.integers(-2, 9),
+        "summarization_k": st.integers(-1, 3),
+        "selection_mode": _JSON_VALUE,
+        "resolver_enabled": _JSON_VALUE,
+    },
+)
+_COUNT = st.integers(0, 10**6)
+_SECTION_SCORE = st.one_of(
+    st.builds(score_from_counts, st.text(), _COUNT, _COUNT, _COUNT, _COUNT),
+    st.builds(
+        SectionScore,
+        st.text(),
+        *[_COUNT] * 4,
+        *[st.floats(allow_nan=False, allow_infinity=False)] * 3,
+    ),
+)
+
+
+@given(
+    st.text(),
+    st.sampled_from(Method),
+    _RUN_CONFIG,
+    st.lists(_SECTION_SCORE, max_size=4),
+)
+def test_report_line_is_the_json_dumps_reference(encounter_id, method, config, scores):
+    record = RunRecord(encounter_id, method, config, EntityLedger(), StructuredSummary(), ())
+    evaluation = EncounterEvaluation(encounter_id, RowKey.from_record(record), tuple(scores))
+    reference = json.dumps(evaluation.to_dict(), sort_keys=True, separators=(",", ":"))
+    assert evaluation.to_json_line() == reference + "\n"
+
+
+def test_report_line_of_unset_row_fields():
+    evaluation = EncounterEvaluation(
+        "eé", NAIVE_KEY, (score_from_counts("pertinent_positives", 1, 2, 0, 0),)
+    )
+    assert evaluation.to_json_line() == (
+        '{"encounter_id":"e\\u00e9","extraction_k":null,"method":"naive_baseline",'
+        '"resolver":null,"scores":[{"f_n":2,"f_p":0,"gpt_f1":0.5,"gpt_precision":1.0,'
+        '"gpt_recall":0.3333333333333333,"section":"pertinent_positives","tp_gt":1,'
+        '"tp_pred":0}],"selection":null,"summarization_k":0}\n'
+    )

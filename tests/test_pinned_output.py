@@ -115,7 +115,8 @@ def test_sample_corpus_output_bytes_are_pinned(tmp_path):
 
 def test_metric_request_keys_are_pinned(tmp_path, monkeypatch):
     """`eval --verifier llm --backend record` over the sample records stores
-    the metric judge's completions under pinned keys."""
+    the metric judge's completions under pinned keys, and writes the pinned
+    reports."""
     _, records = sample_records()
     records_path = tmp_path / "records.jsonl"
     records_path.write_text(
@@ -140,6 +141,8 @@ def test_metric_request_keys_are_pinned(tmp_path, monkeypatch):
     keys = sorted(json.loads(line)["key_hex"] for line in store.read_text().splitlines())
     assert len(keys) == len(ReplayStore(store))
     assert sha256("".join(k + "\n" for k in keys).encode("ascii")) == METRIC_KEYS_SHA256
+    assert sha256((tmp_path / "report.csv").read_bytes()) == CSV_SHA256
+    assert sha256((tmp_path / "report.jsonl").read_bytes()) == JSONL_SHA256
 
 
 def test_run_writes_the_json_dumps_reference_bytes(tmp_path, monkeypatch):
