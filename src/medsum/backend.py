@@ -421,6 +421,7 @@ class JsonlLog:
 
 
 _json_decoder = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
 
 
 class ReplayStore:
@@ -448,11 +449,19 @@ class ReplayStore:
             raise ReplayStoreError(f"replay store not found: {self.path}")
 
     def _load(self) -> None:
-        decode = _json_decoder.decode  # json.loads without its per-call checks
+        scan, decode = _json_decoder.scan_once, _json_decoder.decode
         entries = self._entries
 
         def take(lineno: int, line: str) -> None:
-            item = decode(line)
+            # json.loads(line) without its wrappers for a line that starts
+            # with its value and ends with JSON whitespace; any other line
+            # goes through them, for their result or their error.
+            try:
+                item, end = scan(line, 0)
+            except StopIteration:
+                end = None
+            if end is None or line[end:].strip(_JSON_SPACE):
+                item = decode(line)
             entries[item["key_hex"]] = item["response_text"]
 
         warn = partial(logger.warning, "%s: %s; the next record replaces it", self.path)

@@ -47,6 +47,7 @@ from .metrics import (
 from .model import (
     Encounter,
     ExampleKind,
+    RecordHead,
     RunRecord,
     StructuredSummary,
     ValidationError,
@@ -173,15 +174,34 @@ def load_records(path: str | Path) -> Iterator[RunRecord]:
     """The records of a run's output, decoded one line at a time as the
     caller takes them; a line that does not decode is a CliError when it
     is reached. Wrap the call in `list()` for a list."""
+    return _read_records(path, RunRecord.from_json_dict)
+
+
+def _read_records(path: str | Path, keep: Callable[[Any], T]) -> Iterator[T]:
+    """`keep(decoded line)` for each line of a run's output, as the caller
+    takes them; a line on which `json.loads` or `keep` raises ValueError,
+    KeyError or TypeError is a CliError when it is reached."""
     path = Path(path)
     if not path.exists():
         raise CliError(f"run records not found: {path}")
     for lineno, line in read_lines(path, CliError):
         try:
-            record = RunRecord.from_json_dict(json.loads(line))
+            kept = keep(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"{path}: bad record at line {lineno}: {exc}") from exc
-        yield record
+        yield kept
+
+
+def _report_input(raw: Any) -> tuple[str, RowKey, StructuredSummary]:
+    """What `eval` keeps of a record line: its id, report row and summary."""
+    head = RecordHead.from_json_dict(raw)
+    return head.encounter_id, RowKey.from_config(head.method, head.config), head.summary
+
+
+def _packet_input(raw: Any) -> tuple[str, tuple[Method, StructuredSummary]]:
+    """What `review-packets` keeps of a record line: its id, method and summary."""
+    head = RecordHead.from_json_dict(raw)
+    return head.encounter_id, (head.method, head.summary)
 
 
 def load_config(path: str | None) -> dict[str, Any]:
@@ -408,10 +428,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     # Every record and dataset line is decoded and checked before the first
     # scoring call; only what scoring needs is kept of each.
-    scorable = [
-        (record.encounter_id, RowKey.from_record(record), record.summary)
-        for record in load_records(args.records)
-    ]
+    scorable = list(_read_records(args.records, _report_input))
     references = load_references(args.dataset)
 
     if args.verifier == "exact":
@@ -460,8 +477,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_review_packets(args: argparse.Namespace) -> int:
     # Only each encounter's (method, summary) is kept; a later record wins.
-    records_a = {r.encounter_id: (r.method, r.summary) for r in load_records(args.records_a)}
-    records_b = {r.encounter_id: (r.method, r.summary) for r in load_records(args.records_b)}
+    records_a = dict(_read_records(args.records_a, _packet_input))
+    records_b = dict(_read_records(args.records_b, _packet_input))
     context = {}
     if args.dataset:
         context = {enc.id: enc for enc in load_dataset(args.dataset)}

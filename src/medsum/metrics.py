@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .backend import CompletionClient, CompletionRequest, PrefixKeyer, default_params
 from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
-from .model import collapse_whitespace, compact_json
+from .model import collapse_whitespace
 from .promptkit import PromptTemplate, TokenBudget, bind
 
 __all__ = [
@@ -314,6 +314,8 @@ class RowKey:
 
     Fields that do not apply to a method (extraction shots and the resolver
     for the baseline, selection for 0-shot) are None and print as "-".
+    A selection that is neither a str nor None is a TypeError, so every key
+    hashes and sorts.
     """
 
     method: str
@@ -322,21 +324,31 @@ class RowKey:
     selection: str | None
     resolver: bool | None
 
+    def __post_init__(self) -> None:
+        if self.selection is not None and not isinstance(self.selection, str):
+            raise TypeError(f"selection_mode is not a string: {self.selection!r}")
+
     @classmethod
     def from_record(cls, record: RunRecord) -> "RowKey":
-        cfg = record.config
+        return cls.from_config(record.method, record.config)
+
+    @classmethod
+    def from_config(cls, method: Method, cfg: Mapping[str, Any]) -> "RowKey":
+        """The row of a run of `method` with the config snapshot `cfg`; a
+        shot count that `int()` refuses or a kept selection mode that is
+        not a str is a TypeError or ValueError."""
         summarization_k = int(cfg.get("summarization_k", 0))
         selection = cfg.get("selection_mode")
-        if record.method is Method.NAIVE_BASELINE:
+        if method is Method.NAIVE_BASELINE:
             return cls(
-                method=record.method.value,
+                method=method.value,
                 extraction_k=None,
                 summarization_k=summarization_k,
                 selection=selection if summarization_k > 0 else None,
                 resolver=None,
             )
         return cls(
-            method=record.method.value,
+            method=method.value,
             extraction_k=int(cfg.get("extraction_k", 0)),
             summarization_k=summarization_k,
             selection=selection,
@@ -386,9 +398,8 @@ class EncounterEvaluation:
         """`json.dumps(self.to_dict(), sort_keys=True, separators=(",",
         ":")) + "\\n"`, formatted from pieces in that key order.
 
-        Strings go through the encoder json.dumps uses for them, and a
-        selection that is not a str through `compact_json`. Every
-        other field must hold what `RowKey.from_record` and
+        Strings go through the encoder json.dumps uses for them. Every
+        other field must hold what `RowKey.from_config` and
         `score_from_counts` give it: an int (not a bool) or None for the
         shot counts, a bool or None for the resolver, ints for the counts
         and finite floats for the scores, whose repr is their JSON.
@@ -407,7 +418,7 @@ class EncounterEvaluation:
             _json_string(key.method),
             _RESOLVER_JSON[key.resolver],
             scores,
-            _json_string(selection) if type(selection) is str else compact_json(selection),
+            "null" if selection is None else _json_string(selection),
             key.summarization_k,
         )
 

@@ -33,6 +33,7 @@ __all__ = [
     "LabeledExample",
     "TraceEntry",
     "RunRecord",
+    "RecordHead",
     "EncounterReference",
     "validate_encounter",
     "validate_reference",
@@ -129,10 +130,11 @@ def normalize_entity_name(name: str) -> str:
     return normalized
 
 
-# The decoders build Turn, MedicalEntity and TraceEntry from fields they
-# have already checked through the `_checked_*` builders below each class:
-# those set the slots directly, so __init__ and __post_init__ do not run,
-# and a builder's caller must pass exactly what __post_init__ would store.
+# The decoders build Turn, MedicalEntity, EntityLedger and TraceEntry from
+# fields they have already checked through the `_checked_*` builders below
+# each class: those set the fields directly, so __init__ and __post_init__
+# do not run, and a builder's caller must pass exactly what __post_init__
+# would store.
 _new = object.__new__
 
 
@@ -287,11 +289,7 @@ class EntityLedger:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entities", tuple(self.entities))
-        seen: set[str] = set()
-        for entity in self.entities:
-            if entity.name in seen:
-                raise ValueError(f"duplicate entity name in ledger: {entity.name!r}")
-            seen.add(entity.name)
+        _check_unique([entity.name for entity in self.entities])
 
     def __iter__(self) -> Iterator[MedicalEntity]:
         return iter(self.entities)
@@ -315,20 +313,21 @@ class EntityLedger:
             for e in self.entities
         ]
 
-    @classmethod
-    def from_json_list(cls, items: Sequence[Mapping[str, Any]]) -> "EntityLedger":
-        """The ledger of decoded JSON entity objects, each checked as
-        MedicalEntity checks it, its name for being a str and its provenance
-        for being a list of str."""
-        entities = []
-        for item in items:
-            name = item["name"]
-            status = _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
-            provenance = _strings("provenance", item.get("provenance", []))
-            if not isinstance(name, str):
-                raise TypeError(f"entity name is not a string: {name!r}")
-            entities.append(_checked_entity(normalize_entity_name(name), status, provenance))
-        return cls(tuple(entities))
+
+def _check_unique(names: list[str]) -> None:
+    """A ValueError naming the first entity name seen twice, if any."""
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate entity name in ledger: {name!r}")
+        seen.add(name)
+
+
+def _checked_ledger(entities: tuple[MedicalEntity, ...]) -> EntityLedger:
+    """`EntityLedger(entities)` for a tuple of entities with unique names."""
+    ledger = _new(EntityLedger)
+    vars(ledger)["entities"] = entities
+    return ledger
 
 
 @dataclass(frozen=True)
@@ -488,34 +487,93 @@ class RunRecord:
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         """The record of a decoded JSON record object, each field checked as
-        the constructors check it, `encounter_id` and each `prompt_hash` for
-        being a str, and `warnings` for being a list of str."""
-        encounter_id = data["encounter_id"]
-        if not isinstance(encounter_id, str):
-            raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
-        # Filled in as __post_init__ leaves it, field by field in the order
-        # the fields are checked; config is copied once.
+        `_check_record` says."""
+        entities: list[MedicalEntity] = []
+        trace: list[TraceEntry] = []
+        encounter_id, method, config, summary, warnings = _check_record(data, entities, trace)
+        # Filled in as __post_init__ leaves it.
         record = _new(cls)
         vars(record).update(
             encounter_id=encounter_id,
-            method=_member(_METHOD_BY_VALUE, Method, data["method"]),
-            config=dict(data["config"]),
-            ledger=EntityLedger.from_json_list(data["ledger"]),
-            summary=StructuredSummary.from_dict(data["summary"]),
-            llm_call_trace=tuple([_decoded_trace_entry(t) for t in data["llm_call_trace"]]),
-            warnings=_strings("warnings", data.get("warnings", [])),
+            method=method,
+            config=config,
+            ledger=_checked_ledger(tuple(entities)),
+            summary=summary,
+            llm_call_trace=tuple(trace),
+            warnings=warnings,
         )
         return record
 
 
-def _decoded_trace_entry(item: Mapping[str, Any]) -> TraceEntry:
-    """The trace entry of a decoded JSON object, checked as TraceEntry
-    checks it, and its `prompt_hash` for being a str."""
-    kind = _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
-    prompt_hash = item["prompt_hash"]
-    if not isinstance(prompt_hash, str):
-        raise TypeError(f"prompt_hash is not a string: {prompt_hash!r}")
-    return _checked_trace_entry(kind, prompt_hash, dict(item["params"]))
+class RecordHead(NamedTuple):
+    """What `eval` and `review-packets` keep of a run record line: its
+    encounter id, method, config and summary."""
+
+    encounter_id: str
+    method: Method
+    config: dict[str, Any]
+    summary: StructuredSummary
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping[str, Any]) -> "RecordHead":
+        """The head of a decoded JSON record object, after the checks of
+        `RunRecord.from_json_dict`, which raise the same errors; builds no
+        MedicalEntity or TraceEntry."""
+        encounter_id, method, config, summary, _ = _check_record(data, None, None)
+        return cls(encounter_id, method, config, summary)
+
+
+def _check_record(
+    data: Mapping[str, Any],
+    entities: list[MedicalEntity] | None,
+    trace: list[TraceEntry] | None,
+) -> tuple[str, Method, dict[str, Any], StructuredSummary, tuple[str, ...]]:
+    """The encounter id, method, config (a copy), summary and warnings of a
+    decoded JSON record object, or the first error of a field, in field
+    order. Each field is checked as the constructors check it; besides,
+    `encounter_id` and each `prompt_hash` must be a str, `config` and each
+    `params` an object, and `warnings` and each `provenance` a list of str.
+    Each ledger entity is appended to `entities` and each trace entry, with
+    a copy of its params, to `trace`, unless that list is None."""
+    encounter_id = data["encounter_id"]
+    if not isinstance(encounter_id, str):
+        raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
+    method = _member(_METHOD_BY_VALUE, Method, data["method"])
+    config = dict(_object("config", data["config"]))
+
+    names = []
+    for item in data["ledger"]:
+        name = item["name"]
+        status = _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
+        provenance = _strings("provenance", item.get("provenance", []))
+        if not isinstance(name, str):
+            raise TypeError(f"entity name is not a string: {name!r}")
+        name = normalize_entity_name(name)
+        names.append(name)
+        if entities is not None:
+            entities.append(_checked_entity(name, status, provenance))
+    _check_unique(names)
+
+    summary = StructuredSummary.from_dict(data["summary"])
+
+    for item in data["llm_call_trace"]:
+        kind = _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
+        prompt_hash = item["prompt_hash"]
+        if not isinstance(prompt_hash, str):
+            raise TypeError(f"prompt_hash is not a string: {prompt_hash!r}")
+        params = _object("params", item["params"])
+        if trace is not None:
+            trace.append(_checked_trace_entry(kind, prompt_hash, dict(params)))
+
+    warnings = _strings("warnings", data.get("warnings", []))
+    return encounter_id, method, config, summary, warnings
+
+
+def _object(name: str, value: Any) -> Mapping[str, Any]:
+    """A decoded JSON object, or a TypeError."""
+    if type(value) is dict or isinstance(value, Mapping):
+        return value
+    raise TypeError(f"{name} is not an object: {value!r}")
 
 
 def _strings(name: str, value: Any) -> tuple[str, ...]:

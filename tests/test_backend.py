@@ -527,6 +527,68 @@ class TestMaxInFlight:
         assert state["peak"] <= 2
 
 
+_STORE_SPACE = st.text(st.sampled_from(" \t\r\x0b\x0c\xa0\u2028"), max_size=2)
+
+
+@st.composite
+def _store_line(draw):
+    """A replay-store line, valid or not, without its newline."""
+    item = {
+        "key_hex": draw(st.sampled_from("abc")),
+        "prompt_kind": "summarization",
+        "response_text": draw(st.text(max_size=6)),
+    }
+    line = json.dumps(item, sort_keys=True, separators=(",", ":"))
+    shape = draw(
+        st.sampled_from(
+            ["valid", "spaced", "trailing text", "not an object", "repeated key",
+             "missing key", "cut", "blank"]
+        )
+    )
+    if shape == "spaced":  # JSON whitespace or other white space, either side
+        return draw(_STORE_SPACE) + json.dumps(item) + draw(_STORE_SPACE)
+    if shape == "trailing text":
+        return line + draw(st.sampled_from(["x", "}", " {}", "7"]))
+    if shape == "not an object":
+        return json.dumps(draw(st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                                         st.lists(st.integers(), max_size=2))))
+    if shape == "repeated key":  # the later value wins
+        return '{"key_hex":"a","response_text":"first",%s' % line[1:]
+    if shape == "missing key":
+        del item[draw(st.sampled_from(["key_hex", "response_text"]))]
+        return json.dumps(item)
+    if shape == "cut":
+        return line[: draw(st.integers(0, len(line) - 1))]
+    if shape == "blank":
+        return draw(_STORE_SPACE)
+    return line
+
+
+def _reference_store_load(path, data):
+    """What loading the store file `path`, which holds `data`, gives when
+    each line is decoded by `json.loads`: (entries, warnings logged), or the
+    text of the error it raises. A blank line is skipped; a line that does
+    not give an entry is a torn last line, dropped with a warning, if it has
+    no newline, and an error if it has one."""
+    entries, warnings = {}, []
+    *whole, last = data.split("\n")
+    lines = [line + "\n" for line in whole] + ([last] if last else [])
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            item = json.loads(line)
+            entries[item["key_hex"]] = item["response_text"]
+        except (ValueError, KeyError, TypeError) as exc:
+            if not line.strip():
+                continue
+            if line.endswith("\n"):
+                return f"{path} holds a corrupt record line (line {lineno}: {exc})"
+            warnings.append(
+                f"{path}: dropping torn last line {lineno} ({exc}); the next record replaces it"
+            )
+            break
+    return entries, warnings
+
+
 class TestReplayStore:
     def test_record_then_replay_identical(self, tmp_path):
         store_path = tmp_path / "store.jsonl"
@@ -721,6 +783,31 @@ class TestReplayStore:
                 assert reloaded.get("new") == new_text
                 assert {k: reloaded.get(k) for k in expected} == expected
                 assert store_path.read_bytes().endswith(b"\n")
+
+    @settings(deadline=None)
+    @given(lines=st.lists(_store_line(), max_size=5), newline_at_end=st.booleans())
+    def test_load_is_the_json_loads_reference(self, lines, newline_at_end):
+        data = "\n".join(lines) + ("\n" if lines and newline_at_end else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            store_path = Path(tmp) / "store.jsonl"
+            store_path.write_bytes(data.encode("utf-8"))
+            expected = _reference_store_load(store_path, data)
+            warnings = []
+            handler = logging.Handler()
+            handler.emit = lambda record: warnings.append(record.getMessage())
+            logging.getLogger("medsum.backend").addHandler(handler)
+            try:
+                store = ReplayStore(store_path)
+            except ReplayStoreError as exc:
+                assert str(exc) == expected
+                return
+            finally:
+                logging.getLogger("medsum.backend").removeHandler(handler)
+            assert not isinstance(expected, str), expected
+            entries, expected_warnings = expected
+            assert len(store) == len(entries)
+            assert {key: store.get(key) for key in entries} == entries
+            assert warnings == expected_warnings
 
     def test_recording_transport_dedups_identical_writes(self, tmp_path):
         store_path = tmp_path / "store.jsonl"

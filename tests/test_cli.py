@@ -673,6 +673,12 @@ def test_report_path_that_is_a_directory_exits_1(workspace, capsys, report):
             [{"prompt_kind": "summarization", "prompt_hash": 7, "params": {}}],
             "prompt_hash is not a string: 7",
         ),
+        ("config", [["extraction_k", 3]], "config is not an object: [['extraction_k', 3]]"),
+        (
+            "llm_call_trace",
+            [{"prompt_kind": "summarization", "prompt_hash": "h", "params": ["ab"]}],
+            "params is not an object: ['ab']",
+        ),
     ],
 )
 def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, field, value, message):
@@ -682,6 +688,38 @@ def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, fiel
     path.write_text(good.to_json_line() + json.dumps(bad) + "\n")
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {path}: bad record at line 2: {message}\n"
+
+
+def _int_error(value):
+    try:
+        int(value)
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError(f"int() took {value!r}")
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"selection_mode": ["random"]}, "selection_mode is not a string: ['random']"),
+        ({"selection_mode": {"a": 1}}, "selection_mode is not a string: {'a': 1}"),
+        ({"extraction_k": [1]}, _int_error([1])),
+        ({"summarization_k": "x"}, _int_error("x")),
+    ],
+)
+def test_record_config_without_a_report_row_exits_1_before_scoring(
+    workspace, capsys, monkeypatch, config, message
+):
+    records = workspace["dir"] / "records.jsonl"
+    good = RunRecord("enc-001", "medsum_ent", {}, EntityLedger(), StructuredSummary(), ())
+    bad = RunRecord("enc-002", "medsum_ent", config, EntityLedger(), StructuredSummary(), ())
+    records.write_text(good.to_json_line() + bad.to_json_line())
+    scored = []
+    monkeypatch.setattr(cli, "evaluate_encounter", lambda *args: scored.append(args))
+    argv = ["eval", str(records), str(workspace["dataset"]), "--verifier", "exact"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {records}: bad record at line 2: {message}\n"
+    assert scored == []
 
 
 class TestEval:

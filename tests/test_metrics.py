@@ -495,21 +495,35 @@ def test_bullet_regex_classes_are_the_str_predicates():
     assert re.findall(r"\s", every) == list(filter(str.isspace, every))
 
 
-# Keys `RowKey.from_record` reads, with any JSON value as the selection mode.
 _JSON_VALUE = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)),
     max_leaves=4,
 )
+# Keys `RowKey.from_config` reads, with every selection mode it accepts.
 _RUN_CONFIG = st.fixed_dictionaries(
     {},
     optional={
         "extraction_k": st.integers(-2, 9),
         "summarization_k": st.integers(-1, 3),
-        "selection_mode": _JSON_VALUE,
+        "selection_mode": st.one_of(st.none(), st.text()),
         "resolver_enabled": _JSON_VALUE,
     },
 )
+
+
+@given(st.sampled_from(Method), _RUN_CONFIG, _JSON_VALUE)
+def test_row_key_refuses_a_kept_selection_that_is_not_a_string(method, config, selection):
+    config = {**config, "selection_mode": selection}
+    try:
+        key = RowKey.from_config(method, config)
+    except TypeError as exc:
+        assert str(exc) == f"selection_mode is not a string: {selection!r}"
+        kept = method is Method.MEDSUM_ENT or config.get("summarization_k", 0) > 0
+        assert kept and not isinstance(selection, (str, type(None)))
+    else:
+        assert key.selection is None or isinstance(key.selection, str)
+        hash(key)
 _COUNT = st.integers(0, 10**6)
 _SECTION_SCORE = st.one_of(
     st.builds(score_from_counts, st.text(), _COUNT, _COUNT, _COUNT, _COUNT),

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from medsum.model import (
@@ -14,6 +14,7 @@ from medsum.model import (
     MedicalEntity,
     Method,
     PromptKind,
+    RecordHead,
     RunRecord,
     Speaker,
     StructuredSummary,
@@ -452,24 +453,93 @@ def _raised(build, raw):
     return None
 
 
-@given(
-    raw_run_records(min_size=1),
-    st.sampled_from(["status", "kind", "blank name", "duplicate name", "provenance"]),
-    st.data(),
-)
-def test_record_decoder_refuses_what_the_constructors_refuse(raw, fault, data):
+# Faults that the constructors refuse too, then faults only the decoders
+# refuse: record fields that must be objects, strings or lists of strings.
+_SHARED_FAULTS = ["status", "kind", "blank name", "duplicate name", "provenance"]
+_DECODER_FAULTS = [
+    "config pairs",
+    "params pairs",
+    "config string",
+    "encounter_id",
+    "entity name",
+    "prompt_hash",
+    "summary",
+    "warnings",
+    "missing field",
+]
+
+
+def _inject(raw, fault, data):
+    """`raw` with one fault put in, in place; `raw` has every required
+    field, an entity and a trace entry."""
     item = data.draw(st.sampled_from(raw["ledger"]))
+    call = data.draw(st.sampled_from(raw["llm_call_trace"]))
     if fault == "status":
         item["status"] = "maybe"
     elif fault == "kind":
-        data.draw(st.sampled_from(raw["llm_call_trace"]))["prompt_kind"] = "bogus"
+        call["prompt_kind"] = "bogus"
     elif fault == "blank name":
         item["name"] = " \t "
     elif fault == "duplicate name":
-        twin = {**item, "name": "  " + item["name"].upper() + " "}
+        twin = {**item, "name": "  " + str(item["name"]).upper() + " "}
         raw["ledger"].insert(data.draw(st.integers(0, len(raw["ledger"]))), twin)
-    else:
+    elif fault == "provenance":
         item["provenance"] = 5
+    elif fault == "config pairs":
+        raw["config"] = [["extraction_k", 3]]
+    elif fault == "params pairs":
+        call["params"] = ["ab"]
+    elif fault == "config string":
+        raw["config"] = "ab"
+    elif fault == "encounter_id":
+        raw["encounter_id"] = 7
+    elif fault == "entity name":
+        item["name"] = 7
+    elif fault == "prompt_hash":
+        call["prompt_hash"] = None
+    elif fault == "summary":
+        raw["summary"] = []
+    elif fault == "warnings":
+        raw["warnings"] = "abc"
+    else:
+        del raw[data.draw(st.sampled_from(_REQUIRED_FIELDS))]
+
+
+_REQUIRED_FIELDS = ["encounter_id", "method", "config", "ledger", "summary", "llm_call_trace"]
+
+
+def _missing_field_last(fault):
+    """Sort key that puts a missing field after the faults that need it."""
+    return fault == "missing field"
+
+
+@given(raw_run_records(min_size=1), st.sampled_from(_SHARED_FAULTS), st.data())
+def test_record_decoder_refuses_what_the_constructors_refuse(raw, fault, data):
+    _inject(raw, fault, data)
     refused = _raised(RunRecord.from_json_dict, raw)
     assert refused is not None
     assert refused == _raised(build_record, raw)
+
+
+@pytest.mark.parametrize("fault", [None, *_SHARED_FAULTS, *_DECODER_FAULTS])
+@settings(max_examples=25)
+@given(
+    raw_run_records(min_size=1),
+    st.lists(st.sampled_from(_SHARED_FAULTS + _DECODER_FAULTS), max_size=2),
+    st.data(),
+)
+def test_record_head_is_what_the_record_decoder_keeps(fault, raw, more, data):
+    """`RecordHead.from_json_dict` refuses what `RunRecord.from_json_dict`
+    refuses, with the same error, and keeps the same fields of the rest."""
+    faults = [] if fault is None else dict.fromkeys([fault, *more])
+    faults = sorted(faults, key=_missing_field_last)
+    for injected in faults:
+        _inject(raw, injected, data)
+    refused = _raised(RunRecord.from_json_dict, raw)
+    assert refused == _raised(RecordHead.from_json_dict, raw)
+    assert (refused is None) == (not faults)
+    if refused is None:
+        record, head = RunRecord.from_json_dict(raw), RecordHead.from_json_dict(raw)
+        assert head == (record.encounter_id, record.method, record.config, record.summary)
+        assert type(head.method) is Method and type(head.config) is dict
+        assert head.config is not raw["config"]
