@@ -335,9 +335,9 @@ class RowKey:
     @classmethod
     def from_config(cls, method: Method, cfg: Mapping[str, Any]) -> "RowKey":
         """The row of a run of `method` with the config snapshot `cfg`; a
-        shot count that `int()` refuses or a kept selection mode that is
-        not a str is a TypeError or ValueError."""
-        summarization_k = int(cfg.get("summarization_k", 0))
+        shot count that is not an int (a bool is not) or a kept selection
+        mode that is not a str is a TypeError."""
+        summarization_k = _shots(cfg, "summarization_k")
         selection = cfg.get("selection_mode")
         if method is Method.NAIVE_BASELINE:
             return cls(
@@ -349,7 +349,7 @@ class RowKey:
             )
         return cls(
             method=method.value,
-            extraction_k=int(cfg.get("extraction_k", 0)),
+            extraction_k=_shots(cfg, "extraction_k"),
             summarization_k=summarization_k,
             selection=selection,
             resolver=bool(cfg.get("resolver_enabled", False)),
@@ -363,6 +363,14 @@ class RowKey:
             self.selection or "",
             int(self.resolver) if self.resolver is not None else -1,
         )
+
+
+def _shots(cfg: Mapping[str, Any], key: str) -> int:
+    """The shot count `cfg` gives under `key` (0 if none), or a TypeError."""
+    value = cfg.get(key, 0)
+    if type(value) is not int:
+        raise TypeError(f"{key} is not an integer: {value!r}")
+    return value
 
 
 # A JSONL report line in json.dumps's sorted key order; see to_json_line.

@@ -130,14 +130,6 @@ def normalize_entity_name(name: str) -> str:
     return normalized
 
 
-# The decoders build Turn, MedicalEntity, EntityLedger and TraceEntry from
-# fields they have already checked through the `_checked_*` builders below
-# each class: those set the fields directly, so __init__ and __post_init__
-# do not run, and a builder's caller must pass exactly what __post_init__
-# would store.
-_new = object.__new__
-
-
 @dataclass(frozen=True, slots=True)
 class Turn:
     """One utterance in the conversation. Text must survive a whitespace trim."""
@@ -152,6 +144,11 @@ class Turn:
             raise ValueError("turn text is empty")
 
 
+# `validate_encounter` builds each turn from fields it has already checked
+# through `_checked_turn`, which sets the slots directly, so __init__ and
+# __post_init__ do not run: a dataset holds thousands of turns, and this
+# takes about half the time of `Turn(...)`. Its caller must pass exactly
+# what __post_init__ would store.
 _set_turn_speaker = Turn.speaker.__set__
 _set_turn_text = Turn.text.__set__
 
@@ -159,7 +156,7 @@ _set_turn_text = Turn.text.__set__
 def _checked_turn(speaker: Speaker, text: str) -> Turn:
     """`Turn(speaker, text)` for a Speaker member and a str with a
     non-blank character."""
-    turn = _new(Turn)
+    turn = object.__new__(Turn)
     _set_turn_speaker(turn, speaker)
     _set_turn_text(turn, text)
     return turn
@@ -213,7 +210,11 @@ class StructuredSummary:
         unknown = sorted(set(data) - set(SECTION_KEYS))
         if unknown:
             raise ValueError(f"unknown summary sections: {', '.join(unknown)}")
-        return cls(**{key: str(data.get(key, "")) for key in SECTION_KEYS})
+        sections = {key: data.get(key, "") for key in SECTION_KEYS}
+        for key, value in sections.items():
+            if not isinstance(value, str):
+                raise TypeError(f"summary section {key} is not a string: {value!r}")
+        return cls(**sections)
 
 
 @dataclass(frozen=True)
@@ -266,21 +267,6 @@ class MedicalEntity:
             object.__setattr__(self, "provenance", tuple(self.provenance))
 
 
-_set_entity_name = MedicalEntity.name.__set__
-_set_entity_status = MedicalEntity.status.__set__
-_set_entity_provenance = MedicalEntity.provenance.__set__
-
-
-def _checked_entity(name: str, status: EntityStatus, provenance: tuple) -> MedicalEntity:
-    """`MedicalEntity(name, status, provenance)` for a name that is its own
-    `normalize_entity_name`, an EntityStatus member and a tuple."""
-    entity = _new(MedicalEntity)
-    _set_entity_name(entity, name)
-    _set_entity_status(entity, status)
-    _set_entity_provenance(entity, provenance)
-    return entity
-
-
 @dataclass(frozen=True)
 class EntityLedger:
     """The collated entity set for an encounter; normalized names are unique."""
@@ -321,13 +307,6 @@ def _check_unique(names: list[str]) -> None:
         if name in seen:
             raise ValueError(f"duplicate entity name in ledger: {name!r}")
         seen.add(name)
-
-
-def _checked_ledger(entities: tuple[MedicalEntity, ...]) -> EntityLedger:
-    """`EntityLedger(entities)` for a tuple of entities with unique names."""
-    ledger = _new(EntityLedger)
-    vars(ledger)["entities"] = entities
-    return ledger
 
 
 @dataclass(frozen=True)
@@ -371,23 +350,6 @@ class TraceEntry:
             object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
         if type(self.params) is not dict:
             object.__setattr__(self, "params", dict(self.params))
-
-
-_set_trace_kind = TraceEntry.prompt_kind.__set__
-_set_trace_hash = TraceEntry.prompt_hash.__set__
-_set_trace_params = TraceEntry.params.__set__
-_set_trace_params_json = TraceEntry.params_json.__set__
-
-
-def _checked_trace_entry(prompt_kind: PromptKind, prompt_hash: str, params: dict) -> TraceEntry:
-    """`TraceEntry(prompt_kind, prompt_hash, params)` for a PromptKind member
-    and a dict."""
-    entry = _new(TraceEntry)
-    _set_trace_kind(entry, prompt_kind)
-    _set_trace_hash(entry, prompt_hash)
-    _set_trace_params(entry, params)
-    _set_trace_params_json(entry, None)
-    return entry
 
 
 # Fixed pieces of a record line, in json.dumps's sorted key order; the kind
@@ -487,22 +449,16 @@ class RunRecord:
     @classmethod
     def from_json_dict(cls, data: Mapping[str, Any]) -> "RunRecord":
         """The record of a decoded JSON record object, each field checked as
-        `_check_record` says."""
-        entities: list[MedicalEntity] = []
-        trace: list[TraceEntry] = []
-        encounter_id, method, config, summary, warnings = _check_record(data, entities, trace)
-        # Filled in as __post_init__ leaves it.
-        record = _new(cls)
-        vars(record).update(
-            encounter_id=encounter_id,
-            method=method,
-            config=config,
-            ledger=_checked_ledger(tuple(entities)),
-            summary=summary,
-            llm_call_trace=tuple(trace),
-            warnings=warnings,
+        `_check_record` says; each trace entry gets a copy of its params."""
+        encounter_id, method, config, summary, warnings = _check_record(data)
+        ledger = EntityLedger(
+            MedicalEntity(e["name"], e["status"], e.get("provenance", ())) for e in data["ledger"]
         )
-        return record
+        trace = [
+            TraceEntry(t["prompt_kind"], t["prompt_hash"], dict(t["params"]))
+            for t in data["llm_call_trace"]
+        ]
+        return cls(encounter_id, method, config, ledger, summary, trace, warnings)
 
 
 class RecordHead(NamedTuple):
@@ -519,22 +475,18 @@ class RecordHead(NamedTuple):
         """The head of a decoded JSON record object, after the checks of
         `RunRecord.from_json_dict`, which raise the same errors; builds no
         MedicalEntity or TraceEntry."""
-        encounter_id, method, config, summary, _ = _check_record(data, None, None)
+        encounter_id, method, config, summary, _ = _check_record(data)
         return cls(encounter_id, method, config, summary)
 
 
 def _check_record(
-    data: Mapping[str, Any],
-    entities: list[MedicalEntity] | None,
-    trace: list[TraceEntry] | None,
+    data: Mapping[str, Any]
 ) -> tuple[str, Method, dict[str, Any], StructuredSummary, tuple[str, ...]]:
     """The encounter id, method, config (a copy), summary and warnings of a
     decoded JSON record object, or the first error of a field, in field
     order. Each field is checked as the constructors check it; besides,
     `encounter_id` and each `prompt_hash` must be a str, `config` and each
-    `params` an object, and `warnings` and each `provenance` a list of str.
-    Each ledger entity is appended to `entities` and each trace entry, with
-    a copy of its params, to `trace`, unless that list is None."""
+    `params` an object, and `warnings` and each `provenance` a list of str."""
     encounter_id = data["encounter_id"]
     if not isinstance(encounter_id, str):
         raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
@@ -544,26 +496,21 @@ def _check_record(
     names = []
     for item in data["ledger"]:
         name = item["name"]
-        status = _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
-        provenance = _strings("provenance", item.get("provenance", []))
+        _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
+        _strings("provenance", item.get("provenance", []))
         if not isinstance(name, str):
             raise TypeError(f"entity name is not a string: {name!r}")
-        name = normalize_entity_name(name)
-        names.append(name)
-        if entities is not None:
-            entities.append(_checked_entity(name, status, provenance))
+        names.append(normalize_entity_name(name))
     _check_unique(names)
 
     summary = StructuredSummary.from_dict(data["summary"])
 
     for item in data["llm_call_trace"]:
-        kind = _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
+        _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
         prompt_hash = item["prompt_hash"]
         if not isinstance(prompt_hash, str):
             raise TypeError(f"prompt_hash is not a string: {prompt_hash!r}")
-        params = _object("params", item["params"])
-        if trace is not None:
-            trace.append(_checked_trace_entry(kind, prompt_hash, dict(params)))
+        _object("params", item["params"])
 
     warnings = _strings("warnings", data.get("warnings", []))
     return encounter_id, method, config, summary, warnings
@@ -680,7 +627,7 @@ def _check_encounter(
         else:
             try:
                 reference = StructuredSummary.from_dict(ref_raw)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 problems.append(f"reference_summary: {exc}")
 
     if problems:

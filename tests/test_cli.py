@@ -110,6 +110,19 @@ class TestValidate:
         assert "FAIL line 2" in out
         assert "PASS line 1" in out
 
+    @pytest.mark.parametrize("value", [None, 5, ["fever"]])
+    def test_reference_section_that_is_not_a_string_fails_its_line(self, tmp_path, capsys, value):
+        dataset = tmp_path / "d.jsonl"
+        bad = {**encounter_record("b"), "reference_summary": {"medical_history": value}}
+        write_dataset(dataset, [encounter_record("a"), bad])
+        assert main(["validate", str(dataset)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (
+            "FAIL line 2: reference_summary: summary section medical_history is not a string: "
+            f"{value!r}\n" in captured.out
+        )
+
 
 _SHORT_TEXT = st.text(st.sampled_from("ab \t\n\u00e9\u2028"), max_size=3)
 _DATASET_TURN = st.one_of(
@@ -679,6 +692,17 @@ def test_report_path_that_is_a_directory_exits_1(workspace, capsys, report):
             [{"prompt_kind": "summarization", "prompt_hash": "h", "params": ["ab"]}],
             "params is not an object: ['ab']",
         ),
+        (
+            "summary",
+            {"pertinent_negatives": None},
+            "summary section pertinent_negatives is not a string: None",
+        ),
+        ("summary", {"medical_history": 5}, "summary section medical_history is not a string: 5"),
+        (
+            "summary",
+            {"pertinent_positives": ["fever"]},
+            "summary section pertinent_positives is not a string: ['fever']",
+        ),
     ],
 )
 def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, field, value, message):
@@ -690,21 +714,16 @@ def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, fiel
     assert capsys.readouterr().err == f"error: {path}: bad record at line 2: {message}\n"
 
 
-def _int_error(value):
-    try:
-        int(value)
-    except (TypeError, ValueError) as exc:
-        return str(exc)
-    raise AssertionError(f"int() took {value!r}")
-
-
 @pytest.mark.parametrize(
     "config, message",
     [
         ({"selection_mode": ["random"]}, "selection_mode is not a string: ['random']"),
         ({"selection_mode": {"a": 1}}, "selection_mode is not a string: {'a': 1}"),
-        ({"extraction_k": [1]}, _int_error([1])),
-        ({"summarization_k": "x"}, _int_error("x")),
+        ({"extraction_k": [1]}, "extraction_k is not an integer: [1]"),
+        ({"summarization_k": "x"}, "summarization_k is not an integer: 'x'"),
+        ({"summarization_k": 1.9}, "summarization_k is not an integer: 1.9"),
+        ({"extraction_k": True}, "extraction_k is not an integer: True"),
+        ({"extraction_k": "3"}, "extraction_k is not an integer: '3'"),
     ],
 )
 def test_record_config_without_a_report_row_exits_1_before_scoring(

@@ -438,6 +438,10 @@ def test_validate_encounter_builds_what_the_constructors_build(raw):
 def test_record_decoder_builds_what_the_constructors_build(raw):
     record, expected = RunRecord.from_json_dict(raw), build_record(raw)
     assert_same(record, expected)
+    # The record shares no dict with the data it was decoded from.
+    assert record.config is not raw["config"]
+    for entry, item in zip(record.llm_call_trace, raw["llm_call_trace"]):
+        assert entry.params is not item["params"]
     line = record.to_json_line()
     assert line == expected.to_json_line()
     again = RunRecord.from_json_dict(json.loads(line))
