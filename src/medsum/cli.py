@@ -52,6 +52,7 @@ from .model import (
     StructuredSummary,
     ValidationError,
     compact_json,
+    json_field,
     validate_encounter,
     validate_reference,
 )
@@ -223,13 +224,26 @@ def load_config(path: str | None) -> dict[str, Any]:
     return config
 
 
+def setting(config: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
+    """`config[key]` (`default` if absent) if it is of `kind`, as `json_field`
+    checks it, else a CliError; null leaves a key with no default unset."""
+    value = config.get(key, default)
+    if value is None and default is None:
+        return None
+    try:
+        return json_field(key, value, kind)
+    except TypeError as exc:
+        raise CliError(f"bad run configuration: {exc}") from exc
+
+
 def build_budget(config: dict[str, Any]) -> TokenBudget:
     try:
         return TokenBudget(
-            max_context_tokens=int(config.get("max_context_tokens", 4096)),
-            inflation_factor=float(config.get("inflation_factor", 1.3)),
+            max_context_tokens=setting(config, "max_context_tokens", int, 4096),
+            # float(): the record snapshot holds the factor as a float, an integer one too.
+            inflation_factor=float(setting(config, "inflation_factor", float, 1.3)),
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
@@ -244,31 +258,31 @@ def build_chain_config(config: dict[str, Any], seed_override: int | None) -> Cha
     budget = build_budget(config)
     try:
         return ChainConfig(
-            extraction_k=int(config.get("extraction_k", 1)),
-            summarization_k=int(config.get("summarization_k", 0)),
-            selection_mode=SelectionMode(config.get("selection_mode", "random")),
-            resolver_enabled=bool(config.get("resolver_enabled", True)),
-            resolver_fail_closed=bool(config.get("resolver_fail_closed", False)),
-            run_seed=seed_override if seed_override is not None else int(config.get("seed", 0)),
+            extraction_k=setting(config, "extraction_k", int, 1),
+            summarization_k=setting(config, "summarization_k", int, 0),
+            selection_mode=SelectionMode(setting(config, "selection_mode", str, "random")),
+            resolver_enabled=setting(config, "resolver_enabled", bool, True),
+            resolver_fail_closed=setting(config, "resolver_fail_closed", bool, False),
+            run_seed=setting(config, "seed", int, 0) if seed_override is None else seed_override,
             budget=budget,
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
 def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transport:
     mode = args.backend
-    store_path = args.replay_store or config.get("replay_store")
+    store_path = args.replay_store or setting(config, "replay_store", str)
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
         if not Path(store_path).exists():
             raise CliError(f"replay store not found: {store_path}")
         return ReplayTransport(_open_store(store_path, create=False))
-    endpoint = config.get("endpoint")
+    endpoint = setting(config, "endpoint", str)
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
-    live = HTTPTransport(endpoint, model=config.get("model", "completion-model"))
+    live = HTTPTransport(endpoint, model=setting(config, "model", str, "completion-model"))
     if mode == "record":
         return RecordingTransport(live, _open_store(store_path, create=True))
     return live
@@ -287,7 +301,7 @@ def build_backend(
     """The completion client and the prompt templates of `run` and `eval`."""
     max_in_flight = _positive_int("max_in_flight", config.get("max_in_flight"))
     client = CompletionClient(build_transport(args, config), max_in_flight=max_in_flight)
-    return client, load_templates(config.get("templates_dir"))
+    return client, load_templates(setting(config, "templates_dir", str))
 
 
 def build_deps(
@@ -307,7 +321,7 @@ def build_deps(
 
     pools = {}
     if needed:
-        pools_path = config.get("pools")
+        pools_path = setting(config, "pools", str)
         if not pools_path:
             raise CliError("config needs a 'pools' path to an example-pool JSONL file")
         try:
@@ -370,7 +384,7 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
                 f"this run has method {method.value!r} and config "
                 f"{compact_json(config)}. Write to another output file."
             )
-        ids.add(encounter_id)
+        ids.add(json_field("encounter_id", encounter_id, str))
 
     try:
         output.read(take, partial(print, f"WARN output file {output.path}:", file=sys.stderr))

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .backend import CompletionClient, CompletionRequest, PrefixKeyer, default_params
 from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
-from .model import collapse_whitespace
+from .model import collapse_whitespace, json_field
 from .promptkit import PromptTemplate, TokenBudget, bind
 
 __all__ = [
@@ -325,8 +325,8 @@ class RowKey:
     resolver: bool | None
 
     def __post_init__(self) -> None:
-        if self.selection is not None and not isinstance(self.selection, str):
-            raise TypeError(f"selection_mode is not a string: {self.selection!r}")
+        if self.selection is not None:
+            json_field("selection_mode", self.selection, str)
 
     @classmethod
     def from_record(cls, record: RunRecord) -> "RowKey":
@@ -335,9 +335,10 @@ class RowKey:
     @classmethod
     def from_config(cls, method: Method, cfg: Mapping[str, Any]) -> "RowKey":
         """The row of a run of `method` with the config snapshot `cfg`; a
-        shot count that is not an int (a bool is not) or a kept selection
-        mode that is not a str is a TypeError."""
-        summarization_k = _shots(cfg, "summarization_k")
+        shot count that is not an int (a bool is not), a kept selection mode
+        that is not a str or a `resolver_enabled` that is not a bool is a
+        TypeError."""
+        summarization_k = json_field("summarization_k", cfg.get("summarization_k", 0), int)
         selection = cfg.get("selection_mode")
         if method is Method.NAIVE_BASELINE:
             return cls(
@@ -349,10 +350,10 @@ class RowKey:
             )
         return cls(
             method=method.value,
-            extraction_k=_shots(cfg, "extraction_k"),
+            extraction_k=json_field("extraction_k", cfg.get("extraction_k", 0), int),
             summarization_k=summarization_k,
             selection=selection,
-            resolver=bool(cfg.get("resolver_enabled", False)),
+            resolver=json_field("resolver_enabled", cfg.get("resolver_enabled", False), bool),
         )
 
     def sort_key(self) -> tuple:
@@ -363,14 +364,6 @@ class RowKey:
             self.selection or "",
             int(self.resolver) if self.resolver is not None else -1,
         )
-
-
-def _shots(cfg: Mapping[str, Any], key: str) -> int:
-    """The shot count `cfg` gives under `key` (0 if none), or a TypeError."""
-    value = cfg.get(key, 0)
-    if type(value) is not int:
-        raise TypeError(f"{key} is not an integer: {value!r}")
-    return value
 
 
 # A JSONL report line in json.dumps's sorted key order; see to_json_line.

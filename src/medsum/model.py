@@ -38,6 +38,7 @@ __all__ = [
     "validate_encounter",
     "validate_reference",
     "compact_json",
+    "json_field",
 ]
 
 
@@ -93,6 +94,9 @@ _SPEAKER_BY_VALUE = {member.value: member for member in Speaker}
 _STATUS_BY_VALUE = {member.value: member for member in EntityStatus}
 _KIND_BY_VALUE = {member.value: member for member in PromptKind}
 _METHOD_BY_VALUE = {member.value: member for member in Method}
+_JSON_KINDS = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean", Mapping: "an object"
+}
 
 
 def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
@@ -102,6 +106,17 @@ def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
         return by_value[value]
     except (KeyError, TypeError):
         return enum(value)
+
+
+def json_field(name: str, value: Any, kind: type) -> Any:
+    """`value` if it is a decoded JSON value of `kind` (str, int, float, bool
+    or Mapping), else a TypeError naming `name`. A bool is not an int or a
+    float; an int is a float. A dict passes before the slower ABC check."""
+    if type(value) is kind or type(value) is dict and kind is Mapping:
+        return value
+    if type(value) is not bool and isinstance(value, (int, float) if kind is float else kind):
+        return value
+    raise TypeError(f"{name} is not {_JSON_KINDS[kind]}: {value!r}")
 
 
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -205,16 +220,12 @@ class StructuredSummary:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, str]) -> "StructuredSummary":
-        if not isinstance(data, Mapping):
-            raise TypeError(f"summary is not an object: {data!r}")
-        unknown = sorted(set(data) - set(SECTION_KEYS))
+        unknown = sorted(set(json_field("summary", data, Mapping)) - set(SECTION_KEYS))
         if unknown:
             raise ValueError(f"unknown summary sections: {', '.join(unknown)}")
-        sections = {key: data.get(key, "") for key in SECTION_KEYS}
-        for key, value in sections.items():
-            if not isinstance(value, str):
-                raise TypeError(f"summary section {key} is not a string: {value!r}")
-        return cls(**sections)
+        return cls(
+            **{k: json_field(f"summary section {k}", data.get(k, ""), str) for k in SECTION_KEYS}
+        )
 
 
 @dataclass(frozen=True)
@@ -487,40 +498,27 @@ def _check_record(
     order. Each field is checked as the constructors check it; besides,
     `encounter_id` and each `prompt_hash` must be a str, `config` and each
     `params` an object, and `warnings` and each `provenance` a list of str."""
-    encounter_id = data["encounter_id"]
-    if not isinstance(encounter_id, str):
-        raise TypeError(f"encounter_id is not a string: {encounter_id!r}")
+    encounter_id = json_field("encounter_id", data["encounter_id"], str)
     method = _member(_METHOD_BY_VALUE, Method, data["method"])
-    config = dict(_object("config", data["config"]))
+    config = dict(json_field("config", data["config"], Mapping))
 
     names = []
     for item in data["ledger"]:
         name = item["name"]
         _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
         _strings("provenance", item.get("provenance", []))
-        if not isinstance(name, str):
-            raise TypeError(f"entity name is not a string: {name!r}")
-        names.append(normalize_entity_name(name))
+        names.append(normalize_entity_name(json_field("entity name", name, str)))
     _check_unique(names)
 
     summary = StructuredSummary.from_dict(data["summary"])
 
     for item in data["llm_call_trace"]:
         _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
-        prompt_hash = item["prompt_hash"]
-        if not isinstance(prompt_hash, str):
-            raise TypeError(f"prompt_hash is not a string: {prompt_hash!r}")
-        _object("params", item["params"])
+        json_field("prompt_hash", item["prompt_hash"], str)
+        json_field("params", item["params"], Mapping)
 
     warnings = _strings("warnings", data.get("warnings", []))
     return encounter_id, method, config, summary, warnings
-
-
-def _object(name: str, value: Any) -> Mapping[str, Any]:
-    """A decoded JSON object, or a TypeError."""
-    if type(value) is dict or isinstance(value, Mapping):
-        return value
-    raise TypeError(f"{name} is not an object: {value!r}")
 
 
 def _strings(name: str, value: Any) -> tuple[str, ...]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .backend import EmbeddingGateway, read_lines
-from .model import ExampleKind, LabeledExample
+from .model import ExampleKind, LabeledExample, json_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,8 +86,8 @@ class ExamplePool:
 def load_example_pools(path: str | Path) -> dict[ExampleKind, ExamplePool]:
     """Load pools from a line-delimited JSON file, grouping records by kind.
 
-    Each line is {kind, input_text, age, sex, label}; parse problems report
-    the offending line number.
+    Each line is {kind, input_text, age, sex, label}, with an integer age
+    and string texts; parse problems report the offending line number.
     """
     grouped: dict[ExampleKind, list[LabeledExample]] = {}
     for lineno, line in read_lines(path, SelectionError):
@@ -95,10 +95,10 @@ def load_example_pools(path: str | Path) -> dict[ExampleKind, ExamplePool]:
             record = json.loads(line)
             example = LabeledExample(
                 kind=ExampleKind(record["kind"]),
-                input_text=record["input_text"],
-                age=record["age"],
-                sex=record["sex"],
-                label=record["label"],
+                input_text=json_field("input_text", record["input_text"], str),
+                age=json_field("age", record["age"], int),
+                sex=json_field("sex", record["sex"], str),
+                label=json_field("label", record["label"], str),
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise SelectionError(f"{path}: bad example at line {lineno}: {exc}") from exc

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import medsum.chain as chain
@@ -204,6 +204,15 @@ def test_reference_pass_refuses_and_keeps_what_the_dataset_reader_does(tmp_path_
     )
 
 
+def _pool_line(**change):
+    """One example-pool line, valid but for `change`."""
+    line = {
+        "kind": "rfe_extraction", "input_text": "a cough", "age": 40, "sex": "f",
+        "label": "- cough (present)",
+    }
+    return json.dumps({**line, **change}) + "\n"
+
+
 class TestRun:
     def test_naive_zero_shot_traces(self, workspace, capsys):
         prerecord(workspace["store"], workspace)
@@ -305,6 +314,23 @@ class TestRun:
         assert "corrupt record line" in capsys.readouterr().err
         assert output.read_bytes() == before
 
+    def test_record_id_that_is_not_a_string_exits_1(self, workspace, capsys):
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "naive.jsonl"
+        args = self.run_args(workspace, output, method="naive")
+        assert main(args) == EXIT_OK
+        first, *rest = output.read_text().splitlines(keepends=True)
+        output.write_text(json.dumps({**json.loads(first), "encounter_id": 7}) + "\n" + "".join(rest))
+        before = output.read_bytes()
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "",
+            f"error: output file {output} holds a corrupt record line "
+            "(line 1: encounter_id is not a string: 7)\n",
+        )
+        assert output.read_bytes() == before
+
     def test_output_that_is_not_utf8_exits_1(self, workspace, capsys):
         prerecord(workspace["store"], workspace)
         output = workspace["dir"] / "medsum.jsonl"
@@ -379,8 +405,21 @@ class TestRun:
             (None, "No such file or directory"),
             ("not json\n", "bad example at line 1"),
             ('{"kind": "rfe_extraction"}\n', "bad example at line 1"),
+            *[
+                (_pool_line(**{key: value}), f"bad example at line 1: {key} is not {kind}: {value!r}")
+                for key, value, kind in [
+                    ("input_text", None, "a string"),
+                    ("age", "forty", "an integer"),
+                    ("age", True, "an integer"),
+                    ("sex", ["f"], "a string"),
+                    ("label", 5, "a string"),
+                ]
+            ],
         ],
-        ids=["missing", "not-json", "no-label"],
+        ids=[
+            "missing", "not-json", "no-label",
+            "input-text-null", "age-str", "age-bool", "sex-list", "label-int",
+        ],
     )
     def test_bad_example_pool_file_exits_1(self, workspace, capsys, pools_text, message):
         ReplayStore(workspace["store"], create=True)
@@ -585,6 +624,114 @@ def test_workers_flag_must_be_a_positive_integer(workspace, capsys, value):
     assert not (workspace["dir"] / "out.jsonl").exists()
 
 
+@pytest.fixture(scope="module")
+def readme_config(tmp_path_factory):
+    """README's "Typical contents" config, its paths pointed at a workspace
+    of a dataset, pools, an empty replay store and an empty templates
+    directory; and that workspace's directory."""
+    root = tmp_path_factory.mktemp("readme-config")
+    write_dataset(root / "dataset.jsonl", [encounter_record("enc-001", n_turns=4)])
+    write_pools(root / "pools.jsonl")
+    ReplayStore(root / "store.jsonl", create=True)
+    (root / "templates").mkdir()
+    (root / "records.jsonl").write_text("")
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Config file\n", 1)[1]
+    config = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    paths = {key: str(root / name) for key, name in _CONFIG_PATHS.items()}
+    assert set(paths) <= set(config)
+    return {**config, **paths}, root
+
+
+_CONFIG_PATHS = {"pools": "pools.jsonl", "replay_store": "store.jsonl", "templates_dir": "templates"}
+# The keys each command reads with the replay backend, besides `workers` and
+# `max_in_flight`, which test_limits_must_be_positive_integers covers.
+_RUN_KEYS = [
+    "extraction_k", "summarization_k", "selection_mode", "resolver_enabled",
+    "resolver_fail_closed", "seed", "max_context_tokens", "inflation_factor", *_CONFIG_PATHS,
+]
+_EVAL_KEYS = ["max_context_tokens", "inflation_factor", "replay_store", "templates_dir"]
+_KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+_NEAR_MISSES = {
+    int: [3.0, True, "3", None],
+    float: [True, "1.3", None],
+    bool: [0, "false", None],
+    str: [3, True, 1.5, None, ["x"]],
+}
+_ANY_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.text(), inner, max_size=2)
+    ),
+    max_leaves=3,
+)
+
+
+def _is_kind(value, kind):
+    """Whether a decoded JSON value has the JSON type README gives a key of
+    `kind`: a bool is not a number, and an integer is one."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _other_type(key, kind):
+    """JSON values a config key of `kind` must refuse. A key with no default
+    may be null, which leaves it unset. Path keys get no int or bool, which
+    `open()` would take for a file descriptor."""
+    values = st.one_of(st.sampled_from(_NEAR_MISSES[kind]), _ANY_JSON)
+    if key in (*_CONFIG_PATHS, "endpoint"):
+        values = values.filter(lambda v: v is not None)
+    if key in _CONFIG_PATHS:
+        values = values.filter(lambda v: not isinstance(v, int))
+    return values.filter(lambda v: not _is_kind(v, kind))
+
+
+def _refusal(key, kind, value):
+    return f"bad run configuration: {key} is not {_KIND_NAMES[kind]}: {value!r}"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_value_of_another_type_exits_1(readme_config, capsys, command, data):
+    """Each config key a command reads refuses a value of another JSON type
+    with one `error:` line, before anything is written; nothing is
+    converted."""
+    config, root = readme_config
+    key = data.draw(st.sampled_from(_RUN_KEYS if command == "run" else _EVAL_KEYS))
+    kind = type(config[key])
+    value = data.draw(_other_type(key, kind))
+    (root / "config.json").write_text(json.dumps({**config, key: value}))
+    if command == "run":
+        argv = ["run", str(root / "dataset.jsonl"), str(root / "out.jsonl")]
+    else:
+        argv = ["eval", str(root / "records.jsonl"), str(root / "dataset.jsonl"), "--verifier", "llm"]
+    capsys.readouterr()
+    assert main([*argv, "--config", str(root / "config.json")]) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: {_refusal(key, kind, value)}\n")
+    assert sorted(path.name for path in root.iterdir()) == [
+        "config.json", "dataset.jsonl", "pools.jsonl", "records.jsonl", "store.jsonl", "templates"
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_endpoint_and_model_of_another_type_are_refused(readme_config, data):
+    """`--backend record` refuses an `endpoint` or `model` of another JSON
+    type before it builds a transport; nothing is sent."""
+    config, root = readme_config
+    key = data.draw(st.sampled_from(["endpoint", "model"]))
+    value = data.draw(_other_type(key, str))
+    args = cli.build_parser().parse_args(
+        ["run", "d", "o", "--backend", "record", "--replay-store", str(root / "new-store.jsonl")]
+    )
+    with pytest.raises(cli.CliError) as refused:
+        cli.build_transport(args, {**config, key: value})
+    assert str(refused.value) == _refusal(key, str, value)
+    assert not (root / "new-store.jsonl").exists()
+
+
 def _input_file_argv(workspace, command, bad):
     """Arguments for `command` and the path of its input file `bad`."""
     if command == "validate":
@@ -724,6 +871,10 @@ def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, fiel
         ({"summarization_k": 1.9}, "summarization_k is not an integer: 1.9"),
         ({"extraction_k": True}, "extraction_k is not an integer: True"),
         ({"extraction_k": "3"}, "extraction_k is not an integer: '3'"),
+        ({"resolver_enabled": "false"}, "resolver_enabled is not a boolean: 'false'"),
+        ({"resolver_enabled": "no"}, "resolver_enabled is not a boolean: 'no'"),
+        ({"resolver_enabled": [0]}, "resolver_enabled is not a boolean: [0]"),
+        ({"resolver_enabled": None}, "resolver_enabled is not a boolean: None"),
     ],
 )
 def test_record_config_without_a_report_row_exits_1_before_scoring(
@@ -1130,8 +1281,9 @@ class TestReviewPackets:
 def test_every_config_key_is_documented():
     """Each key the command line reads from the config file is named in
     README's "Config file" section."""
-    keys = set(re.findall(r'config\.get\("(\w+)"', Path(cli.__file__).read_text(encoding="utf-8")))
-    assert {"workers", "max_in_flight", "pools"} <= keys
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    keys = set(re.findall(r'(?:config\.get\(|setting\(config, )"(\w+)"', source))
+    assert {"workers", "max_in_flight", "pools", "resolver_enabled"} <= keys
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n### Config file\n", 1)[1].split("\n#", 1)[0]
     assert sorted(k for k in keys if f"`{k}`" not in section and f'"{k}"' not in section) == []

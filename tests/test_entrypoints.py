@@ -76,3 +76,18 @@ def test_only_selection_and_embedding_load_numpy(tmp_path):
         ["review-packets", str(records), str(records), str(tmp_path / "review")],
     ]
     assert run_commands(scoring, tmp_path) == ([0, 0, 0], False)
+
+
+def test_pools_that_is_not_a_string_exits_1(tmp_path):
+    """`"pools": true` is refused before it reaches `open()`, which would
+    take it for file descriptor 1 and read the example pools from stdout."""
+    store, config, output = tmp_path / "store.jsonl", tmp_path / "config.json", tmp_path / "o.jsonl"
+    store.write_text("")
+    config.write_text(json.dumps({"pools": True}))
+    dataset = ROOT / "sample_data" / "encounters.jsonl"
+    argv = ["run", str(dataset), str(output), "--config", str(config), "--replay-store", str(store)]
+    result = run_python(["-m", "medsum", *argv], stdin=subprocess.DEVNULL)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "error: bad run configuration: pools is not a string: True\n"
+    )
+    assert not output.exists()

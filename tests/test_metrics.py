@@ -507,7 +507,7 @@ _RUN_CONFIG = st.fixed_dictionaries(
         "extraction_k": st.integers(-2, 9),
         "summarization_k": st.integers(-1, 3),
         "selection_mode": st.one_of(st.none(), st.text()),
-        "resolver_enabled": _JSON_VALUE,
+        "resolver_enabled": st.booleans(),
     },
 )
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+from types import MappingProxyType
+from typing import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,7 @@ from medsum.model import (
     Turn,
     ValidationError,
     collapse_whitespace,
+    json_field,
     normalize_entity_name,
     validate_encounter,
 )
@@ -547,3 +550,27 @@ def test_record_head_is_what_the_record_decoder_keeps(fault, raw, more, data):
         assert head == (record.encounter_id, record.method, record.config, record.summary)
         assert type(head.method) is Method and type(head.config) is dict
         assert head.config is not raw["config"]
+
+
+_KIND_NAMES = {
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean", Mapping: "an object"
+}
+
+
+@given(st.one_of(_VALUE, st.builds(MappingProxyType, st.dictionaries(_TEXT, _SCALAR))))
+@example(True)
+@example(2)
+def test_json_field_keeps_a_value_of_its_kind_and_refuses_the_rest(value):
+    """A bool is only a boolean, an int is an integer and a number, and any
+    Mapping is an object; a refusal names the field and the value."""
+    for kind, name in _KIND_NAMES.items():
+        if isinstance(value, bool):
+            accepted = kind is bool
+        else:
+            accepted = isinstance(value, (int, float) if kind is float else kind)
+        if accepted:
+            assert json_field("f", value, kind) is value
+        else:
+            with pytest.raises(TypeError) as refused:
+                json_field("f", value, kind)
+            assert str(refused.value) == f"f is not {name}: {value!r}"
