@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
 
-from .model import _KIND_TAIL, PromptKind, compact_json
+from .model import _KIND_BY_VALUE, _KIND_TAIL, PromptKind, compact_json, json_field
 
 if TYPE_CHECKING:
     import numpy as np
@@ -315,7 +315,7 @@ class HTTPTransport:
         if resp.status_code != 200:
             raise BackendProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["choices"][0]["text"]
+            return json_field("completion text", resp.json()["choices"][0]["text"], str)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
 
@@ -427,12 +427,13 @@ _JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
 class ReplayStore:
     """Persistent map from cache key to completion text.
 
-    File format: one JSON object per line with keys key_hex, prompt_kind,
-    response_text, in the bytes `compact_json` gives, kept in a JsonlLog, so
-    a torn last line is recovered. On load, a later line for the same key
-    wins. Appends are serialized through a lock, so a store may back
-    concurrent recording; each is written and flushed to the OS before
-    `put` returns. Corruption is a ReplayStoreError.
+    File format: one JSON object per line, of the strings key_hex and
+    response_text and the PromptKind value prompt_kind, in the bytes
+    `compact_json` gives, kept in a JsonlLog, so a torn last line is
+    recovered. On load, a later line for the same key wins. Appends are
+    serialized through a lock, so a store may back concurrent recording;
+    each is written and flushed to the OS before `put` returns. Corruption,
+    a field of another type or value included, is a ReplayStoreError.
     """
 
     def __init__(self, path: str | Path, create: bool = False):
@@ -462,7 +463,13 @@ class ReplayStore:
                 end = None
             if end is None or line[end:].strip(_JSON_SPACE):
                 item = decode(line)
-            entries[item["key_hex"]] = item["response_text"]
+            key, kind, text = item["key_hex"], item["prompt_kind"], item["response_text"]
+            # Three strings and a known kind pass; the checks below give the error.
+            if not (type(key) is type(kind) is type(text) is str and kind in _KIND_BY_VALUE):
+                json_field("key_hex", key, str)
+                PromptKind(kind)
+                json_field("response_text", text, str)
+            entries[key] = text
 
         warn = partial(logger.warning, "%s: %s; the next record replaces it", self.path)
         try:

@@ -25,6 +25,7 @@ from .backend import (
     JsonlLog,
     RecordingTransport,
     ReplayStore,
+    ReplayStoreError,
     ReplayTransport,
     Transport,
     read_lines,
@@ -118,9 +119,6 @@ def read_dataset(
     `validate_reference`: it raises ValidationError or gives an object with
     an `id`. Duplicate ids name both lines involved.
     """
-    path = Path(path)
-    if not path.exists():
-        raise CliError(f"dataset not found: {path}")
     encounters: list[tuple[int, T]] = []
     problems: list[DatasetProblem] = []
     first_line_for_id: dict[str, int] = {}
@@ -182,9 +180,6 @@ def _read_records(path: str | Path, keep: Callable[[Any], T]) -> Iterator[T]:
     """`keep(decoded line)` for each line of a run's output, as the caller
     takes them; a line on which `json.loads` or `keep` raises ValueError,
     KeyError or TypeError is a CliError when it is reached."""
-    path = Path(path)
-    if not path.exists():
-        raise CliError(f"run records not found: {path}")
     for lineno, line in read_lines(path, CliError):
         try:
             kept = keep(json.loads(line))
@@ -199,22 +194,13 @@ def _report_input(raw: Any) -> tuple[str, RowKey, StructuredSummary]:
     return head.encounter_id, RowKey.from_config(head.method, head.config), head.summary
 
 
-def _packet_input(raw: Any) -> tuple[str, tuple[Method, StructuredSummary]]:
-    """What `review-packets` keeps of a record line: its id, method and summary."""
-    head = RecordHead.from_json_dict(raw)
-    return head.encounter_id, (head.method, head.summary)
-
-
 def load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
-    config_path = Path(path)
-    if not config_path.exists():
-        raise CliError(f"config file not found: {config_path}")
     try:
-        text = config_path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read {config_path}: {exc.strerror}") from exc
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
     try:
         config = json.loads(text)
     except ValueError as exc:
@@ -276,8 +262,6 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
-        if not Path(store_path).exists():
-            raise CliError(f"replay store not found: {store_path}")
         return ReplayTransport(_open_store(store_path, create=False))
     endpoint = setting(config, "endpoint", str)
     if not endpoint:
@@ -291,6 +275,8 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
 def _open_store(path: str | Path, create: bool) -> ReplayStore:
     try:
         return ReplayStore(path, create=create)
+    except ReplayStoreError as exc:  # missing, or a corrupt line
+        raise CliError(str(exc)) from exc
     except OSError as exc:  # a directory, say
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
@@ -367,24 +353,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any]) -> set[str]:
     """Encounter ids of the records in a run's output.
 
-    Every record must come from `method` run with `config` (a ChainConfig
-    snapshot); a record of another method or configuration is a CliError
-    naming both, so one output file never mixes configurations. A torn
-    last line is dropped with a warning, and its encounter runs again.
+    Each line is decoded by `RecordHead`, so a line `eval` refuses is a
+    corrupt one. Every record must come from `method` run with `config` (a
+    ChainConfig snapshot); a record of another method or configuration is a
+    CliError naming both, so one output file never mixes configurations. A
+    torn last line is dropped with a warning, and its encounter runs again.
     """
     ids: set[str] = set()
 
     def take(lineno: int, line: str) -> None:
-        raw = json.loads(line)
-        encounter_id, found = raw["encounter_id"], (raw["method"], raw["config"])
-        if found != (method.value, config):
+        head = RecordHead.from_json_dict(json.loads(line))
+        if head.method is not method or head.config != config:
             raise CliError(
                 f"output file {output.path} holds records of another configuration: line "
-                f"{lineno} has method {found[0]!r} and config {compact_json(found[1])}; "
-                f"this run has method {method.value!r} and config "
-                f"{compact_json(config)}. Write to another output file."
+                f"{lineno} has method {head.method.value!r} and config "
+                f"{compact_json(head.config)}; this run has method {method.value!r} and "
+                f"config {compact_json(config)}. Write to another output file."
             )
-        ids.add(json_field("encounter_id", encounter_id, str))
+        ids.add(head.encounter_id)
 
     try:
         output.read(take, partial(print, f"WARN output file {output.path}:", file=sys.stderr))
@@ -491,8 +477,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_review_packets(args: argparse.Namespace) -> int:
     # Only each encounter's (method, summary) is kept; a later record wins.
-    records_a = dict(_read_records(args.records_a, _packet_input))
-    records_b = dict(_read_records(args.records_b, _packet_input))
+    records_a, records_b = (
+        {h.encounter_id: (h.method, h.summary) for h in _read_records(p, RecordHead.from_json_dict)}
+        for p in (args.records_a, args.records_b)
+    )
     context = {}
     if args.dataset:
         context = {enc.id: enc for enc in load_dataset(args.dataset)}

@@ -95,7 +95,8 @@ _STATUS_BY_VALUE = {member.value: member for member in EntityStatus}
 _KIND_BY_VALUE = {member.value: member for member in PromptKind}
 _METHOD_BY_VALUE = {member.value: member for member in Method}
 _JSON_KINDS = {
-    str: "a string", int: "an integer", float: "a number", bool: "a boolean", Mapping: "an object"
+    str: "a string", int: "an integer", float: "a number", bool: "a boolean", list: "a list",
+    Mapping: "an object",
 }
 
 
@@ -109,8 +110,8 @@ def _member(by_value: dict[str, Enum], enum: type[Enum], value: Any) -> Any:
 
 
 def json_field(name: str, value: Any, kind: type) -> Any:
-    """`value` if it is a decoded JSON value of `kind` (str, int, float, bool
-    or Mapping), else a TypeError naming `name`. A bool is not an int or a
+    """`value` if it is a decoded JSON value of `kind` (str, int, float, bool,
+    list or Mapping), else a TypeError naming `name`. A bool is not an int or a
     float; an int is a float. A dict passes before the slower ABC check."""
     if type(value) is kind or type(value) is dict and kind is Mapping:
         return value
@@ -496,14 +497,15 @@ def _check_record(
     """The encounter id, method, config (a copy), summary and warnings of a
     decoded JSON record object, or the first error of a field, in field
     order. Each field is checked as the constructors check it; besides,
-    `encounter_id` and each `prompt_hash` must be a str, `config` and each
-    `params` an object, and `warnings` and each `provenance` a list of str."""
+    `encounter_id` and each `prompt_hash` must be a str, `ledger` and
+    `llm_call_trace` a list, `config` and each `params` an object, and
+    `warnings` and each `provenance` a list of str."""
     encounter_id = json_field("encounter_id", data["encounter_id"], str)
     method = _member(_METHOD_BY_VALUE, Method, data["method"])
     config = dict(json_field("config", data["config"], Mapping))
 
     names = []
-    for item in data["ledger"]:
+    for item in json_field("ledger", data["ledger"], list):
         name = item["name"]
         _member(_STATUS_BY_VALUE, EntityStatus, item["status"])
         _strings("provenance", item.get("provenance", []))
@@ -512,7 +514,7 @@ def _check_record(
 
     summary = StructuredSummary.from_dict(data["summary"])
 
-    for item in data["llm_call_trace"]:
+    for item in json_field("llm_call_trace", data["llm_call_trace"], list):
         _member(_KIND_BY_VALUE, PromptKind, item["prompt_kind"])
         json_field("prompt_hash", item["prompt_hash"], str)
         json_field("params", item["params"], Mapping)
@@ -572,37 +574,31 @@ def _check_encounter(
     raw: Any, turns: list[Turn] | None
 ) -> tuple[str, str, int, str, StructuredSummary | None]:
     """The id, RFE, age, sex and reference summary of a decoded dataset
-    record, or a ValidationError listing every violated field. Each turn is
-    appended to `turns` unless it is None."""
+    record, or a ValidationError listing every violated field, a wrong
+    JSON type as `json_field` words it. Each turn is appended to `turns`
+    unless it is None."""
     if type(raw) is not dict and not isinstance(raw, Mapping):
         raise ValidationError(["record is not an object"])
 
     problems: list[str] = []
-
-    enc_id = raw.get("id")
-    if not isinstance(enc_id, str) or not enc_id:
-        problems.append("missing or empty 'id'")
-
-    rfe = raw.get("rfe")
-    if not isinstance(rfe, str):
-        problems.append("missing 'rfe'")
-
-    age = raw.get("age")
-    if isinstance(age, bool) or not isinstance(age, int):
-        problems.append("missing or non-integer 'age'")
-    elif age < 0:
+    fields = []
+    for name, kind in (("id", str), ("rfe", str), ("age", int), ("sex", str), ("turns", list)):
+        try:
+            fields.append(json_field(name, raw.get(name), kind))
+        except TypeError as exc:
+            problems.append(str(exc))
+            fields.append(None)
+    enc_id, rfe, age, sex, turns_raw = fields
+    if enc_id == "":
+        problems.append("id is empty")
+    if age is not None and age < 0:
         problems.append("negative age")
+    if sex is not None and not sex.strip():
+        problems.append("sex is blank")
 
-    sex = raw.get("sex")
-    if not isinstance(sex, str) or not sex.strip():
-        problems.append("missing or empty 'sex'")
-
-    turns_raw = raw.get("turns")
-    if not isinstance(turns_raw, list):
-        problems.append("missing 'turns'")
-    elif not turns_raw:
+    if turns_raw == []:
         problems.append("turns empty")
-    else:
+    elif turns_raw:
         for i, item in enumerate(turns_raw):
             if type(item) is not dict and not isinstance(item, Mapping):
                 problems.append(f"turn {i}: not an object")
@@ -620,13 +616,10 @@ def _check_encounter(
     reference = None
     ref_raw = raw.get("reference_summary")
     if ref_raw is not None:
-        if not isinstance(ref_raw, Mapping):
-            problems.append("'reference_summary' is not an object")
-        else:
-            try:
-                reference = StructuredSummary.from_dict(ref_raw)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"reference_summary: {exc}")
+        try:
+            reference = StructuredSummary.from_dict(ref_raw)
+        except (TypeError, ValueError) as exc:
+            problems.append(f"reference_summary: {exc}")
 
     if problems:
         raise ValidationError(problems)

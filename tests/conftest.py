@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import strategies as st
 
 from medsum.backend import (
     CompletionClient,
@@ -20,6 +21,25 @@ from medsum.model import (
 )
 from medsum.promptkit import load_templates
 from medsum.selection import ExamplePool, load_example_pools
+
+
+# A decoded JSON value of each type: null, a bool, an int, a non-integral
+# float, a string, a list (a list of pairs among them) and an object.
+_JSON_OF_TYPE = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    str: st.text(max_size=4),
+    list: st.one_of(st.lists(st.integers(), max_size=2), st.just([["a", 1]])),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+}
+
+
+def json_of_another_type(kind):
+    """Decoded JSON values whose type is not `kind` (str, int, list or dict);
+    a bool is not an int."""
+    return st.one_of(*(values for t, values in _JSON_OF_TYPE.items() if t is not kind))
 
 
 SIX_SECTION_SUMMARY = """\

@@ -34,7 +34,7 @@ from medsum.backend import (
 )
 from medsum.model import PromptKind
 
-from conftest import make_client
+from conftest import json_of_another_type, make_client
 
 
 def request_for(prompt="hello", kind=PromptKind.SUMMARIZATION, params=None):
@@ -542,7 +542,7 @@ def _store_line(draw):
     shape = draw(
         st.sampled_from(
             ["valid", "spaced", "trailing text", "not an object", "repeated key",
-             "missing key", "cut", "blank"]
+             "missing key", "wrong type", "unknown kind", "cut", "blank"]
         )
     )
     if shape == "spaced":  # JSON whitespace or other white space, either side
@@ -555,7 +555,13 @@ def _store_line(draw):
     if shape == "repeated key":  # the later value wins
         return '{"key_hex":"a","response_text":"first",%s' % line[1:]
     if shape == "missing key":
-        del item[draw(st.sampled_from(["key_hex", "response_text"]))]
+        del item[draw(st.sampled_from(sorted(item)))]
+        return json.dumps(item)
+    if shape == "wrong type":
+        item[draw(st.sampled_from(sorted(item)))] = draw(json_of_another_type(str))
+        return json.dumps(item)
+    if shape == "unknown kind":
+        item["prompt_kind"] = draw(st.sampled_from(["", "Summarization", "summary"]))
         return json.dumps(item)
     if shape == "cut":
         return line[: draw(st.integers(0, len(line) - 1))]
@@ -566,17 +572,25 @@ def _store_line(draw):
 
 def _reference_store_load(path, data):
     """What loading the store file `path`, which holds `data`, gives when
-    each line is decoded by `json.loads`: (entries, warnings logged), or the
-    text of the error it raises. A blank line is skipped; a line that does
-    not give an entry is a torn last line, dropped with a warning, if it has
-    no newline, and an error if it has one."""
+    each line is decoded by `json.loads` and must hold the strings key_hex
+    and response_text and a PromptKind value prompt_kind: (entries, warnings
+    logged), or the text of the error it raises. A blank line is skipped; a
+    line that does not give an entry is a torn last line, dropped with a
+    warning, if it has no newline, and an error if it has one."""
     entries, warnings = {}, []
     *whole, last = data.split("\n")
     lines = [line + "\n" for line in whole] + ([last] if last else [])
     for lineno, line in enumerate(lines, start=1):
         try:
             item = json.loads(line)
-            entries[item["key_hex"]] = item["response_text"]
+            key, kind, text = item["key_hex"], item["prompt_kind"], item["response_text"]
+            if not isinstance(key, str):
+                raise TypeError(f"key_hex is not a string: {key!r}")
+            if kind not in [member.value for member in PromptKind]:
+                raise ValueError(f"{kind!r} is not a valid PromptKind")
+            if not isinstance(text, str):
+                raise TypeError(f"response_text is not a string: {text!r}")
+            entries[key] = text
         except (ValueError, KeyError, TypeError) as exc:
             if not line.strip():
                 continue
@@ -892,6 +906,18 @@ class TestHTTPTransport:
         transport = HTTPTransport("http://example", session=session)
         with pytest.raises(TransientBackendError):
             transport.send(request_for())
+
+    @pytest.mark.parametrize("text", [None, 5, {}])
+    def test_completion_text_that_is_not_a_string_is_protocol_error(self, text):
+        from medsum.backend import HTTPTransport
+
+        session = self.FakeSession([self.FakeResponse(200, {"choices": [{"text": text}]})])
+        transport = HTTPTransport("http://example", session=session)
+        with pytest.raises(BackendProtocolError) as refused:
+            transport.send(request_for())
+        assert str(refused.value) == (
+            f"malformed completion response: completion text is not a string: {text!r}"
+        )
 
     def test_client_error_is_protocol_error(self):
         from medsum.backend import HTTPTransport

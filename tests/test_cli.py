@@ -1,6 +1,8 @@
 import csv
+import functools
 import gc
 import json
+import operator
 import re
 import threading
 from pathlib import Path
@@ -25,6 +27,7 @@ from medsum.cli import (
 from medsum.model import (
     EncounterReference,
     EntityLedger,
+    PromptKind,
     RunRecord,
     StructuredSummary,
     validate_reference,
@@ -32,6 +35,7 @@ from medsum.model import (
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
+    json_of_another_type,
     scripted_pipeline_responder,
     write_dataset,
     write_pools,
@@ -42,6 +46,10 @@ from conftest import prerecord as _prerecord
 @pytest.fixture
 def workspace(tmp_path):
     """Dataset + pools + config + path for a replay store, all offline."""
+    return _workspace(tmp_path)
+
+
+def _workspace(tmp_path):
     dataset = tmp_path / "dataset.jsonl"
     write_dataset(
         dataset,
@@ -760,26 +768,32 @@ _INPUT_FILE_CASES = [
 _INPUT_FILES = pytest.mark.parametrize("command, bad", _INPUT_FILE_CASES)
 
 
+_READ_INPUTS = [
+    *_INPUT_FILE_CASES, ("run", "config"), ("run", "store"), ("eval", "config"), ("eval", "store")
+]
+
+
+# A missing run output is a fresh run, so the output is only made a directory.
 @pytest.mark.parametrize(
-    "command, bad",
+    "command, bad, how",
     [
-        *_INPUT_FILE_CASES,
-        ("run", "config"),
-        ("run", "store"),
-        ("run", "output"),
-        ("eval", "config"),
-        ("eval", "store"),
+        *[(command, bad, how) for command, bad in _READ_INPUTS for how in ("directory", "missing")],
+        ("run", "output", "directory"),
     ],
 )
-def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad):
+def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad, how):
     argv, path = _input_file_argv(workspace, command, bad)
     if path.exists():
         path.unlink()
-    path.mkdir()
+    if how == "directory":
+        path.mkdir()
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"cannot read {path}: " in err
+    if how == "missing" and bad == "store":
+        assert err == f"error: replay store not found: {path}\n"
+    else:
+        assert f"cannot read {path}: " in err
 
 
 @_INPUT_FILES
@@ -890,6 +904,176 @@ def test_record_config_without_a_report_row_exits_1_before_scoring(
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == f"error: {records}: bad record at line 2: {message}\n"
     assert scored == []
+
+
+def _files(root):
+    """The bytes of every file under `root`, by path."""
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def _replaced(raw, path, value):
+    """A copy of the decoded JSON object `raw` with the value at `path`, a
+    tuple of keys and indexes, replaced by `value`."""
+    raw = json.loads(json.dumps(raw))
+    *parents, last = path
+    functools.reduce(operator.getitem, parents, raw)[last] = value
+    return raw
+
+
+# Each generated wrong-type test runs once per field, for every field to be tried.
+_GENERATED = settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def _field_ids(fields):
+    """Test ids of (path, ...) parameters: each path joined with dots."""
+    return [".".join(map(str, path)) for path, *_ in fields]
+
+
+# Each typed field of a dataset line: its path, its JSON type and how
+# `validate` words a value of another type.
+_DATASET_FIELDS = [
+    (("id",), str, "id is not a string: {!r}"),
+    (("rfe",), str, "rfe is not a string: {!r}"),
+    (("age",), int, "age is not an integer: {!r}"),
+    (("sex",), str, "sex is not a string: {!r}"),
+    (("turns",), list, "turns is not a list: {!r}"),
+    (("turns", 1), dict, "turn 1: not an object"),
+    (("turns", 1, "speaker"), str, "turn 1: unknown speaker {!r}"),
+    (("turns", 1, "text"), str, "turn 1: empty text"),
+    (("reference_summary",), dict, "reference_summary: summary is not an object: {!r}"),
+    (
+        ("reference_summary", "medical_history"),
+        str,
+        "reference_summary: summary section medical_history is not a string: {!r}",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, kind, refusal", _DATASET_FIELDS, ids=_field_ids(_DATASET_FIELDS))
+@_GENERATED
+@given(data=st.data())
+def test_dataset_field_of_another_type_exits_1(workspace, capsys, path, kind, refusal, data):
+    """A dataset line with one field of another JSON type fails `validate`
+    on that line and makes `run` and `eval` exit 1 with one `error:` line
+    and its problem line; nothing is written or converted."""
+    values = json_of_another_type(kind)
+    if path == ("reference_summary",):  # null is an encounter with no reference
+        values = values.filter(lambda value: value is not None)
+    value = data.draw(values)
+    bad = _replaced(encounter_record("enc-002", reference={"medical_history": "none"}), path, value)
+    lines = [encounter_record("enc-000"), encounter_record("enc-001")]
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    write_dataset(workspace["dataset"], lines)
+    run_argv = _set_up_argv(workspace, "run", {})
+    eval_argv = ["eval", str(workspace["dir"] / "records.jsonl"), str(workspace["dataset"])]
+    (workspace["dir"] / "records.jsonl").write_text("")
+    problem = f"line {at + 1}: {refusal.format(value)}"
+    before = _files(workspace["dir"])
+    capsys.readouterr()
+    assert main(["validate", str(workspace["dataset"])]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert err == "" and [line for line in out.splitlines() if "FAIL" in line] == [f"FAIL {problem}"]
+    for argv in (run_argv, eval_argv):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: dataset invalid:\n{problem}\n")
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.mark.parametrize("field", ["key_hex", "prompt_kind", "response_text"])
+@_GENERATED
+@given(data=st.data())
+def test_store_field_of_another_type_exits_1(workspace, capsys, field, data):
+    """A replay-store line with one field of another JSON type is a corrupt
+    line: `run` and `eval --verifier llm` over the store exit 1 with one
+    `error:` line naming it, and nothing is written."""
+    workspace["store"].write_text("")
+    run_argv = _set_up_argv(workspace, "run", {})
+    eval_argv = _set_up_argv(workspace, "eval", {})
+    entries = st.fixed_dictionaries(
+        {
+            "key_hex": st.text(max_size=8),
+            "prompt_kind": st.sampled_from([kind.value for kind in PromptKind]),
+            "response_text": st.text(max_size=8),
+        }
+    )
+    lines = data.draw(st.lists(entries, min_size=1, max_size=3))
+    value = data.draw(json_of_another_type(str))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = {**lines[at], field: value}
+    workspace["store"].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    if field == "prompt_kind":
+        refusal = f"{value!r} is not a valid PromptKind"
+    else:
+        refusal = f"{field} is not a string: {value!r}"
+    before = _files(workspace["dir"])
+    capsys.readouterr()
+    for argv in (run_argv, eval_argv):
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "",
+            f"error: {workspace['store']} holds a corrupt record line (line {at + 1}: {refusal})\n",
+        )
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The argv of a replayed `medsum run` whose output is written, that
+    output's path, and its lines."""
+    workspace = _workspace(tmp_path_factory.mktemp("finished-run"))
+    prerecord(workspace["store"], workspace)
+    output = workspace["dir"] / "medsum.jsonl"
+    argv = TestRun().run_args(workspace, output)
+    assert main(argv) == EXIT_OK
+    return argv, output, output.read_text().splitlines(keepends=True)
+
+
+# Each typed field of a run record line, with its JSON type.
+_RECORD_FIELDS = [
+    (("encounter_id",), str),
+    (("method",), str),
+    (("config",), dict),
+    (("ledger",), list),
+    (("ledger", 0), dict),
+    (("ledger", 0, "name"), str),
+    (("ledger", 0, "status"), str),
+    (("ledger", 0, "provenance"), list),
+    (("ledger", 0, "provenance", 0), str),
+    (("summary",), dict),
+    (("summary", "medical_history"), str),
+    (("llm_call_trace",), list),
+    (("llm_call_trace", 0), dict),
+    (("llm_call_trace", 0, "prompt_kind"), str),
+    (("llm_call_trace", 0, "prompt_hash"), str),
+    (("llm_call_trace", 0, "params"), dict),
+    (("warnings",), list),
+    (("warnings", 0), str),
+]
+
+
+@pytest.mark.parametrize("path, kind", _RECORD_FIELDS, ids=_field_ids(_RECORD_FIELDS))
+@_GENERATED
+@given(data=st.data())
+def test_resumed_record_field_of_another_type_exits_1(finished_run, capsys, path, kind, data):
+    """A line of `run`'s output with one field of another JSON type, which
+    `eval` refuses, is a corrupt line to a resumed `run` too: it exits 1
+    with one `error:` line naming it before anything runs or is written."""
+    argv, output, lines = finished_run
+    value = data.draw(json_of_another_type(kind))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    record = {**json.loads(lines[at]), "warnings": ["a warning"]}
+    lines = [*lines[:at], json.dumps(_replaced(record, path, value)) + "\n", *lines[at + 1 :]]
+    output.write_text("".join(lines))
+    before = _files(output.parent)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: output file {output} holds a corrupt record line (line {at + 1}: ")
+    assert _files(output.parent) == before
 
 
 class TestEval:
