@@ -18,6 +18,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_string
@@ -47,7 +48,8 @@ __all__ = [
     "Transport",
     "ScriptedTransport",
     "HTTPTransport",
-    "CorruptLineError",
+    "open_text",
+    "decode_line",
     "read_lines",
     "JsonlLog",
     "ReplayStore",
@@ -91,7 +93,7 @@ class ReplayMissError(BackendError):
 
 
 class ReplayStoreError(BackendError):
-    """The replay store file is missing or corrupt."""
+    """The replay store file cannot be read or made, or is corrupt."""
 
 
 @dataclass(frozen=True)
@@ -320,27 +322,51 @@ class HTTPTransport:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
 
 
-class CorruptLineError(ValueError):
-    """A line of a JSONL log that does not decode, other than a torn last
-    line, or a log that is not UTF-8 text."""
+@contextmanager
+def open_text(path: str | Path, error: Callable[[str], Exception], newline: str | None = None):
+    """The UTF-8 text file at `path`, open for reading within the `with`.
 
-
-def read_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str]]:
-    """(line number, stripped line) of each non-blank line of a text file, as
-    the caller takes them; a file that cannot be opened (a directory, say) or
-    is not UTF-8 is an `error` naming it."""
+    A file that cannot be opened (missing, or a directory) is
+    `error("cannot read <path>: <reason>")`, and bytes read in the block that
+    are not UTF-8 are `error("<path> is not UTF-8 text: ...")`. `newline` is
+    `open`'s.
+    """
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8", newline=newline)
     except OSError as exc:
         raise error(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
         try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line:
-                    yield lineno, line
+            yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+_scan_value = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str) -> Any:
+    """`json.loads(line)`: its value, or its ValueError. A line that starts
+    with its value and ends with JSON whitespace is scanned without
+    `json.loads`' wrappers; any other line goes through them, for their
+    result or their error."""
+    try:
+        value, end = _scan_value(line, 0)
+    except StopIteration:
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):  # the whitespace JSON allows around a value
+        return json.loads(line)
+    return value
+
+
+def read_lines(path: str | Path, error: Callable[[str], Exception]) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) of each non-blank line of a text file, as
+    the caller takes them, opened through `open_text`."""
+    with open_text(path, error) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line
 
 
 class JsonlLog:
@@ -350,9 +376,9 @@ class JsonlLog:
     Such a writer leaves a last line with no newline after it. If that line
     does not decode, `read` drops it through `warn` and the next `open`
     cuts it off the file; if it does, the next `open` ends it with a
-    newline. Corruption anywhere else is a CorruptLineError. Each `append`
-    is written and flushed to the OS before it returns. Not thread-safe:
-    concurrent writers hold a lock of their own around `append`.
+    newline. Each `append` is written and flushed to the OS before it
+    returns. Not thread-safe: concurrent writers hold a lock of their own
+    around `append`.
     """
 
     def __init__(self, path: str | Path):
@@ -364,31 +390,34 @@ class JsonlLog:
         self._cut_at: int | None = None
         self._needs_newline = False
 
-    def read(self, take: Callable[[int, str], None], warn: Callable[[str], None]) -> None:
-        """Call take(line number, line) for each line in file order, none if
-        the file is missing. A line on which `take` raises ValueError,
-        KeyError or TypeError is skipped if blank, handled as above if not."""
-        if not self.path.exists():
-            return
+    def read(
+        self,
+        take: Callable[[int, Any], None],
+        warn: Callable[[str], None],
+        error: Callable[[str], Exception],
+    ) -> None:
+        """Call take(line number, decoded line) for each non-blank line in
+        file order. A line that does not decode, other than a torn last
+        line, or on which `take` raises ValueError, KeyError or TypeError is
+        an `error` naming it, as is a file `open_text` refuses."""
         line = ""
-        try:
-            with self.path.open("r", encoding="utf-8", newline="\n") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    try:
-                        take(lineno, line)
-                    except (ValueError, KeyError, TypeError) as exc:
-                        if not line.strip():
-                            continue
-                        if line.endswith("\n"):
-                            raise CorruptLineError(
-                                f"{self.path} holds a corrupt record line (line {lineno}: {exc})"
-                            ) from exc
-                        warn(f"dropping torn last line {lineno} ({exc})")
-                        size = os.fstat(fh.fileno()).st_size
-                        self._cut_at = size - len(line.encode("utf-8"))
-                        return
-        except UnicodeDecodeError as exc:
-            raise CorruptLineError(f"{self.path} is not UTF-8 text: {exc}") from exc
+        corrupt = f"{self.path} holds a corrupt record line"
+        with open_text(self.path, error, newline="\n") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    item = decode_line(line)
+                except ValueError as exc:
+                    if not line.strip():
+                        continue
+                    if line.endswith("\n"):
+                        raise error(f"{corrupt} (line {lineno}: {exc})") from exc
+                    warn(f"dropping torn last line {lineno} ({exc})")
+                    self._cut_at = os.fstat(fh.fileno()).st_size - len(line.encode("utf-8"))
+                    return
+                try:
+                    take(lineno, item)
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise error(f"{corrupt} (line {lineno}: {exc})") from exc
         self._needs_newline = bool(line) and not line.endswith("\n")
 
     def open(self) -> None:
@@ -420,10 +449,6 @@ class JsonlLog:
         self._fh = self._finalizer = None
 
 
-_json_decoder = json.JSONDecoder()
-_JSON_SPACE = " \t\n\r"  # the whitespace JSON allows around a value
-
-
 class ReplayStore:
     """Persistent map from cache key to completion text.
 
@@ -441,28 +466,19 @@ class ReplayStore:
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
         self._log = JsonlLog(self.path)
-        if self.path.exists():
-            self._load()
-        elif create:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.touch()
+        if create and not self.path.exists():
+            try:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                self.path.touch()
+            except OSError as exc:  # its directory is a file, say
+                raise ReplayStoreError(f"cannot write {self.path}: {exc.strerror}") from exc
         else:
-            raise ReplayStoreError(f"replay store not found: {self.path}")
+            self._load()
 
     def _load(self) -> None:
-        scan, decode = _json_decoder.scan_once, _json_decoder.decode
         entries = self._entries
 
-        def take(lineno: int, line: str) -> None:
-            # json.loads(line) without its wrappers for a line that starts
-            # with its value and ends with JSON whitespace; any other line
-            # goes through them, for their result or their error.
-            try:
-                item, end = scan(line, 0)
-            except StopIteration:
-                end = None
-            if end is None or line[end:].strip(_JSON_SPACE):
-                item = decode(line)
+        def take(lineno: int, item: Any) -> None:
             key, kind, text = item["key_hex"], item["prompt_kind"], item["response_text"]
             # Three strings and a known kind pass; the checks below give the error.
             if not (type(key) is type(kind) is type(text) is str and kind in _KIND_BY_VALUE):
@@ -472,10 +488,7 @@ class ReplayStore:
             entries[key] = text
 
         warn = partial(logger.warning, "%s: %s; the next record replaces it", self.path)
-        try:
-            self._log.read(take, warn)
-        except CorruptLineError as exc:
-            raise ReplayStoreError(str(exc)) from exc
+        self._log.read(take, warn, ReplayStoreError)
 
     def get(self, key: str) -> str | None:
         return self._entries.get(key)

@@ -14,12 +14,11 @@ import statistics
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .backend import (
     BackendError,
     CompletionClient,
-    CorruptLineError,
     HashEmbedder,
     HTTPTransport,
     JsonlLog,
@@ -28,6 +27,8 @@ from .backend import (
     ReplayStoreError,
     ReplayTransport,
     Transport,
+    decode_line,
+    open_text,
     read_lines,
 )
 from .chain import ChainConfig, ChainDeps, Method, SelectionMode, run_many
@@ -99,48 +100,33 @@ class CliError(Exception):
         super().__init__(message)
 
 
-class DatasetProblem(NamedTuple):
-    """One problem with one dataset line; prints as `line <n>: <message>`."""
-
-    lineno: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"line {self.lineno}: {self.message}"
-
-
 def read_dataset(
     path: str | Path, check: Callable[[Any], T] = validate_encounter
-) -> tuple[list[tuple[int, T]], list[DatasetProblem]]:
+) -> tuple[list[tuple[int, T]], list[tuple[int, str]]]:
     """Parse a dataset file line by line.
 
     Returns (line number, `check(decoded line)`) pairs for valid lines plus
-    the problems of the others. `check` is `validate_encounter` or
-    `validate_reference`: it raises ValidationError or gives an object with
-    an `id`. Duplicate ids name both lines involved.
+    (line number, problem) pairs for the others. `check` is
+    `validate_encounter` or `validate_reference`: it raises ValidationError
+    or gives an object with an `id`. Duplicate ids name both lines involved.
     """
     encounters: list[tuple[int, T]] = []
-    problems: list[DatasetProblem] = []
+    problems: list[tuple[int, str]] = []
     first_line_for_id: dict[str, int] = {}
     for lineno, line in read_lines(path, CliError):
         try:
-            raw = json.loads(line)
+            raw = decode_line(line)
         except ValueError as exc:
-            problems.append(DatasetProblem(lineno, f"invalid JSON: {exc}"))
+            problems.append((lineno, f"invalid JSON: {exc}"))
             continue
         try:
             enc = check(raw)
         except ValidationError as exc:
-            problems.append(DatasetProblem(lineno, str(exc)))
+            problems.append((lineno, str(exc)))
             continue
         if enc.id in first_line_for_id:
-            problems.append(
-                DatasetProblem(
-                    lineno,
-                    f"duplicate id {enc.id!r} "
-                    f"(first seen at line {first_line_for_id[enc.id]})",
-                )
-            )
+            first = first_line_for_id[enc.id]
+            problems.append((lineno, f"duplicate id {enc.id!r} (first seen at line {first})"))
             continue
         first_line_for_id[enc.id] = lineno
         encounters.append((lineno, enc))
@@ -153,7 +139,7 @@ def _read_valid_dataset(path: str | Path, check: Callable[[Any], T]) -> list[T]:
     """Strict read: any invalid line aborts."""
     encounters, problems = read_dataset(path, check)
     if problems:
-        raise CliError("dataset invalid:\n" + "\n".join(map(str, problems)))
+        raise CliError("dataset invalid:\n" + "\n".join(f"line {n}: {p}" for n, p in problems))
     return [enc for _, enc in encounters]
 
 
@@ -178,11 +164,11 @@ def load_records(path: str | Path) -> Iterator[RunRecord]:
 
 def _read_records(path: str | Path, keep: Callable[[Any], T]) -> Iterator[T]:
     """`keep(decoded line)` for each line of a run's output, as the caller
-    takes them; a line on which `json.loads` or `keep` raises ValueError,
+    takes them; a line on which `decode_line` or `keep` raises ValueError,
     KeyError or TypeError is a CliError when it is reached."""
     for lineno, line in read_lines(path, CliError):
         try:
-            kept = keep(json.loads(line))
+            kept = keep(decode_line(line))
         except (ValueError, KeyError, TypeError) as exc:
             raise CliError(f"{path}: bad record at line {lineno}: {exc}") from exc
         yield kept
@@ -198,11 +184,8 @@ def load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        config = json.loads(text)
+        with open_text(path, CliError) as fh:
+            config = json.loads(fh.read())
     except ValueError as exc:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
@@ -262,23 +245,14 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
-        return ReplayTransport(_open_store(store_path, create=False))
+        return ReplayTransport(ReplayStore(store_path))
     endpoint = setting(config, "endpoint", str)
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
     live = HTTPTransport(endpoint, model=setting(config, "model", str, "completion-model"))
     if mode == "record":
-        return RecordingTransport(live, _open_store(store_path, create=True))
+        return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live
-
-
-def _open_store(path: str | Path, create: bool) -> ReplayStore:
-    try:
-        return ReplayStore(path, create=create)
-    except ReplayStoreError as exc:  # missing, or a corrupt line
-        raise CliError(str(exc)) from exc
-    except OSError as exc:  # a directory, say
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
 
 
 def build_backend(
@@ -312,7 +286,7 @@ def build_deps(
             raise CliError("config needs a 'pools' path to an example-pool JSONL file")
         try:
             loaded = load_example_pools(pools_path)
-        except (OSError, SelectionError) as exc:
+        except SelectionError as exc:
             raise CliError(f"example pools: {exc}") from exc
         for kind in needed:
             if kind not in loaded:
@@ -351,18 +325,21 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any]) -> set[str]:
-    """Encounter ids of the records in a run's output.
+    """Encounter ids of the records in a run's output, none if it is missing.
 
     Each line is decoded by `RecordHead`, so a line `eval` refuses is a
-    corrupt one. Every record must come from `method` run with `config` (a
-    ChainConfig snapshot); a record of another method or configuration is a
-    CliError naming both, so one output file never mixes configurations. A
-    torn last line is dropped with a warning, and its encounter runs again.
+    corrupt one, the last line too. Every record must come from `method` run
+    with `config` (a ChainConfig snapshot); a record of another method or
+    configuration is a CliError naming both, so one output file never mixes
+    configurations. A torn last line, one that does not decode, is dropped
+    with a warning, and its encounter runs again.
     """
     ids: set[str] = set()
+    if not output.path.exists():  # a fresh run
+        return ids
 
-    def take(lineno: int, line: str) -> None:
-        head = RecordHead.from_json_dict(json.loads(line))
+    def take(lineno: int, item: Any) -> None:
+        head = RecordHead.from_json_dict(item)
         if head.method is not method or head.config != config:
             raise CliError(
                 f"output file {output.path} holds records of another configuration: line "
@@ -372,12 +349,8 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
             )
         ids.add(head.encounter_id)
 
-    try:
-        output.read(take, partial(print, f"WARN output file {output.path}:", file=sys.stderr))
-    except CorruptLineError as exc:
-        raise CliError(f"output file {exc}") from exc
-    except OSError as exc:  # a directory, say
-        raise CliError(f"cannot read {output.path}: {exc.strerror}") from exc
+    warn = partial(print, f"WARN output file {output.path}:", file=sys.stderr)
+    output.read(take, warn, lambda message: CliError(f"output file {message}"))
     return ids
 
 
@@ -588,6 +561,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.exit_code
     except TemplateError as exc:  # a template that fails its checks
         print(f"error: bad template: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ReplayStoreError as exc:  # a store that cannot be read or made, or a corrupt line
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)

@@ -570,6 +570,16 @@ def validate_reference(raw: Any) -> EncounterReference:
     return EncounterReference(enc_id, reference)
 
 
+def _str_problem(name: str, value: Any, problem: str) -> str:
+    """How a refused field `name` is worded: `json_field`'s refusal if
+    `value` is not a string, else `problem`."""
+    try:
+        json_field(name, value, str)
+    except TypeError as exc:
+        return str(exc)
+    return problem
+
+
 def _check_encounter(
     raw: Any, turns: list[Turn] | None
 ) -> tuple[str, str, int, str, StructuredSummary | None]:
@@ -607,9 +617,10 @@ def _check_encounter(
             text = item.get("text")
             member = _SPEAKER_BY_VALUE.get(speaker) if isinstance(speaker, str) else None
             if member is None:
-                problems.append(f"turn {i}: unknown speaker {speaker!r}")
+                unknown = f"unknown speaker {speaker!r}"
+                problems.append(f"turn {i}: {_str_problem('speaker', speaker, unknown)}")
             if not isinstance(text, str) or not text.strip():
-                problems.append(f"turn {i}: empty text")
+                problems.append(f"turn {i}: {_str_problem('text', text, 'empty text')}")
             elif member is not None and turns is not None:
                 turns.append(_checked_turn(member, text))
 

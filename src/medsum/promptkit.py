@@ -16,6 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import ClassVar, Iterable, Sequence
 
+from .backend import open_text
 from .model import (
     SECTION_KEYS,
     EntityStatus,
@@ -315,10 +316,8 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
             if template_id == "baseline_summarization"
             else PromptKind(template_id)
         )
-        try:
-            preamble = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise TemplateError(f"{path} is not UTF-8 text") from exc
+        with open_text(path, TemplateError) as fh:
+            preamble = fh.read()
         try:
             templates[template_id] = PromptTemplate(kind=kind, preamble=preamble)
         except TemplateError as exc:

@@ -12,13 +12,12 @@ it.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .backend import EmbeddingGateway, read_lines
+from .backend import EmbeddingGateway, decode_line, read_lines
 from .model import ExampleKind, LabeledExample, json_field
 
 if TYPE_CHECKING:
@@ -92,7 +91,7 @@ def load_example_pools(path: str | Path) -> dict[ExampleKind, ExamplePool]:
     grouped: dict[ExampleKind, list[LabeledExample]] = {}
     for lineno, line in read_lines(path, SelectionError):
         try:
-            record = json.loads(line)
+            record = decode_line(line)
             example = LabeledExample(
                 kind=ExampleKind(record["kind"]),
                 input_text=json_field("input_text", record["input_text"], str),

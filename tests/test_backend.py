@@ -575,14 +575,25 @@ def _reference_store_load(path, data):
     each line is decoded by `json.loads` and must hold the strings key_hex
     and response_text and a PromptKind value prompt_kind: (entries, warnings
     logged), or the text of the error it raises. A blank line is skipped; a
-    line that does not give an entry is a torn last line, dropped with a
-    warning, if it has no newline, and an error if it has one."""
+    line that does not decode is a torn last line, dropped with a warning,
+    if it has no newline, and an error if it has one. A line that decodes
+    but gives no entry is an error wherever it is."""
     entries, warnings = {}, []
     *whole, last = data.split("\n")
     lines = [line + "\n" for line in whole] + ([last] if last else [])
     for lineno, line in enumerate(lines, start=1):
         try:
             item = json.loads(line)
+        except ValueError as exc:
+            if not line.strip():
+                continue
+            if line.endswith("\n"):
+                return f"{path} holds a corrupt record line (line {lineno}: {exc})"
+            warnings.append(
+                f"{path}: dropping torn last line {lineno} ({exc}); the next record replaces it"
+            )
+            break
+        try:
             key, kind, text = item["key_hex"], item["prompt_kind"], item["response_text"]
             if not isinstance(key, str):
                 raise TypeError(f"key_hex is not a string: {key!r}")
@@ -592,15 +603,40 @@ def _reference_store_load(path, data):
                 raise TypeError(f"response_text is not a string: {text!r}")
             entries[key] = text
         except (ValueError, KeyError, TypeError) as exc:
-            if not line.strip():
-                continue
-            if line.endswith("\n"):
-                return f"{path} holds a corrupt record line (line {lineno}: {exc})"
-            warnings.append(
-                f"{path}: dropping torn last line {lineno} ({exc}); the next record replaces it"
-            )
-            break
+            return f"{path} holds a corrupt record line (line {lineno}: {exc})"
     return entries, warnings
+
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=2), st.dictionaries(st.text(max_size=3), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+_LINE_EDGES = st.text(st.sampled_from(" \t\r\n\x0b\xa0\ufeff{}[],:x7\""), max_size=2)
+
+
+@st.composite
+def _jsonl_line(draw):
+    """A JSONL line, valid or not: a JSON value, maybe cut short, between
+    white space, a byte-order mark or stray JSON text."""
+    text = json.dumps(draw(_JSON_VALUES), indent=draw(st.sampled_from([None, 1])))
+    if draw(st.booleans()):
+        text = text[: draw(st.integers(0, len(text)))]
+    return draw(_LINE_EDGES) + text + draw(_LINE_EDGES)
+
+
+def _decoded(decode, line):
+    try:
+        return "value", repr(decode(line))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(_jsonl_line())
+def test_decode_line_is_json_loads(line):
+    assert _decoded(backend.decode_line, line) == _decoded(json.loads, line)
 
 
 class TestReplayStore:

@@ -28,6 +28,7 @@ from medsum.model import (
     EncounterReference,
     EntityLedger,
     PromptKind,
+    RecordHead,
     RunRecord,
     StructuredSummary,
     validate_reference,
@@ -403,7 +404,8 @@ class TestRun:
         argv[argv.index("--config") + 1] = str(config)
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: bad template: {templates / 'summarization.txt'} is not UTF-8 text\n"
+            f"error: bad template: {templates / 'summarization.txt'} is not UTF-8 text: "
+            "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte\n"
         )
         assert not output.exists()
 
@@ -480,7 +482,7 @@ class TestRun:
         [
             ("replay", None, "--backend replay needs --replay-store"),
             ("record", None, "--backend record needs --replay-store"),
-            ("replay", "nope.jsonl", "replay store not found: "),
+            ("replay", "nope.jsonl", "cannot read {dir}/nope.jsonl: No such file or directory"),
             ("record", "new.jsonl", "--backend record needs an 'endpoint' in the config file"),
         ],
     )
@@ -497,7 +499,17 @@ class TestRun:
         if store:
             argv += ["--replay-store", str(workspace["dir"] / store)]
         assert main(argv) == EXIT_CONFIG
-        assert f"error: {message}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message.format(dir=workspace['dir'])}\n"
+
+    def test_record_store_that_cannot_be_made_exits_1(self, workspace, capsys):
+        config = workspace["dir"] / "record.json"
+        config.write_text(json.dumps({"pools": str(workspace["pools"]), "endpoint": "http://x"}))
+        store = workspace["pools"] / "store.jsonl"  # under a file
+        argv = ["run", str(workspace["dataset"]), str(workspace["dir"] / "out.jsonl")]
+        argv += ["--config", str(config), "--backend", "record", "--replay-store", str(store)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write {store}: File exists\n")
+        assert not (workspace["dir"] / "out.jsonl").exists()
 
     def test_replay_miss_is_backend_failure(self, workspace):
         # Store exists but holds nothing: every encounter fails.
@@ -748,14 +760,20 @@ def _input_file_argv(workspace, command, bad):
         records = workspace["dir"] / "records.jsonl"
         argv = ["review-packets", str(records), str(records), str(workspace["dir"] / "review")]
     else:
-        argv = _set_up_argv(workspace, command, {})
+        templates = workspace["dir"] / "templates"
+        templates.mkdir(exist_ok=True)
+        argv = _set_up_argv(workspace, command, {"templates_dir": str(templates)})
     path = {
         "records": workspace["dir"] / "records.jsonl",
         "config": workspace["dir"] / "setting.json",
         "output": workspace["dir"] / "out.jsonl",
+        "template": workspace["dir"] / "templates" / "summarization.txt",
     }.get(bad) or workspace[bad]
     return argv, path
 
+
+# What the `error:` line about input file `bad` says before the file's own error.
+_INPUT_NAMES = {"pools": "example pools: ", "output": "output file ", "template": "bad template: "}
 
 _INPUT_FILE_CASES = [
     ("validate", "dataset"),
@@ -765,20 +783,29 @@ _INPUT_FILE_CASES = [
     ("eval", "dataset"),
     ("review-packets", "records"),
 ]
-_INPUT_FILES = pytest.mark.parametrize("command, bad", _INPUT_FILE_CASES)
-
-
-_READ_INPUTS = [
-    *_INPUT_FILE_CASES, ("run", "config"), ("run", "store"), ("eval", "config"), ("eval", "store")
+# Every input file of every command. A missing run output is a fresh run
+# and a missing template file falls back to the bundled one, so neither is
+# tried missing.
+_EVERY_INPUT = [
+    *_INPUT_FILE_CASES,
+    ("run", "config"),
+    ("run", "store"),
+    ("eval", "config"),
+    ("eval", "store"),
+    ("run", "output"),
+    ("run", "template"),
+    ("eval", "template"),
 ]
+_MISSING_IS_NO_ERROR = {"output", "template"}
 
 
-# A missing run output is a fresh run, so the output is only made a directory.
 @pytest.mark.parametrize(
     "command, bad, how",
     [
-        *[(command, bad, how) for command, bad in _READ_INPUTS for how in ("directory", "missing")],
-        ("run", "output", "directory"),
+        (command, bad, how)
+        for command, bad in _EVERY_INPUT
+        for how in ("directory", "missing")
+        if how == "directory" or bad not in _MISSING_IS_NO_ERROR
     ],
 )
 def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad, how):
@@ -788,24 +815,26 @@ def test_input_file_that_is_a_directory_exits_1(workspace, capsys, command, bad,
     if how == "directory":
         path.mkdir()
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    if how == "missing" and bad == "store":
-        assert err == f"error: replay store not found: {path}\n"
-    else:
-        assert f"cannot read {path}: " in err
+    reason = "Is a directory" if how == "directory" else "No such file or directory"
+    assert capsys.readouterr().err == (
+        f"error: {_INPUT_NAMES.get(bad, '')}cannot read {path}: {reason}\n"
+    )
 
 
-@_INPUT_FILES
+@pytest.mark.parametrize("command, bad", _EVERY_INPUT)
 def test_input_file_that_is_not_utf8_exits_1(workspace, capsys, command, bad):
     argv, path = _input_file_argv(workspace, command, bad)
     # A valid line first, then a line with bytes that are not UTF-8.
     lines = path.read_bytes().splitlines(keepends=True)[:1] if path.exists() else []
     path.write_bytes(b"".join(lines) + b'{"id": "\xff\xfe"}\n')
+    with pytest.raises(UnicodeDecodeError) as undecodable:
+        path.read_bytes().decode("utf-8")
+    before = _files(workspace["dir"])
     assert main(argv) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{path} is not UTF-8 text: " in err
+    assert capsys.readouterr().err == (
+        f"error: {_INPUT_NAMES.get(bad, '')}{path} is not UTF-8 text: {undecodable.value}\n"
+    )
+    assert _files(workspace["dir"]) == before
 
 
 @pytest.mark.parametrize("report", ["--csv", "--jsonl"])
@@ -940,8 +969,8 @@ _DATASET_FIELDS = [
     (("sex",), str, "sex is not a string: {!r}"),
     (("turns",), list, "turns is not a list: {!r}"),
     (("turns", 1), dict, "turn 1: not an object"),
-    (("turns", 1, "speaker"), str, "turn 1: unknown speaker {!r}"),
-    (("turns", 1, "text"), str, "turn 1: empty text"),
+    (("turns", 1, "speaker"), str, "turn 1: speaker is not a string: {!r}"),
+    (("turns", 1, "text"), str, "turn 1: text is not a string: {!r}"),
     (("reference_summary",), dict, "reference_summary: summary is not an object: {!r}"),
     (
         ("reference_summary", "medical_history"),
@@ -1074,6 +1103,141 @@ def test_resumed_record_field_of_another_type_exits_1(finished_run, capsys, path
     assert out == "" and err.count("\n") == 1
     assert err.startswith(f"error: output file {output} holds a corrupt record line (line {at + 1}: ")
     assert _files(output.parent) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "review-packets"])
+@pytest.mark.parametrize("path, kind", _RECORD_FIELDS, ids=_field_ids(_RECORD_FIELDS))
+@_GENERATED
+@given(data=st.data())
+def test_record_field_of_another_type_exits_1(finished_run, capsys, command, path, kind, data):
+    """A record line with one field of another JSON type makes `eval` and
+    `review-packets` exit 1 with one `error:` line naming that line, before
+    anything is scored or written."""
+    _, output, lines = finished_run
+    root = output.parent
+    records = root / "records.jsonl"
+    if command == "eval":
+        argv = ["eval", str(records), str(root / "dataset.jsonl")]
+    else:
+        argv = ["review-packets", str(records), str(records), str(root / "review")]
+    value = data.draw(json_of_another_type(kind))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    record = {**json.loads(lines[at]), "warnings": ["a warning"]}
+    lines = [*lines[:at], json.dumps(_replaced(record, path, value)) + "\n", *lines[at + 1 :]]
+    records.write_text("".join(lines))
+    before = _files(root)
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: {records}: bad record at line {at + 1}: ")
+    assert _files(root) == before
+
+
+# Each field of an example-pool line, with its JSON type and how `run`
+# words a value of another type.
+_POOL_FIELDS = [
+    ("kind", str, "{!r} is not a valid ExampleKind"),
+    ("input_text", str, "input_text is not a string: {!r}"),
+    ("age", int, "age is not an integer: {!r}"),
+    ("sex", str, "sex is not a string: {!r}"),
+    ("label", str, "label is not a string: {!r}"),
+]
+
+
+@pytest.mark.parametrize("field, kind, refusal", _POOL_FIELDS, ids=[f for f, *_ in _POOL_FIELDS])
+@_GENERATED
+@given(data=st.data())
+def test_pool_field_of_another_type_exits_1(workspace, capsys, field, kind, refusal, data):
+    """A pool line with one field of another JSON type makes `run` exit 1
+    with one `error:` line naming that line, before anything is written."""
+    argv = _set_up_argv(workspace, "run", {})
+    write_pools(workspace["pools"])
+    lines = workspace["pools"].read_text().splitlines(keepends=True)
+    value = data.draw(json_of_another_type(kind))
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, _pool_line(**{field: value}))
+    workspace["pools"].write_text("".join(lines))
+    before = _files(workspace["dir"])
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "",
+        f"error: example pools: {workspace['pools']}: bad example at line {at + 1}: "
+        f"{refusal.format(value)}\n",
+    )
+    assert _files(workspace["dir"]) == before
+
+
+_STORE_FIELDS = {
+    "key_hex": "key_hex is not a string: {!r}",
+    "prompt_kind": "{!r} is not a valid PromptKind",
+    "response_text": "response_text is not a string: {!r}",
+}
+
+
+@pytest.mark.parametrize("last_line", ["decodes", "cut"])
+@pytest.mark.parametrize("log", ["store", "output"])
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unterminated_last_line_is_torn_only_if_it_does_not_decode(
+    finished_run, capsys, caplog, log, last_line, data
+):
+    """A last line without its newline, of a replay store or of `run`'s
+    output, is a torn write only if it does not decode. A proper prefix of a
+    valid last line is dropped with a warning and cut off; a whole line that
+    fails a field check is a corrupt line: exit 1, one `error:` line, and
+    every file left as it was."""
+    argv, output, lines = finished_run
+    store = Path(argv[argv.index("--replay-store") + 1])
+    stored = store.read_bytes()
+    path = store if log == "store" else output
+    whole = stored if log == "store" else "".join(lines).encode()
+    earlier, last = whole[: whole.rindex(b"\n", 0, -1) + 1], whole[whole.rindex(b"\n", 0, -1) + 1 :]
+    lineno = whole.count(b"\n")
+    capsys.readouterr()
+    caplog.clear()
+    try:
+        if last_line == "decodes":
+            if log == "store":
+                field = data.draw(st.sampled_from(sorted(_STORE_FIELDS)))
+                value = data.draw(json_of_another_type(str))
+                bad = {**json.loads(last), field: value}
+                refusal, name = _STORE_FIELDS[field].format(value), ""
+            else:
+                field, kind = data.draw(st.sampled_from(_RECORD_FIELDS))
+                value = data.draw(json_of_another_type(kind))
+                bad = _replaced({**json.loads(last), "warnings": ["a warning"]}, field, value)
+                with pytest.raises((ValueError, KeyError, TypeError)) as refused:
+                    RecordHead.from_json_dict(bad)
+                refusal, name = refused.value, "output file "
+            path.write_bytes(earlier + json.dumps(bad).encode())
+            before = _files(output.parent)
+            assert main(argv) == EXIT_CONFIG
+            assert capsys.readouterr() == (
+                "",
+                f"error: {name}{path} holds a corrupt record line (line {lineno}: {refusal})\n",
+            )
+            assert _files(output.parent) == before
+        else:
+            torn = earlier + last[: data.draw(st.integers(1, len(last) - 2))]
+            path.write_bytes(torn)
+            assert main(argv) == EXIT_OK
+            if log == "store":
+                assert f"{store}: dropping torn last line {lineno} (" in caplog.text
+                assert store.read_bytes() == torn  # loading alone writes nothing
+                reloaded = ReplayStore(store)
+                reloaded.put("new", "summarization", "text")
+                reloaded.close()
+                assert store.read_bytes() == earlier + (
+                    b'{"key_hex":"new","prompt_kind":"summarization","response_text":"text"}\n'
+                )
+            else:
+                assert f"dropping torn last line {lineno} (" in capsys.readouterr().err
+                assert output.read_bytes() == whole
+    finally:
+        store.write_bytes(stored)
+        output.write_text("".join(lines))
 
 
 class TestEval:
