@@ -247,7 +247,8 @@ class Transport(Protocol):
     the stored response for a cache key without sending anything. Such a
     transport is its client's only cache: its `send(req, key=None)` takes
     the request's cache key when the caller has it, and keeps every text it
-    returns where `peek` finds it.
+    returns where `peek` finds it. A transport that holds connections or
+    files offers `close()`.
     """
 
     def send(self, req: CompletionRequest) -> str: ...
@@ -269,6 +270,15 @@ class ScriptedTransport:
         return self._respond(req)
 
 
+# Width of the fan-out executor when max_in_flight is not set: 1 RFE plus 23
+# turn-window requests, the extraction stage of an encounter of the source
+# corpus's mean 46 turns, so that stage is one endpoint round trip. On the
+# record-latency benchmark widths 24, 32 and 64 all gave a lower p50 than 16,
+# but peak RSS rose 0.25-0.4% at 24 against 4.9-5.7% at 32 and 64: more
+# threads spread the heap over more malloc arenas.
+FAN_OUT_WIDTH = 24
+
+
 class HTTPTransport:
     """Completion-style HTTP JSON endpoint.
 
@@ -276,6 +286,11 @@ class HTTPTransport:
     choices[0].text from the response, the wire shape of widely deployed
     completion servers. The API key comes from the MEDSUM_API_KEY
     environment variable.
+
+    The session it makes keeps up to `pool_size` connections open for
+    reuse; give it the most calls that can be in flight at once, or each
+    call beyond the pool opens a connection of its own and drops it.
+    `close` closes the session and its pooled connections.
     """
 
     def __init__(
@@ -284,13 +299,20 @@ class HTTPTransport:
         model: str = "completion-model",
         timeout: float = 120.0,
         session: Any | None = None,
+        pool_size: int = FAN_OUT_WIDTH,
     ):
         import requests
+        from requests.adapters import HTTPAdapter
 
         self.endpoint = endpoint
         self.model = model
         self.timeout = timeout
-        self._session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=pool_size)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self._session = session
 
     def send(self, req: CompletionRequest) -> str:
         import requests
@@ -320,6 +342,9 @@ class HTTPTransport:
             return json_field("completion text", resp.json()["choices"][0]["text"], str)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
+
+    def close(self) -> None:
+        self._session.close()
 
 
 @contextmanager
@@ -535,6 +560,9 @@ class ReplayTransport:
     def peek(self, key: str) -> str | None:
         return self.store.get(key)
 
+    def close(self) -> None:
+        self.store.close()
+
 
 class RecordingTransport(ReplayTransport):
     """Record-through transport: serve from the store when possible,
@@ -550,12 +578,17 @@ class RecordingTransport(ReplayTransport):
         self.store.put(key, req.prompt_kind, text)
         return text
 
+    def close(self) -> None:
+        _close(self.inner)
+        super().close()
 
-# Width of the fan-out executor when max_in_flight is not set. On the
-# record-latency benchmark (two encounters of 9 to 19 extraction requests at
-# a time) 16 threads gave the same p50 as 32, with peak RSS 46.1 MB against
-# 50.5 MB: more threads spread the heap over more malloc arenas.
-FAN_OUT_WIDTH = 16
+
+def _close(transport: Transport) -> None:
+    """Close `transport` if it offers `close`."""
+    close = getattr(transport, "close", None)
+    if close is not None:
+        close()
+
 
 _fan_out_executors: dict[int, ThreadPoolExecutor] = {}
 _fan_out_lock = threading.Lock()
@@ -597,6 +630,7 @@ class CompletionClient:
     `gather` fans independent requests out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
     FAN_OUT_WIDTH wide otherwise, and shared by the clients of that width.
+    `close` closes the transport, and with it any store behind it.
     """
 
     def __init__(
@@ -684,6 +718,9 @@ class CompletionClient:
             for item in pending:
                 if type(item) is not str:
                     item.cancel()
+
+    def close(self) -> None:
+        _close(self._transport)
 
     def _send_with_retries(self, req: CompletionRequest, key: str) -> str:
         for attempt in range(1, self._policy.max_attempts + 1):

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .backend import (
+    FAN_OUT_WIDTH,
     BackendError,
     CompletionClient,
     HashEmbedder,
@@ -239,7 +240,11 @@ def build_chain_config(config: dict[str, Any], seed_override: int | None) -> Cha
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
-def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transport:
+def build_transport(
+    args: argparse.Namespace, config: dict[str, Any], in_flight: int = FAN_OUT_WIDTH + 1
+) -> Transport:
+    """The transport of `--backend`. A live one keeps up to `in_flight`
+    connections open for reuse: the most calls that can be in flight."""
     mode = args.backend
     store_path = args.replay_store or setting(config, "replay_store", str)
     if mode in ("record", "replay") and not store_path:
@@ -249,19 +254,25 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     endpoint = setting(config, "endpoint", str)
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
-    live = HTTPTransport(endpoint, model=setting(config, "model", str, "completion-model"))
+    model = setting(config, "model", str, "completion-model")
+    live = HTTPTransport(endpoint, model=model, pool_size=in_flight)
     if mode == "record":
         return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live
 
 
 def build_backend(
-    args: argparse.Namespace, config: dict[str, Any]
+    args: argparse.Namespace, config: dict[str, Any], workers: int = 1
 ) -> tuple[CompletionClient, dict[str, PromptTemplate]]:
-    """The completion client and the prompt templates of `run` and `eval`."""
+    """The completion client and the prompt templates of `run` and `eval`,
+    for `workers` threads calling the client at once. At most
+    `max_in_flight` calls are in flight, or else one per fan-out thread plus
+    one per worker, which sends its encounters' resolver and summary calls
+    itself."""
     max_in_flight = _positive_int("max_in_flight", config.get("max_in_flight"))
-    client = CompletionClient(build_transport(args, config), max_in_flight=max_in_flight)
-    return client, load_templates(setting(config, "templates_dir", str))
+    templates = load_templates(setting(config, "templates_dir", str))
+    transport = build_transport(args, config, max_in_flight or FAN_OUT_WIDTH + workers)
+    return CompletionClient(transport, max_in_flight=max_in_flight), templates
 
 
 def build_deps(
@@ -269,8 +280,8 @@ def build_deps(
     config: dict[str, Any],
     cfg: ChainConfig,
     method: Method,
+    workers: int = 1,
 ) -> ChainDeps:
-    client, templates = build_backend(args, config)
     embedder = HashEmbedder()
 
     needed: list[ExampleKind] = []
@@ -295,6 +306,7 @@ def build_deps(
             if cfg.selection_mode is SelectionMode.SEMANTIC:
                 pool = build_index(pool, embedder)
             pools[kind] = pool
+    client, templates = build_backend(args, config, workers)
     return ChainDeps(client=client, templates=templates, pools=pools, embedder=embedder)
 
 
@@ -361,20 +373,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     if workers is None:
         workers = _positive_int("workers", config.get("workers")) or 1
     method = _METHOD_ALIASES[args.method]
-    deps = build_deps(args, config, cfg, method)
-    encounters = load_dataset(args.dataset)
-
+    deps = build_deps(args, config, cfg, method, workers)
     output = JsonlLog(args.output)
-    done = _existing_record_ids(output, method, cfg.snapshot())
-    todo = [enc for enc in encounters if enc.id not in done]
-    if done:
-        print(f"resuming: {len(done)} encounters already in {output.path}")
-    # Opened before anything runs, so the file exists and a torn tail is
-    # mended even when nothing runs or the run stops before its first record.
-    output.path.parent.mkdir(parents=True, exist_ok=True)
-    output.open()
     succeeded = failed = 0
     try:
+        encounters = load_dataset(args.dataset)
+        done = _existing_record_ids(output, method, cfg.snapshot())
+        todo = [enc for enc in encounters if enc.id not in done]
+        if done:
+            print(f"resuming: {len(done)} encounters already in {output.path}")
+        # Opened before anything runs, so the file exists and a torn tail is
+        # mended even when nothing runs or the run stops before its first record.
+        try:
+            output.path.parent.mkdir(parents=True, exist_ok=True)
+            output.open()
+        except OSError as exc:  # its directory is a file, say
+            raise CliError(f"cannot write {output.path}: {exc.strerror}") from exc
         if not todo:
             print("nothing to do")
             return EXIT_OK
@@ -390,6 +404,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"FAIL {outcome.encounter_id}: {outcome.error}", file=sys.stderr)
     finally:
         output.close()
+        deps.client.close()
     print(f"ran {succeeded} encounters, {failed} failures -> {output.path}")
     if failed and succeeded:
         return EXIT_PARTIAL
@@ -404,13 +419,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scorable = list(_read_records(args.records, _report_input))
     references = load_references(args.dataset)
 
+    client = None
     if args.verifier == "exact":
         verifier = exact_match_verifier
         extractor = segment_concept_extractor
     else:
         config = load_config(args.config)
-        client, templates = build_backend(args, config)
         budget = build_budget(config)
+        client, templates = build_backend(args, config)
         extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
         verifier = LLMVerifier(client, templates["metric_verification"], budget)
 
@@ -429,6 +445,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             evaluations.append(EncounterEvaluation(encounter_id, row_key, scores))
     except (BackendError, ConceptParseError, VerificationParseError) as exc:
         raise CliError(f"backend failure during evaluation: {exc}", EXIT_BACKEND) from exc
+    finally:
+        if client is not None:
+            client.close()
 
     if not evaluations:
         raise CliError("no scorable encounters (missing references?)")

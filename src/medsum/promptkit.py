@@ -302,10 +302,13 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     """Load prompt templates, one `<id>.txt` per template id.
 
     Ships with defaults; a custom directory overrides per file and falls
-    back to the default for any id it does not provide.
+    back to the default for any id it does not provide. A custom directory
+    that is missing or not a directory is a TemplateError.
     """
     default_dir = _default_template_dir()
     custom_dir = Path(directory) if directory is not None else None
+    if custom_dir is not None and not custom_dir.is_dir():
+        raise TemplateError(f"templates_dir {directory} is not a directory")
     templates: dict[str, PromptTemplate] = {}
     for template_id in TEMPLATE_IDS:
         path = default_dir / f"{template_id}.txt"

@@ -1,9 +1,14 @@
 import json
+import socket
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import strategies as st
 
 from medsum.backend import (
+    FAN_OUT_WIDTH,
     CompletionClient,
     RecordingTransport,
     ReplayStore,
@@ -224,3 +229,101 @@ def reference_summary():
         pertinent_unknowns="Unsure about abdominal pain.",
         medical_history="Prior urinary infection treated with antibiotics.",
     )
+
+
+class _CompletionHandler(BaseHTTPRequestHandler):
+    """Answers each POST with the next scripted (status, body), or with 200
+    and the completion text "echo: <prompt>" once the script is used up."""
+
+    protocol_version = "HTTP/1.1"  # keep-alive: a client may reuse the connection
+
+    def do_POST(self):
+        endpoint = self.server.endpoint
+        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        with endpoint.lock:
+            scripted = endpoint.script.pop(0) if endpoint.script else None
+        status, body = scripted or (200, {"choices": [{"text": f"echo: {prompt}"}]})
+        data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        time.sleep(endpoint.delay)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class _LoopbackServer(ThreadingHTTPServer):
+    # The listen backlog: a fan-out's connections arrive at once, and the
+    # socketserver default of 5 makes the rest wait for SYN retransmits.
+    request_queue_size = 4 * FAN_OUT_WIDTH
+    # Handler threads are joined by server_close.
+    daemon_threads = False
+
+    def process_request(self, request, client_address):
+        self.endpoint.accepted.append(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.endpoint.lock:
+            self.endpoint.closed += 1
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out and hung up, say
+
+
+class LoopbackEndpoint:
+    """A completion endpoint served over HTTP/1.1 on 127.0.0.1.
+
+    `script` holds (status, body) pairs answered in turn, a body being text
+    or a JSON value; `delay` is the seconds each answer waits; `accepted`
+    holds each connection the server accepted and `closed` counts those
+    whose handler has finished, which a keep-alive handler does once its
+    client hangs up.
+    """
+
+    def __init__(self):
+        self.script: list[tuple[int, object]] = []
+        self.delay = 0.0
+        self.accepted: list[socket.socket] = []
+        self.closed = 0
+        self.lock = threading.Lock()
+        self._server = _LoopbackServer(("127.0.0.1", 0), _CompletionHandler)
+        self._server.endpoint = self
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}/v1/completions"
+        # A short poll interval, so close() does not wait half a second.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,))
+        self._thread.start()
+
+    @property
+    def connections(self) -> int:
+        return len(self.accepted)
+
+    def wait_until_all_closed(self, timeout: float = 5.0) -> bool:
+        """Whether every accepted connection has closed within `timeout` s."""
+        deadline = time.monotonic() + timeout
+        while self.closed < self.connections and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return self.closed == self.connections
+
+    def close(self):
+        """Stop serving, hang up on connections a client left open, and
+        join every handler thread."""
+        self._server.shutdown()
+        self._thread.join()
+        for conn in self.accepted:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:  # already closed
+                pass
+        self._server.server_close()
+
+
+@pytest.fixture
+def loopback_endpoint():
+    endpoint = LoopbackEndpoint()
+    yield endpoint
+    endpoint.close()

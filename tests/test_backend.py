@@ -19,6 +19,7 @@ from medsum.backend import (
     CompletionParams,
     CompletionRequest,
     HashEmbedder,
+    HTTPTransport,
     PrefixKeyer,
     RecordingTransport,
     ReplayMissError,
@@ -962,3 +963,86 @@ class TestHTTPTransport:
         transport = HTTPTransport("http://example", session=session)
         with pytest.raises(BackendProtocolError):
             transport.send(request_for())
+
+
+class TestHTTPTransportOverLoopback:
+    """HTTPTransport against a real HTTP/1.1 server on 127.0.0.1."""
+
+    @pytest.mark.parametrize("status", [429, 500, 502, 503])
+    def test_rate_limit_and_server_errors_are_transient(self, loopback_endpoint, status):
+        loopback_endpoint.script.append((status, "try later"))
+        transport = HTTPTransport(loopback_endpoint.url)
+        try:
+            with pytest.raises(TransientBackendError, match=f"HTTP {status}"):
+                transport.send(request_for())
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_other_client_errors_are_protocol_errors(self, loopback_endpoint, status):
+        loopback_endpoint.script.append((status, "refused"))
+        transport = HTTPTransport(loopback_endpoint.url)
+        try:
+            with pytest.raises(BackendProtocolError, match=f"HTTP {status}: refused"):
+                transport.send(request_for())
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        ["not json", {}, {"choices": []}, {"choices": [{}]}, {"choices": [{"text": 5}]}],
+    )
+    def test_body_without_a_completion_text_is_a_protocol_error(self, loopback_endpoint, body):
+        loopback_endpoint.script.append((200, body))
+        transport = HTTPTransport(loopback_endpoint.url)
+        try:
+            with pytest.raises(BackendProtocolError, match="malformed completion response"):
+                transport.send(request_for())
+        finally:
+            transport.close()
+
+    def test_timeout_shorter_than_the_answer_is_transient(self, loopback_endpoint):
+        loopback_endpoint.delay = 0.3
+        transport = HTTPTransport(loopback_endpoint.url, timeout=0.05)
+        try:
+            with pytest.raises(TransientBackendError):
+                transport.send(request_for())
+        finally:
+            transport.close()
+
+    def test_two_fan_out_wide_gathers_reuse_one_pool(self, loopback_endpoint, caplog):
+        # Each answer waits, so the calls of one gather overlap.
+        loopback_endpoint.delay = 0.05
+        client = CompletionClient(HTTPTransport(loopback_endpoint.url))
+        try:
+            with caplog.at_level(logging.WARNING, logger="urllib3"):
+                for burst in range(2):
+                    prompts = [f"burst {burst} call {i}" for i in range(backend.FAN_OUT_WIDTH)]
+                    texts = client.gather(keyed(*(request_for(p) for p in prompts)))
+                    assert list(texts) == [f"echo: {p}" for p in prompts]
+        finally:
+            client.close()
+        assert 0 < loopback_endpoint.connections <= backend.FAN_OUT_WIDTH
+        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+
+    def test_close_hangs_up_every_pooled_connection(self, loopback_endpoint):
+        loopback_endpoint.delay = 0.02
+        transport = HTTPTransport(loopback_endpoint.url)
+        client = CompletionClient(transport)
+        texts = list(client.gather(keyed(*(request_for(f"call {i}") for i in range(4)))))
+        assert texts == [f"echo: call {i}" for i in range(4)]
+        # Keep-alive: the server still holds every connection open.
+        assert loopback_endpoint.closed == 0 < loopback_endpoint.connections
+        client.close()
+        assert loopback_endpoint.wait_until_all_closed()
+
+    def test_client_close_closes_the_transport_and_its_store(self, loopback_endpoint, tmp_path):
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        client = CompletionClient(RecordingTransport(HTTPTransport(loopback_endpoint.url), store))
+        assert client.complete(request_for("recorded")) == "echo: recorded"
+        client.close()
+        assert loopback_endpoint.wait_until_all_closed()
+        assert store._log._fh is None
+        # A closed client still serves what its store holds.
+        assert client.complete(request_for("recorded")) == "echo: recorded"
+        assert loopback_endpoint.connections == 1

@@ -669,6 +669,27 @@ class TestFanOut:
         record = run_medsum_ent(make_encounter(n_turns=8), ChainConfig(), deps)
         assert len(record.llm_call_trace) == 6
 
+    def test_default_width_sends_an_average_encounters_extractions_at_once(
+        self, templates, pools
+    ):
+        # The source corpus's mean encounter: 46 turns, 23 doctor/patient
+        # windows. Each extraction call waits until the RFE call and all 23
+        # window calls have arrived, which a narrower fan-out never lets happen.
+        arrived = threading.Barrier(24, timeout=2)
+
+        def responder(req):
+            if req.prompt_kind in (PromptKind.RFE_EXTRACTION, PromptKind.DIALOGUE_EXTRACTION):
+                arrived.wait()
+            return scripted_pipeline_responder(req)
+
+        client, transport = make_client(responder)
+        deps = ChainDeps(client=client, templates=templates, pools=pools)
+        encounter = make_encounter(n_turns=46)
+        assert len(pair_turns(encounter.turns)) == 23
+        record = run_in_thread(lambda: run_medsum_ent(encounter, ChainConfig(), deps))
+        assert len(transport.requests) == len(record.llm_call_trace) == 25
+        assert not arrived.broken
+
     def test_max_in_flight_bounds_one_encounter(self, templates, pools):
         lock = threading.Lock()
         state = {"current": 0, "peak": 0}

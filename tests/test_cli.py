@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import medsum.chain as chain
 import medsum.cli as cli
-from medsum.backend import ReplayStore
+from medsum.backend import FAN_OUT_WIDTH, ReplayStore, ScriptedTransport
 from medsum.chain import run_medsum_ent
 from medsum.cli import (
     EXIT_BACKEND,
@@ -511,6 +511,14 @@ class TestRun:
         assert capsys.readouterr() == ("", f"error: cannot write {store}: File exists\n")
         assert not (workspace["dir"] / "out.jsonl").exists()
 
+    def test_output_that_cannot_be_made_exits_1(self, workspace, capsys):
+        ReplayStore(workspace["store"], create=True)
+        output = workspace["pools"] / "out.jsonl"  # under a file
+        before = _files(workspace["dir"])
+        assert main(self.run_args(workspace, output)) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write {output}: File exists\n")
+        assert _files(workspace["dir"]) == before
+
     def test_replay_miss_is_backend_failure(self, workspace):
         # Store exists but holds nothing: every encounter fails.
         ReplayStore(workspace["store"], create=True)
@@ -601,6 +609,23 @@ def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
     assert "error: bad run configuration: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("regular_file", [False, True])
+def test_templates_dir_that_is_not_a_directory_exits_1(workspace, capsys, command, regular_file):
+    """A missing `templates_dir`, or one that is a file, is refused rather
+    than left to the bundled templates."""
+    templates = workspace["dir"] / "templates"
+    if regular_file:
+        templates.write_text("{input}\n")
+    argv = _set_up_argv(workspace, command, {"templates_dir": str(templates)})
+    before = _files(workspace["dir"])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"error: bad template: templates_dir {templates} is not a directory\n"
+    )
+    assert _files(workspace["dir"]) == before
+
+
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -620,6 +645,34 @@ def test_limits_must_be_positive_integers(workspace, capsys, command, key, value
         f"error: bad run configuration: {key} must be a positive integer, got {value!r}\n"
     )
     assert not (workspace["dir"] / "out.jsonl").exists()
+
+
+@pytest.mark.parametrize(
+    "command, setting, flags, pool_size",
+    [
+        ("run", {}, [], FAN_OUT_WIDTH + 1),
+        ("run", {"workers": 3}, [], FAN_OUT_WIDTH + 3),
+        ("run", {"workers": 3}, ["--workers", "5"], FAN_OUT_WIDTH + 5),
+        ("run", {"workers": 3, "max_in_flight": 4}, [], 4),
+        ("eval", {}, [], FAN_OUT_WIDTH + 1),
+        ("eval", {"max_in_flight": 2}, [], 2),
+    ],
+)
+def test_live_pool_holds_every_call_in_flight(
+    workspace, monkeypatch, command, setting, flags, pool_size
+):
+    """A live transport keeps a connection for each call that can be in
+    flight: `max_in_flight`, or a fan-out's width plus one per worker."""
+    sizes = []
+
+    def transport(endpoint, model, pool_size):
+        sizes.append(pool_size)
+        return ScriptedTransport(scripted_pipeline_responder)
+
+    monkeypatch.setattr(cli, "HTTPTransport", transport)
+    argv = _set_up_argv(workspace, command, {"endpoint": "http://stand-in", **setting})
+    main([*argv, "--backend", "live", *flags])
+    assert sizes == [pool_size]
 
 
 def test_eval_client_honours_max_in_flight(workspace, monkeypatch):
@@ -1498,7 +1551,7 @@ def _record_run(root, dataset, config, endpoint, workers):
     output = root / "out.jsonl"
     argv = ["run", str(dataset), str(output), "--config", str(config), "--backend", "record",
             "--replay-store", str(root / "store.jsonl"), "--workers", str(workers)]
-    with mock.patch.object(cli, "HTTPTransport", lambda url, model: endpoint):
+    with mock.patch.object(cli, "HTTPTransport", lambda url, model, pool_size: endpoint):
         code = main(argv)
     return code, output
 
