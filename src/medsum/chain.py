@@ -14,15 +14,13 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .backend import (
     CompletionClient,
     CompletionRequest,
     EmbeddingGateway,
-    PrefixKeyer,
     cache_key,
-    default_params,
 )
 from .model import (
     Encounter,
@@ -40,13 +38,13 @@ from .model import (
     Turn,
 )
 from .promptkit import (
-    BoundPrompt,
     PromptTemplate,
     TokenBudget,
     bind,
     parse_entity_list,
     parse_summary,
     render,
+    request_builder,
     serialize_entity_list,
     serialize_ledger,
 )
@@ -98,21 +96,6 @@ class ChainError(RuntimeError):
         self.encounter_id = encounter_id
         self.stage = stage
         super().__init__(f"encounter {encounter_id}: {stage} failed: {cause}")
-
-
-class _stage:
-    """Raises an exception in its block as stage `name`'s ChainError for `enc`.
-    A class: five run per encounter, and a @contextmanager costs 3x as much."""
-
-    def __init__(self, enc: Encounter, name: str):
-        self.encounter_id, self.name = enc.id, name
-
-    def __enter__(self) -> None:
-        pass
-
-    def __exit__(self, kind: Any, exc: BaseException | None, tb: Any) -> None:
-        if isinstance(exc, Exception):
-            raise ChainError(self.encounter_id, self.name, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -237,7 +220,7 @@ def _select_examples(
 
 def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
     """A request with its default parameters, and its cache key."""
-    req = CompletionRequest(prompt=prompt, params=default_params(kind), prompt_kind=kind)
+    req = CompletionRequest.build(kind, prompt)
     return req, cache_key(req)
 
 
@@ -246,44 +229,24 @@ def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
     log.trace.append(TraceEntry(req.prompt_kind, key, params.as_dict(), params.json_text))
 
 
-def _call(kind: PromptKind, prompt: str, deps: ChainDeps, log: RunLog) -> str:
-    req, key = _request(kind, prompt)
-    text = deps.client.complete(req, key)
-    _traced(log, req, key)
+def _complete(call: tuple[CompletionRequest, str], deps: ChainDeps, log: RunLog) -> str:
+    """Send one (request, cache key) on the calling thread, then trace it."""
+    text = deps.client.complete(*call)
+    _traced(log, *call)
     return text
 
 
-def _render_call(
-    template_id: str, kind: PromptKind, input_text: str, examples: Sequence[LabeledExample],
-    enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
-) -> str:
-    """Render a template for the encounter, then send and trace the call:
-    the resolver and summary stages."""
-    prompt = render(
-        deps.templates[template_id],
-        input_text=input_text,
-        age=enc.age,
-        sex=enc.sex,
-        examples=examples,
-        budget=cfg.budget,
-    )
-    return _call(kind, prompt, deps, log)
-
-
-def _extraction_prompt(
+def _extraction_builder(
     kind: PromptKind, text: str, enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> BoundPrompt:
-    """The RFE or turn-window extraction prompt (the template id is the
-    prompt kind's value) bound to the encounter's demographics and to the
-    examples selected for `text`."""
+) -> Callable[[str], tuple[CompletionRequest, str]]:
+    """The request builder of the RFE or turn-window extraction prompt (the
+    template id is the prompt kind's value), bound to the encounter's
+    demographics and to the examples selected for `text`."""
     examples = _select_examples(ExampleKind(kind.value), text, enc, cfg, deps)
-    return bind(
-        deps.templates[kind.value],
-        age=enc.age,
-        sex=enc.sex,
-        examples=examples,
-        budget=cfg.budget,
+    prompt = bind(
+        deps.templates[kind.value], age=enc.age, sex=enc.sex, examples=examples, budget=cfg.budget
     )
+    return request_builder(prompt, kind)
 
 
 def _extraction_requests(
@@ -292,20 +255,16 @@ def _extraction_requests(
     """(provenance tag, request, cache key) of every extraction call, in
     chain order: the opening message ("rfe"), then each turn window
     ("turn-pair <i>")."""
-    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
-    yield ("rfe", *_request(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe)))
+    rfe = _extraction_builder(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    yield ("rfe", *rfe(enc.rfe))
     # A random draw ignores the query text, so one draw, bound and keyed
     # once, serves every window; a semantic draw differs per window.
-    kind = PromptKind.DIALOGUE_EXTRACTION
-    params = default_params(kind)
-    keyer = None
+    request = None
     for i, window in enumerate(pair_turns(enc.turns)):
         text = window_text(window)
-        if keyer is None or cfg.selection_mode is not SelectionMode.RANDOM:
-            prompt = _extraction_prompt(kind, text, enc, cfg, deps)
-            keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
-        req = CompletionRequest(prompt=prompt.fill(text), params=params, prompt_kind=kind)
-        yield (f"turn-pair {i}", req, keyer.key(text))
+        if request is None or cfg.selection_mode is not SelectionMode.RANDOM:
+            request = _extraction_builder(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+        yield (f"turn-pair {i}", *request(text))
 
 
 def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:
@@ -320,8 +279,8 @@ def extract_rfe_entities(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> list[MedicalEntity]:
     """One extraction call on the patient's opening message; provenance "rfe"."""
-    prompt = _extraction_prompt(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
-    completion = _call(PromptKind.RFE_EXTRACTION, prompt.fill(enc.rfe), deps, log)
+    request = _extraction_builder(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    completion = _complete(request(enc.rfe), deps, log)
     return _parse_extraction("rfe", completion, log)
 
 
@@ -335,8 +294,8 @@ def extract_turn_entities(
 ) -> list[MedicalEntity]:
     """One extraction call on a single turn window; provenance "turn-pair <i>"."""
     text = window_text(window)
-    prompt = _extraction_prompt(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
-    completion = _call(PromptKind.DIALOGUE_EXTRACTION, prompt.fill(text), deps, log)
+    request = _extraction_builder(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+    completion = _complete(request(text), deps, log)
     return _parse_extraction(f"turn-pair {window_index}", completion, log)
 
 
@@ -394,9 +353,11 @@ def resolve_unknowns(
         + "\n\nConversation:\n"
         + encounter_text(enc)
     )
-    completion = _render_call(
-        "unknown_resolver", PromptKind.UNKNOWN_RESOLVER, input_text, (), enc, cfg, deps, log
+    prompt = render(
+        deps.templates["unknown_resolver"], input_text=input_text, age=enc.age, sex=enc.sex,
+        budget=cfg.budget,
     )
+    completion = _complete(_request(PromptKind.UNKNOWN_RESOLVER, prompt), deps, log)
     try:
         parsed, warnings = parse_entity_list(completion)
     except Exception as exc:
@@ -441,9 +402,11 @@ def _summary(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
 ) -> StructuredSummary:
     """The summary stage of both methods, from the selected examples on."""
-    completion = _render_call(
-        template_id, PromptKind.SUMMARIZATION, input_text, examples, enc, cfg, deps, log
+    prompt = render(
+        deps.templates[template_id], input_text=input_text, age=enc.age, sex=enc.sex,
+        examples=examples, budget=cfg.budget,
     )
+    completion = _complete(_request(PromptKind.SUMMARIZATION, prompt), deps, log)
     summary, warnings = parse_summary(completion)
     log.warnings.extend(f"summary: {w}" for w in warnings)
     return summary
@@ -464,37 +427,6 @@ def summarize(
     return _summary("summarization", input_text, examples, enc, cfg, deps, log)
 
 
-def _extract_all(
-    enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
-) -> list[list[MedicalEntity]]:
-    """Entities of the RFE and of every turn window, in chain order.
-
-    All the requests go out through `CompletionClient.gather`, so their
-    calls overlap in one round; completions are parsed and warned about in
-    chain order. A failure raises ChainError naming the first stage that
-    fails in that order ("rfe extraction" or "turn extraction"), and
-    cancels the requests not yet started.
-    """
-    tags: list[str] = []
-
-    def calls() -> Iterator[tuple[CompletionRequest, str]]:
-        for tag, req, key in _extraction_requests(enc, cfg, deps):
-            tags.append(tag)
-            _traced(log, req, key)
-            yield req, key
-
-    texts = deps.client.gather(calls())
-    try:
-        with _stage(enc, "rfe extraction"):
-            entity_lists = [_parse_extraction("rfe", next(texts), log)]
-        with _stage(enc, "turn extraction"):
-            for text in texts:
-                entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
-    finally:
-        texts.close()
-    return entity_lists
-
-
 def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
     """Full staged run for one encounter.
 
@@ -510,27 +442,48 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
     entries in that order, and the record is the one the stages would give
     run one after another. On failure the ChainError names the first stage
     that fails in that order; the extraction requests after it may still
-    have been sent.
+    have been sent, and those not yet started are cancelled.
     """
     log = RunLog()
-    entity_lists = _extract_all(enc, cfg, deps, log)
-    with _stage(enc, "collation"):
+    tags: list[str] = []
+
+    def calls() -> Iterator[tuple[CompletionRequest, str]]:
+        for tag, req, key in _extraction_requests(enc, cfg, deps):
+            tags.append(tag)
+            _traced(log, req, key)
+            yield req, key
+
+    texts = deps.client.gather(calls())
+    stage = "rfe extraction"
+    try:
+        entity_lists = [_parse_extraction("rfe", next(texts), log)]
+        stage = "turn extraction"
+        for text in texts:
+            entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
+        stage = "collation"
         ledger = collate(entity_lists)
-    with _stage(enc, "unknown resolution"):
+        stage = "unknown resolution"
         ledger = resolve_unknowns(ledger, enc, cfg, deps, log)
-    with _stage(enc, "summarization"):
+        stage = "summarization"
         summary = summarize(enc, ledger, cfg, deps, log)
+    except Exception as exc:
+        raise ChainError(enc.id, stage, exc) from exc
+    finally:
+        texts.close()
     return _record(enc, cfg, log, Method.MEDSUM_ENT, ledger, summary)
 
 
 def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
     """Single-prompt baseline: one summarization call, empty ledger."""
     log = RunLog()
-    with _stage(enc, "example selection"):
+    stage = "example selection"
+    try:
         conversation = encounter_text(enc)
         examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
-    with _stage(enc, "summarization"):
+        stage = "summarization"
         summary = _summary("baseline_summarization", conversation, examples, enc, cfg, deps, log)
+    except Exception as exc:
+        raise ChainError(enc.id, stage, exc) from exc
     return _record(enc, cfg, log, Method.NAIVE_BASELINE, EntityLedger(), summary)
 
 

@@ -483,41 +483,46 @@ def cmd_review_packets(args: argparse.Namespace) -> int:
     if not common:
         raise CliError("no encounters present in both record files")
 
+    for encounter_id in common:  # each names a file in packets/
+        if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
+            raise CliError(f"encounter id {encounter_id!r} cannot name a packet file")
     out_dir = Path(args.out)
     packets_dir = out_dir / "packets"
-    packets_dir.mkdir(parents=True, exist_ok=True)
-
     rng = random.Random(args.seed)
     key: dict[str, dict[str, str]] = {}
-    for encounter_id in common:
-        pair = [records_a[encounter_id], records_b[encounter_id]]
-        if rng.random() < 0.5:
-            pair.reverse()
-        (method_a, summary_a), (method_b, summary_b) = pair
-        key[encounter_id] = {"A": method_a.value, "B": method_b.value}
-        packet: dict[str, Any] = {
-            "encounter_id": encounter_id,
-            "questions": list(REVIEW_QUESTIONS),
-            "summary_a": serialize_summary(summary_a),
-            "summary_b": serialize_summary(summary_b),
-        }
-        enc = context.get(encounter_id)
-        if enc is not None:
-            packet["context"] = {
-                "rfe": enc.rfe,
-                "age": enc.age,
-                "sex": enc.sex,
-                "dialogue": [
-                    {"speaker": t.speaker.value, "text": t.text} for t in enc.turns
-                ],
+    try:
+        packets_dir.mkdir(parents=True, exist_ok=True)
+        for encounter_id in common:
+            pair = [records_a[encounter_id], records_b[encounter_id]]
+            if rng.random() < 0.5:
+                pair.reverse()
+            (method_a, summary_a), (method_b, summary_b) = pair
+            key[encounter_id] = {"A": method_a.value, "B": method_b.value}
+            packet: dict[str, Any] = {
+                "encounter_id": encounter_id,
+                "questions": list(REVIEW_QUESTIONS),
+                "summary_a": serialize_summary(summary_a),
+                "summary_b": serialize_summary(summary_b),
             }
-        (packets_dir / f"{encounter_id}.json").write_text(
-            json.dumps(packet, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+            enc = context.get(encounter_id)
+            if enc is not None:
+                packet["context"] = {
+                    "rfe": enc.rfe,
+                    "age": enc.age,
+                    "sex": enc.sex,
+                    "dialogue": [
+                        {"speaker": t.speaker.value, "text": t.text} for t in enc.turns
+                    ],
+                }
+            (packets_dir / f"{encounter_id}.json").write_text(
+                json.dumps(packet, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+            )
 
-    (out_dir / "key.json").write_text(
-        json.dumps(key, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+        (out_dir / "key.json").write_text(
+            json.dumps(key, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    except OSError as exc:  # under a regular file, or onto a directory, say
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     print(f"wrote {len(common)} packets to {packets_dir} (key: {out_dir / 'key.json'})")
     return EXIT_OK
 

@@ -23,10 +23,10 @@ from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from .backend import CompletionClient, CompletionRequest, PrefixKeyer, default_params
+from .backend import CompletionClient
 from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
 from .model import collapse_whitespace, json_field
-from .promptkit import PromptTemplate, TokenBudget, bind
+from .promptkit import PromptTemplate, TokenBudget, bind, request_builder
 
 __all__ = [
     "ConceptParseError",
@@ -151,9 +151,9 @@ def _parse_concepts(completion: str) -> list[str]:
 
 
 class _Judge:
-    """A metric prompt of kind `_kind`, its template bound once, with the
-    kind's default parameters and a keyer for its fixed text. A template
-    that declares {age} or {sex} raises TemplateError here."""
+    """A metric prompt of kind `_kind`, its template bound once into one
+    request builder. A template that declares {age} or {sex} raises
+    TemplateError here."""
 
     _kind: PromptKind
 
@@ -164,13 +164,10 @@ class _Judge:
         budget: TokenBudget | None = None,
     ):
         self._client = client
-        self._params = default_params(self._kind)
-        self._prompt = bind(template, budget=budget or TokenBudget())
-        self._keyer = PrefixKeyer(self._kind, self._params, self._prompt.head, self._prompt.tail)
+        self._request = request_builder(bind(template, budget=budget or TokenBudget()), self._kind)
 
     def _complete(self, input_text: str) -> str:
-        req = CompletionRequest(self._prompt.fill(input_text), self._params, self._kind)
-        return self._client.complete(req, self._keyer.key(input_text))
+        return self._client.complete(*self._request(input_text))
 
 
 class LLMConceptExtractor(_Judge):

@@ -14,9 +14,9 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
-from .backend import open_text
+from .backend import CompletionRequest, PrefixKeyer, default_params, open_text
 from .model import (
     SECTION_KEYS,
     EntityStatus,
@@ -40,6 +40,7 @@ __all__ = [
     "load_templates",
     "BoundPrompt",
     "bind",
+    "request_builder",
     "render",
     "parse_entity_list",
     "serialize_entity_list",
@@ -275,6 +276,17 @@ def bind(
     return BoundPrompt(
         _SLOT_RE.sub(fill_slot, head), _SLOT_RE.sub(fill_slot, tail), budget or TokenBudget()
     )
+
+
+def request_builder(
+    prompt: BoundPrompt, kind: PromptKind
+) -> Callable[[str], tuple[CompletionRequest, str]]:
+    """Maps an input text to the request of kind `kind`, at the kind's default
+    parameters, for `prompt.fill(input_text)`, and that request's cache key.
+    The key comes from a `PrefixKeyer` built here, once for every input."""
+    params = default_params(kind)
+    keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
+    return lambda text: (CompletionRequest(prompt.fill(text), params, kind), keyer.key(text))
 
 
 def render(

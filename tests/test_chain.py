@@ -39,7 +39,14 @@ from medsum.model import (
     Speaker,
     Turn,
 )
-from medsum.promptkit import BudgetExceededError, TokenBudget, render, serialize_ledger
+from medsum.promptkit import (
+    BudgetExceededError,
+    EntityListParseError,
+    SummaryParseError,
+    TokenBudget,
+    render,
+    serialize_ledger,
+)
 from medsum.selection import build_index, select_random
 from medsum.backend import HashEmbedder
 from medsum.model import Encounter
@@ -566,6 +573,52 @@ class TestRunNaiveBaseline:
         deps, transport = scripted_deps
         run_naive_baseline(make_encounter(), ChainConfig(), deps)
         assert "Extracted medical entities" not in transport.requests[0].prompt
+
+
+def _replying(kind, text):
+    """The scripted pipeline, with `text` as the completion of every `kind` call."""
+    return lambda req: text if req.prompt_kind is kind else scripted_pipeline_responder(req)
+
+
+_DEGENERATE = "degenerate text, never parseable"
+
+
+def _broken_collate(entity_lists):
+    raise RuntimeError("collation broke")
+
+
+@pytest.mark.parametrize(
+    "stage, runner, cfg, responder, cause",
+    [
+        ("example selection", run_naive_baseline, ChainConfig(summarization_k=1),
+         scripted_pipeline_responder, ValueError),
+        ("rfe extraction", run_medsum_ent, ChainConfig(),
+         _replying(PromptKind.RFE_EXTRACTION, _DEGENERATE), EntityListParseError),
+        ("turn extraction", run_medsum_ent, ChainConfig(),
+         _replying(PromptKind.DIALOGUE_EXTRACTION, _DEGENERATE), EntityListParseError),
+        ("collation", run_medsum_ent, ChainConfig(), scripted_pipeline_responder, RuntimeError),
+        ("unknown resolution", run_medsum_ent, ChainConfig(resolver_fail_closed=True),
+         _replying(PromptKind.UNKNOWN_RESOLVER, _DEGENERATE), EntityListParseError),
+        ("summarization", run_medsum_ent, ChainConfig(),
+         _replying(PromptKind.SUMMARIZATION, "no section header here"), SummaryParseError),
+    ],
+    ids=lambda value: value if isinstance(value, str) else None,
+)
+def test_chain_error_names_the_failing_stage(
+    stage, runner, cfg, responder, cause, templates, pools, monkeypatch
+):
+    """Each of the six stage names, raised at that stage's own failure point."""
+    if stage == "example selection":
+        del pools[ExampleKind.SUMMARIZATION]
+    if stage == "collation":
+        monkeypatch.setattr(chain, "collate", _broken_collate)
+    client, _ = make_client(responder)
+    deps = ChainDeps(client=client, templates=templates, pools=pools)
+    with pytest.raises(ChainError) as excinfo:
+        runner(make_encounter(enc_id="enc-stage", with_belly=True), cfg, deps)
+    assert (excinfo.value.encounter_id, excinfo.value.stage) == ("enc-stage", stage)
+    assert str(excinfo.value).startswith(f"encounter enc-stage: {stage} failed: ")
+    assert type(excinfo.value.__cause__) is cause
 
 
 class TestRunMany:

@@ -1678,6 +1678,42 @@ class TestReviewPackets:
         assert (out / "key.json").exists()
         assert not (out / "packets" / "key.json").exists()
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "nul\0id", ".", ".."])
+    def test_encounter_id_that_is_not_a_file_name_is_refused(self, workspace, capsys, bad_id):
+        a, b = self.make_record_files(workspace)
+        for path in (a, b):
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+            for record in records:
+                if record["encounter_id"] == "enc-002":
+                    record["encounter_id"] = bad_id
+            path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        out = workspace["dir"] / "review"
+        assert main(["review-packets", str(a), str(b), str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"error: encounter id {bad_id!r} cannot name a packet file\n"
+        )
+        assert not out.exists() and not (workspace["dir"] / "escaped.json").exists()
+
+    def test_out_dir_that_cannot_be_made_is_refused(self, workspace, capsys):
+        a, b = self.make_record_files(workspace)
+        blocker = workspace["dir"] / "blocker"
+        blocker.write_text("a regular file\n")
+        capsys.readouterr()
+        packets = blocker / "review" / "packets"
+        assert main(["review-packets", str(a), str(b), str(blocker / "review")]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write {packets}: Not a directory\n")
+
+    def test_packet_that_cannot_be_written_is_refused(self, workspace, capsys):
+        a, b = self.make_record_files(workspace)
+        out = workspace["dir"] / "review"
+        packet = out / "packets" / "enc-002.json"
+        packet.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["review-packets", str(a), str(b), str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: cannot write {packet}: Is a directory\n")
+        assert not (out / "key.json").exists()
+
 
 def test_every_config_key_is_documented():
     """Each key the command line reads from the config file is named in

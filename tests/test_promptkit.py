@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from medsum.backend import CompletionRequest, cache_key, default_params
 from medsum.model import (
     SECTION_KEYS,
     EntityStatus,
@@ -17,6 +18,7 @@ from medsum.model import (
 )
 from medsum.promptkit import (
     CANONICAL_HEADERS,
+    TEMPLATE_IDS,
     BudgetExceededError,
     EntityListParseError,
     KindMismatchError,
@@ -30,6 +32,7 @@ from medsum.promptkit import (
     parse_entity_list,
     parse_summary,
     render,
+    request_builder,
     serialize_entity_list,
     serialize_ledger,
     serialize_summary,
@@ -327,6 +330,39 @@ class TestBind:
     def test_missing_demographics_fail_at_bind(self, templates):
         with pytest.raises(TemplateError, match="age"):
             bind(templates["dialogue_extraction"], sex="female")
+
+
+class TestRequestBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        template_id=st.sampled_from(TEMPLATE_IDS),
+        inputs=st.lists(join_text, min_size=1, max_size=3),
+        age=st.integers(min_value=0, max_value=120),
+        sex=join_text,
+        shots=st.integers(min_value=0, max_value=3),
+        example_text=join_text,
+    )
+    def test_request_and_key_match_render_and_cache_key(
+        self, templates, template_id, inputs, age, sex, shots, example_text
+    ):
+        template = templates[template_id]
+        kind = _REFERENCE_EXAMPLE_KIND.get(template.kind)
+        examples = [
+            LabeledExample(kind, example_text + str(i), 30 + i, sex, example_text)
+            for i in range(shots if kind is not None else 0)
+        ]
+        kwargs = dict(age=age, sex=sex, examples=examples)
+        # One builder serves every input, as the turn windows share one.
+        build = request_builder(bind(template, **kwargs), template.kind)
+        for input_text in inputs:
+            req, key = build(input_text)
+            expected = CompletionRequest(
+                render(template, input_text=input_text, **kwargs),
+                default_params(template.kind),
+                template.kind,
+            )
+            assert req == expected
+            assert key == cache_key(expected)
 
 
 class TestLoadTemplates:
