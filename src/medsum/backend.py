@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import threading
@@ -332,7 +333,11 @@ class HTTPTransport:
             resp = self._session.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
-        except (requests.ConnectionError, requests.Timeout) as exc:
+        except (
+            requests.ConnectionError, requests.Timeout,
+            # A body cut off or garbled in transit: the connection broke mid-answer.
+            requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError,
+        ) as exc:
             raise TransientBackendError(str(exc)) from exc
         if resp.status_code == 429 or resp.status_code >= 500:
             raise TransientBackendError(f"HTTP {resp.status_code}")
@@ -691,26 +696,34 @@ class CompletionClient:
         """The texts of `complete(req, key)` for (request, cache key) pairs,
         in order, as the caller takes them.
 
-        On the first take every call starts: one the cache can serve
-        completes on the calling thread, any other runs on the fan-out
-        executor. A call's failure, or one raised by `calls` itself, is
-        raised in its turn, after the texts before it. Closing the iterator
-        cancels the calls not yet started. Never call this from a task
-        running on that executor: a worker waiting on its own pool can
-        deadlock it.
+        On the first take every call is taken from `calls`, and then every
+        call starts: one the cache can serve completes on the calling
+        thread, any other runs on the fan-out executor. A call's failure, or
+        one raised by `calls` itself, is raised in its turn, after the texts
+        before it. Closing the iterator cancels the calls not yet started.
+        Never call this from a task running on that executor: a worker
+        waiting on its own pool can deadlock it.
         """
+        # Sending while later calls are still built would slow their building
+        # (the GIL), and the last call's start sets when the last text arrives.
+        taken: list[tuple[CompletionRequest, str]] = []
+        failure = None
+        try:
+            for call in calls:
+                taken.append(call)
+        except Exception as exc:  # raised in its turn, after the calls before it
+            failure = exc
         pending: list[str | Future[str]] = []
         try:
-            try:
-                for req, key in calls:
-                    if self._lookup(key) is None:
-                        executor = _fan_out_executor(self._fan_out_width)
-                        pending.append(executor.submit(self.complete, req, key))
-                    else:
-                        pending.append(self.complete(req, key))
-            except Exception as exc:  # raised in its turn, after the calls before it
+            for req, key in taken:
+                if self._lookup(key) is None:
+                    executor = _fan_out_executor(self._fan_out_width)
+                    pending.append(executor.submit(self.complete, req, key))
+                else:
+                    pending.append(self.complete(req, key))
+            if failure is not None:
                 failed: Future[str] = Future()
-                failed.set_exception(exc)
+                failed.set_exception(failure)
                 pending.append(failed)
             for item in pending:
                 yield item if type(item) is str else item.result()
@@ -776,7 +789,8 @@ class HashEmbedder:
         seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
         rng = np.random.Generator(np.random.PCG64(seed))
         vector = rng.standard_normal(self.dimension)
-        norm = float(np.linalg.norm(vector))
+        # np.linalg.norm's own formula for a 1-D float vector, without its dispatch.
+        norm = math.sqrt(float(vector.dot(vector)))
         if norm == 0.0:  # unreachable in practice, but keep the unit-norm contract
             vector[0] = 1.0
             norm = 1.0

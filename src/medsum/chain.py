@@ -52,7 +52,7 @@ from .selection import (
     ExamplePool,
     SelectionQuery,
     select_random,
-    select_semantic,
+    select_semantic_many,
 )
 
 logger = logging.getLogger(__name__)
@@ -201,21 +201,23 @@ def pair_turns(turns: Sequence[Turn]) -> list[tuple[Turn, ...]]:
 
 
 def _select_examples(
-    kind: ExampleKind, query_text: str, enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> list[LabeledExample]:
-    """The configured number of examples of `kind` for one prompt."""
+    kind: ExampleKind, query_texts: Sequence[str], enc: Encounter, cfg: ChainConfig,
+    deps: ChainDeps,
+) -> list[list[LabeledExample]]:
+    """The configured number of examples of `kind` for the prompt of each
+    input text; a random draw ignores the text, so all share one list."""
     k = cfg.summarization_k if kind is ExampleKind.SUMMARIZATION else cfg.extraction_k
-    if k == 0:
-        return []
+    if k == 0 or not query_texts:
+        return [[]] * len(query_texts)
     pool = deps.pools.get(kind)
     if pool is None:
         raise ValueError(f"no example pool configured for kind {kind.value!r}")
     if cfg.selection_mode is SelectionMode.RANDOM:
-        return select_random(pool, k, encounter_seed(enc.id, cfg.run_seed))
+        return [select_random(pool, k, encounter_seed(enc.id, cfg.run_seed))] * len(query_texts)
     if deps.embedder is None:
         raise ValueError("semantic selection needs an embedding gateway")
-    query = SelectionQuery(age=enc.age, sex=enc.sex, text=query_text)
-    return select_semantic(pool, query, k, deps.embedder)
+    queries = [SelectionQuery(age=enc.age, sex=enc.sex, text=text) for text in query_texts]
+    return select_semantic_many(pool, queries, k, deps.embedder)
 
 
 def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
@@ -242,7 +244,14 @@ def _extraction_builder(
     """The request builder of the RFE or turn-window extraction prompt (the
     template id is the prompt kind's value), bound to the encounter's
     demographics and to the examples selected for `text`."""
-    examples = _select_examples(ExampleKind(kind.value), text, enc, cfg, deps)
+    [examples] = _select_examples(ExampleKind(kind.value), [text], enc, cfg, deps)
+    return _bound_builder(kind, examples, enc, cfg, deps)
+
+
+def _bound_builder(
+    kind: PromptKind, examples: Sequence[LabeledExample], enc: Encounter, cfg: ChainConfig,
+    deps: ChainDeps,
+) -> Callable[[str], tuple[CompletionRequest, str]]:
     prompt = bind(
         deps.templates[kind.value], age=enc.age, sex=enc.sex, examples=examples, budget=cfg.budget
     )
@@ -254,16 +263,17 @@ def _extraction_requests(
 ) -> Iterator[tuple[str, CompletionRequest, str]]:
     """(provenance tag, request, cache key) of every extraction call, in
     chain order: the opening message ("rfe"), then each turn window
-    ("turn-pair <i>")."""
+    ("turn-pair <i>"). The windows' examples are selected in one call."""
     rfe = _extraction_builder(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
     yield ("rfe", *rfe(enc.rfe))
-    # A random draw ignores the query text, so one draw, bound and keyed
-    # once, serves every window; a semantic draw differs per window.
-    request = None
-    for i, window in enumerate(pair_turns(enc.turns)):
-        text = window_text(window)
-        if request is None or cfg.selection_mode is not SelectionMode.RANDOM:
-            request = _extraction_builder(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+    texts = [window_text(window) for window in pair_turns(enc.turns)]
+    selected = _select_examples(ExampleKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
+    # Windows with the same examples (all, under a random draw) share a prompt.
+    request, examples = None, None
+    for i, (text, shots) in enumerate(zip(texts, selected)):
+        if shots != examples:
+            examples = shots
+            request = _bound_builder(PromptKind.DIALOGUE_EXTRACTION, shots, enc, cfg, deps)
         yield (f"turn-pair {i}", *request(text))
 
 
@@ -417,7 +427,7 @@ def summarize(
 ) -> StructuredSummary:
     """One summarization call conditioned on the dialogue and the serialized ledger."""
     conversation = encounter_text(enc)
-    examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
+    [examples] = _select_examples(ExampleKind.SUMMARIZATION, [conversation], enc, cfg, deps)
     input_text = (
         "Conversation:\n"
         + conversation
@@ -479,7 +489,7 @@ def run_naive_baseline(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> Run
     stage = "example selection"
     try:
         conversation = encounter_text(enc)
-        examples = _select_examples(ExampleKind.SUMMARIZATION, conversation, enc, cfg, deps)
+        [examples] = _select_examples(ExampleKind.SUMMARIZATION, [conversation], enc, cfg, deps)
         stage = "summarization"
         summary = _summary("baseline_summarization", conversation, examples, enc, cfg, deps, log)
     except Exception as exc:

@@ -2,7 +2,7 @@
 
 Two strategies: seeded uniform draws without replacement, and exact
 nearest-neighbor retrieval by cosine similarity over embedded queries.
-Pools are small, so retrieval is a full linear scan; an example's id is its
+Pools are small, so retrieval scores every example; an example's id is its
 position in the pool. Random selection uses numpy's PCG64 generator so a
 seed reproduces the same draw on every platform. numpy is imported by the
 functions that draw, index or score, so importing this module does not load
@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .backend import EmbeddingGateway, decode_line, read_lines
 from .model import ExampleKind, LabeledExample, json_field
@@ -31,7 +31,12 @@ __all__ = [
     "build_index",
     "select_random",
     "select_semantic",
+    "select_semantic_many",
 ]
+
+# The norms `_top_k`'s error bound holds for: no square, product or quotient
+# of such vectors overflows, and what underflows is far below the bound.
+_NORM_RANGE = (2.0**-400, 2.0**400)
 
 
 class SelectionError(RuntimeError):
@@ -55,13 +60,16 @@ class ExamplePool:
     """Labeled examples for one prompt family, optionally with an embedding index.
 
     The index holds one row per example, aligned by position; treat pools as
-    immutable once built. `row_norms` holds the index rows' Euclidean norms.
+    immutable once built. `row_norms` holds the index rows' Euclidean norms;
+    `unit_rows` the rows scaled to unit length, when the index is float64
+    and every norm is in `_NORM_RANGE` (else None).
     """
 
     kind: ExampleKind
     examples: tuple[LabeledExample, ...]
     index: np.ndarray | None = None
     row_norms: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+    unit_rows: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.kind = ExampleKind(self.kind)
@@ -76,7 +84,10 @@ class ExamplePool:
                 raise SelectionError("index size does not match pool size")
             import numpy as np
 
-            self.row_norms = np.sqrt((self.index * self.index).sum(axis=1))
+            index, (low, high) = self.index, _NORM_RANGE
+            self.row_norms = norms = np.sqrt((index * index).sum(axis=1))
+            if index.dtype == float and ((norms >= low) & (norms <= high)).all():
+                self.unit_rows = index / norms[:, None]
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -162,6 +173,14 @@ def select_semantic(
 
     Descending similarity; exact ties break toward the lower example id.
     """
+    return select_semantic_many(pool, [query], k, embedder)[0]
+
+
+def select_semantic_many(
+    pool: ExamplePool, queries: Sequence[SelectionQuery], k: int, embedder: EmbeddingGateway
+) -> list[list[LabeledExample]]:
+    """`select_semantic` of each query, in order: every query is embedded
+    once, before any is scored, and all are scored in one pass."""
     if pool.index is None:
         raise SelectionError("pool has no index; call build_index first")
     if k < 0:
@@ -170,22 +189,45 @@ def select_semantic(
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
     import numpy as np
 
-    query_vector = np.asarray(embedder.embed(query.render()), dtype=float)
-    similarities = _cosine_scores(pool.index, pool.row_norms, query_vector)
-    # A stable sort keeps equal scores in id order.
-    ranked = np.argsort(-similarities, kind="stable")[:k]
-    return [pool.examples[i] for i in ranked]
+    vectors = [np.asarray(embedder.embed(query.render()), dtype=float) for query in queries]
+    return [[pool.examples[i] for i in ranked] for ranked in _top_k(pool, vectors, k)]
 
 
-def _cosine_scores(
-    index: np.ndarray, row_norms: np.ndarray, query_vector: np.ndarray
-) -> np.ndarray:
-    # Elementwise multiply + per-row sum rather than a BLAS matvec: BLAS may
-    # accumulate different rows in different orders, so bit-identical rows
-    # could score apart by one ulp and defeat the deterministic tie rule.
-    scores = (index * query_vector).sum(axis=1)
-    denom = row_norms * math.sqrt(float(query_vector @ query_vector))
-    nonzero = denom > 0
-    scores[nonzero] /= denom[nonzero]
-    scores[~nonzero] = 0.0
-    return scores
+def _top_k(pool: ExamplePool, vectors: list[np.ndarray], k: int) -> list[np.ndarray]:
+    """The ids of each vector's k most cosine-similar index rows: descending
+    score, equal scores in id order, a zero norm scoring 0.
+
+    Candidates are scored pair by pair as elementwise products and per-row
+    sums; a BLAS product may sum rows in different orders, so equal rows
+    could score an ulp apart. When every norm is in `_NORM_RANGE` and the
+    pool has `unit_rows`, a filter rules rows out first: it scores every
+    pair as the dot product of unit copies. In dimension d, the filter and
+    the exact score are each within (d + 2) eps of the true cosine to first
+    order, so a row of the exact top k is within 4 (d + 2) eps of the k-th
+    filter score; the slack is twice that, for second-order terms and the
+    threshold's rounding.
+    """
+    import numpy as np
+
+    if not vectors:
+        return []
+    index, row_norms, unit = pool.index, pool.row_norms, pool.unit_rows
+    raw, (low, high) = np.vstack(vectors), _NORM_RANGE
+    norms = np.array([math.sqrt(float(vector @ vector)) for vector in vectors])
+    if k > 0 and unit is not None and ((norms >= low) & (norms <= high)).all():
+        n, d = unit.shape
+        # einsum, not a matrix product, keeps the filter off BLAS and its buffers.
+        filtered = np.einsum("ij,kj->ik", raw / norms[:, None], unit)
+        floor = np.partition(filtered, n - k, axis=1)[:, n - k] - 8 * (d + 2) * np.finfo(float).eps
+        rows, cols = np.nonzero(filtered >= floor[:, None])
+    elif len(vectors) > 1:  # one at a time, so each vector in range keeps the filter
+        return [ids for vector in vectors for ids in _top_k(pool, [vector], k)]
+    else:
+        rows, cols = np.zeros(len(index), dtype=int), np.arange(len(index))
+    dots = (index[cols] * raw[rows]).sum(axis=1)
+    denom = row_norms[cols] * norms[rows]
+    scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
+    # rows ascend; within a vector, descending score, then ascending id.
+    order = np.lexsort((cols, -scores, rows))
+    counts = np.bincount(rows, minlength=len(vectors))
+    return list(cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]])

@@ -233,7 +233,9 @@ def reference_summary():
 
 class _CompletionHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted (status, body), or with 200
-    and the completion text "echo: <prompt>" once the script is used up."""
+    and the completion text "echo: <prompt>" once the script is used up. A
+    body of bytes is written as it is, in place of the whole response, and
+    the connection is then closed."""
 
     protocol_version = "HTTP/1.1"  # keep-alive: a client may reuse the connection
 
@@ -243,6 +245,10 @@ class _CompletionHandler(BaseHTTPRequestHandler):
         with endpoint.lock:
             scripted = endpoint.script.pop(0) if endpoint.script else None
         status, body = scripted or (200, {"choices": [{"text": f"echo: {prompt}"}]})
+        if isinstance(body, bytes):
+            self.wfile.write(body)
+            self.close_connection = True
+            return
         data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
         time.sleep(endpoint.delay)
         self.send_response(status)

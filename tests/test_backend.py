@@ -896,6 +896,14 @@ class TestHashEmbedder:
         with pytest.raises(ValueError):
             HashEmbedder().embed("")
 
+    @settings(max_examples=200, deadline=None)
+    @given(text=st.text(min_size=1), dimension=st.integers(min_value=1, max_value=512))
+    def test_bytes_equal_the_draw_over_its_linalg_norm(self, text, dimension):
+        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+        draw = np.random.Generator(np.random.PCG64(seed)).standard_normal(dimension)
+        expected = draw / float(np.linalg.norm(draw))
+        assert HashEmbedder(dimension).embed(text).tobytes() == expected.tobytes()
+
 
 class TestHTTPTransport:
     class FakeResponse:
@@ -1007,6 +1015,31 @@ class TestHTTPTransportOverLoopback:
         try:
             with pytest.raises(TransientBackendError):
                 transport.send(request_for())
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            # A chunked body whose connection drops inside its first chunk.
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n40\r\n{\"choices\": [",
+            # A gzip body that is not gzip.
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Encoding: gzip\r\nContent-Length: 12\r\n\r\nnot gzipped!",
+        ],
+        ids=["truncated-chunked", "undecodable-gzip"],
+    )
+    def test_body_cut_off_or_garbled_in_transit_is_transient(self, loopback_endpoint, raw):
+        loopback_endpoint.script.append((200, raw))
+        transport = HTTPTransport(loopback_endpoint.url)
+        try:
+            with pytest.raises(TransientBackendError):
+                transport.send(request_for("cut"))
+            # So the client retries it, and the next answer comes through.
+            loopback_endpoint.script.append((200, raw))
+            client = CompletionClient(transport, sleeper=lambda _: None)
+            assert client.complete(request_for("cut")) == "echo: cut"
         finally:
             transport.close()
 

@@ -531,6 +531,63 @@ class TestRunMedsumEnt:
         )
         assert record.method is Method.MEDSUM_ENT
 
+    def test_semantic_windows_are_all_embedded_before_the_first_send(self, templates):
+        """The extraction stage goes out only once it is built: every window
+        query is embedded before the transport sees the RFE request."""
+        lock, events, sent = threading.Lock(), [], threading.Event()
+        hash_embedder = HashEmbedder(16)
+
+        class LoggingEmbedder:
+            dimension = 16
+
+            def embed(self, text):
+                if "Doctor: " in text:
+                    if not events:  # room for a request sent early to arrive
+                        sent.wait(timeout=0.2)
+                    with lock:
+                        events.append(("embed", text))
+                return hash_embedder.embed(text)
+
+        def respond(req):
+            with lock:
+                events.append(("send", req.prompt_kind))
+            sent.set()
+            return scripted_pipeline_responder(req)
+
+        pools = {kind: build_index(make_pool(kind, 4), hash_embedder) for kind in ExampleKind}
+        client, _ = make_client(respond)
+        deps = ChainDeps(
+            client=client, templates=templates, pools=pools, embedder=LoggingEmbedder()
+        )
+        enc = make_encounter(n_turns=8)
+        run_medsum_ent(enc, ChainConfig(selection_mode=SelectionMode.SEMANTIC), deps)
+        first_send = events.index(("send", PromptKind.RFE_EXTRACTION))
+        assert [kind for kind, _ in events[:first_send]] == ["embed"] * len(pair_turns(enc.turns))
+
+    def test_window_selection_failure_is_a_turn_extraction_failure(self, templates):
+        hash_embedder = HashEmbedder(16)
+
+        class WindowRefusingEmbedder:
+            dimension = 16
+
+            def embed(self, text):
+                if "Doctor: " in text:
+                    raise RuntimeError("embedding service down")
+                return hash_embedder.embed(text)
+
+        pools = {kind: build_index(make_pool(kind, 4), hash_embedder) for kind in ExampleKind}
+        client, transport = make_client(scripted_pipeline_responder)
+        deps = ChainDeps(
+            client=client, templates=templates, pools=pools, embedder=WindowRefusingEmbedder()
+        )
+        cfg = ChainConfig(selection_mode=SelectionMode.SEMANTIC)
+        with pytest.raises(ChainError) as failed:
+            run_medsum_ent(make_encounter(), cfg, deps)
+        assert failed.value.stage == "turn extraction"
+        assert str(failed.value.__cause__) == "embedding service down"
+        # The RFE request before the failure was still sent.
+        assert [req.prompt_kind for req in transport.requests] == [PromptKind.RFE_EXTRACTION]
+
 
 class TestRunNaiveBaseline:
     def test_zero_shot_trace_and_empty_ledger(self, scripted_deps):

@@ -17,6 +17,7 @@ from medsum.selection import (
     load_example_pools,
     select_random,
     select_semantic,
+    select_semantic_many,
 )
 
 from conftest import make_pool
@@ -43,6 +44,16 @@ def brute_force_top_k(vectors, query, k):
         scores.append(dot / (nv * nq) if nv > 0 and nq > 0 else 0.0)
     ranked = sorted(range(len(vectors)), key=lambda i: (-scores[i], i))
     return ranked[:k]
+
+
+def full_scan_top_k(rows, query, k):
+    """The ranking select_semantic has always given: numpy's per-row sums,
+    a zero norm scoring 0, then a stable sort on the negated scores."""
+    dots = (rows * query).sum(axis=1)
+    denom = np.sqrt((rows * rows).sum(axis=1)) * math.sqrt(float(query @ query))
+    scores = np.zeros(len(rows))
+    scores[denom > 0] = dots[denom > 0] / denom[denom > 0]
+    return np.argsort(-scores, kind="stable")[:k].tolist()
 
 
 def pool_with_vectors(vectors):
@@ -267,6 +278,49 @@ class TestSelectSemantic:
 
         chosen = select_semantic(pool, query, k, embedder)
         assert [pool.examples.index(e) for e in chosen] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_batched_kernel_equals_the_full_scan_for_every_query(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=40), label="n")
+        dim = data.draw(st.integers(min_value=1, max_value=16), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rng.normal(size=(n, dim))
+        # Copies of other rows: duplicates and power-of-two scalings tie
+        # exactly, other scalings score a few ulps apart, inside the slack;
+        # a copy scaled by 2**-600 has a norm below the filter's range.
+        exact = st.sampled_from([1.0, 2.0, 0.5])
+        factor = st.one_of(exact, st.sampled_from([3.0, 0.1, 1.0 + 2.0**-40, 2.0**-600]))
+        row = st.integers(min_value=0, max_value=n - 1)
+        copies = data.draw(st.lists(st.tuples(row, row, factor), max_size=n), label="copies")
+        for target, source, scale in copies:
+            rows[target] = rows[source] * scale
+        for target in data.draw(st.lists(row, max_size=2), label="zero rows"):
+            rows[target] = 0.0
+        query_vector = st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).normal(size=dim)),
+            st.builds(lambda i, scale: rows[i] * scale, row, st.sampled_from([1.0, 3.0, 0.1])),
+            st.just(np.zeros(dim)),
+            st.just(np.full(dim, math.nan)),
+        )
+        vectors = data.draw(st.lists(query_vector, min_size=1, max_size=20), label="queries")
+        k = data.draw(st.integers(min_value=0, max_value=n), label="k")
+
+        pool, mapping = pool_with_vectors(rows.tolist())
+        queries = [SelectionQuery(age=0, sex="x", text=f"q{i}") for i in range(len(vectors))]
+        mapping.update((q.render(), v.tolist()) for q, v in zip(queries, vectors))
+        embedder = FixedEmbedder(mapping, dim)
+        pool = build_index(pool, embedder)
+        chosen = select_semantic_many(pool, queries, k, embedder)
+
+        assert len(chosen) == len(queries)
+        for vector, examples in zip(vectors, chosen):
+            ids = [pool.examples.index(e) for e in examples]
+            assert ids == full_scan_top_k(pool.index, vector, k)
+            # Python sums round apart from numpy's, so the pure-Python
+            # oracle agrees wherever the only near-ties are exact ones.
+            if all(scale in (1.0, 2.0, 0.5) for _, _, scale in copies):
+                assert ids == brute_force_top_k(rows.tolist(), vector.tolist(), k)
 
 
 class TestPoolLoading:
