@@ -333,11 +333,8 @@ class HTTPTransport:
             resp = self._session.post(
                 self.endpoint, json=payload, headers=headers, timeout=self.timeout
             )
-        except (
-            requests.ConnectionError, requests.Timeout,
-            # A body cut off or garbled in transit: the connection broke mid-answer.
-            requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError,
-        ) as exc:
+        except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError,
+                requests.exceptions.ContentDecodingError) as exc:  # or a body cut off in transit
             raise TransientBackendError(str(exc)) from exc
         if resp.status_code == 429 or resp.status_code >= 500:
             raise TransientBackendError(f"HTTP {resp.status_code}")
@@ -706,8 +703,7 @@ class CompletionClient:
         """
         # Sending while later calls are still built would slow their building
         # (the GIL), and the last call's start sets when the last text arrives.
-        taken: list[tuple[CompletionRequest, str]] = []
-        failure = None
+        taken, failure = [], None
         try:
             for call in calls:
                 taken.append(call)

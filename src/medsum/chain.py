@@ -52,6 +52,7 @@ from .selection import (
     ExamplePool,
     SelectionQuery,
     select_random,
+    select_semantic,
     select_semantic_many,
 )
 
@@ -205,7 +206,8 @@ def _select_examples(
     deps: ChainDeps,
 ) -> list[list[LabeledExample]]:
     """The configured number of examples of `kind` for the prompt of each
-    input text; a random draw ignores the text, so all share one list."""
+    input text; a random draw ignores the text, so all share one list. One
+    text takes the one-query `select_semantic`, more are scored together."""
     k = cfg.summarization_k if kind is ExampleKind.SUMMARIZATION else cfg.extraction_k
     if k == 0 or not query_texts:
         return [[]] * len(query_texts)
@@ -217,6 +219,8 @@ def _select_examples(
     if deps.embedder is None:
         raise ValueError("semantic selection needs an embedding gateway")
     queries = [SelectionQuery(age=enc.age, sex=enc.sex, text=text) for text in query_texts]
+    if len(queries) == 1:
+        return [select_semantic(pool, queries[0], k, deps.embedder)]
     return select_semantic_many(pool, queries, k, deps.embedder)
 
 
@@ -238,24 +242,22 @@ def _complete(call: tuple[CompletionRequest, str], deps: ChainDeps, log: RunLog)
     return text
 
 
-def _extraction_builder(
-    kind: PromptKind, text: str, enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> Callable[[str], tuple[CompletionRequest, str]]:
+def _extraction_builders(
+    kind: PromptKind, texts: Sequence[str], enc: Encounter, cfg: ChainConfig, deps: ChainDeps
+) -> list[Callable[[str], tuple[CompletionRequest, str]]]:
     """The request builder of the RFE or turn-window extraction prompt (the
-    template id is the prompt kind's value), bound to the encounter's
-    demographics and to the examples selected for `text`."""
-    [examples] = _select_examples(ExampleKind(kind.value), [text], enc, cfg, deps)
-    return _bound_builder(kind, examples, enc, cfg, deps)
-
-
-def _bound_builder(
-    kind: PromptKind, examples: Sequence[LabeledExample], enc: Encounter, cfg: ChainConfig,
-    deps: ChainDeps,
-) -> Callable[[str], tuple[CompletionRequest, str]]:
-    prompt = bind(
-        deps.templates[kind.value], age=enc.age, sex=enc.sex, examples=examples, budget=cfg.budget
-    )
-    return request_builder(prompt, kind)
+    template id is the prompt kind's value) for each text, bound to the
+    encounter's demographics and to the examples selected for that text.
+    Texts given the same example list (all, under a random draw) share one."""
+    builders, bound = [], None
+    for examples in _select_examples(ExampleKind(kind.value), texts, enc, cfg, deps):
+        if examples is not bound:
+            bound = examples
+            prompt = bind(deps.templates[kind.value], age=enc.age, sex=enc.sex,
+                          examples=examples, budget=cfg.budget)
+            builder = request_builder(prompt, kind)
+        builders.append(builder)
+    return builders
 
 
 def _extraction_requests(
@@ -264,16 +266,11 @@ def _extraction_requests(
     """(provenance tag, request, cache key) of every extraction call, in
     chain order: the opening message ("rfe"), then each turn window
     ("turn-pair <i>"). The windows' examples are selected in one call."""
-    rfe = _extraction_builder(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    [rfe] = _extraction_builders(PromptKind.RFE_EXTRACTION, [enc.rfe], enc, cfg, deps)
     yield ("rfe", *rfe(enc.rfe))
     texts = [window_text(window) for window in pair_turns(enc.turns)]
-    selected = _select_examples(ExampleKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
-    # Windows with the same examples (all, under a random draw) share a prompt.
-    request, examples = None, None
-    for i, (text, shots) in enumerate(zip(texts, selected)):
-        if shots != examples:
-            examples = shots
-            request = _bound_builder(PromptKind.DIALOGUE_EXTRACTION, shots, enc, cfg, deps)
+    builders = _extraction_builders(PromptKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
+    for i, (text, request) in enumerate(zip(texts, builders)):
         yield (f"turn-pair {i}", *request(text))
 
 
@@ -289,7 +286,7 @@ def extract_rfe_entities(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog
 ) -> list[MedicalEntity]:
     """One extraction call on the patient's opening message; provenance "rfe"."""
-    request = _extraction_builder(PromptKind.RFE_EXTRACTION, enc.rfe, enc, cfg, deps)
+    [request] = _extraction_builders(PromptKind.RFE_EXTRACTION, [enc.rfe], enc, cfg, deps)
     completion = _complete(request(enc.rfe), deps, log)
     return _parse_extraction("rfe", completion, log)
 
@@ -304,7 +301,7 @@ def extract_turn_entities(
 ) -> list[MedicalEntity]:
     """One extraction call on a single turn window; provenance "turn-pair <i>"."""
     text = window_text(window)
-    request = _extraction_builder(PromptKind.DIALOGUE_EXTRACTION, text, enc, cfg, deps)
+    [request] = _extraction_builders(PromptKind.DIALOGUE_EXTRACTION, [text], enc, cfg, deps)
     completion = _complete(request(text), deps, log)
     return _parse_extraction(f"turn-pair {window_index}", completion, log)
 

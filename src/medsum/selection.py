@@ -34,10 +34,6 @@ __all__ = [
     "select_semantic_many",
 ]
 
-# The norms `_top_k`'s error bound holds for: no square, product or quotient
-# of such vectors overflows, and what underflows is far below the bound.
-_NORM_RANGE = (2.0**-400, 2.0**400)
-
 
 class SelectionError(RuntimeError):
     pass
@@ -60,16 +56,13 @@ class ExamplePool:
     """Labeled examples for one prompt family, optionally with an embedding index.
 
     The index holds one row per example, aligned by position; treat pools as
-    immutable once built. `row_norms` holds the index rows' Euclidean norms;
-    `unit_rows` the rows scaled to unit length, when the index is float64
-    and every norm is in `_NORM_RANGE` (else None).
+    immutable once built. `row_norms` holds the index rows' Euclidean norms.
     """
 
     kind: ExampleKind
     examples: tuple[LabeledExample, ...]
     index: np.ndarray | None = None
     row_norms: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
-    unit_rows: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.kind = ExampleKind(self.kind)
@@ -84,10 +77,7 @@ class ExamplePool:
                 raise SelectionError("index size does not match pool size")
             import numpy as np
 
-            index, (low, high) = self.index, _NORM_RANGE
-            self.row_norms = norms = np.sqrt((index * index).sum(axis=1))
-            if index.dtype == float and ((norms >= low) & (norms <= high)).all():
-                self.unit_rows = index / norms[:, None]
+            self.row_norms = np.sqrt((self.index * self.index).sum(axis=1))
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -180,54 +170,45 @@ def select_semantic_many(
     pool: ExamplePool, queries: Sequence[SelectionQuery], k: int, embedder: EmbeddingGateway
 ) -> list[list[LabeledExample]]:
     """`select_semantic` of each query, in order: every query is embedded
-    once, before any is scored, and all are scored in one pass."""
+    once, before any is scored, and all are scored in one pass.
+
+    A score sums a pair's elementwise products per row, as a BLAS product
+    may not (equal rows could score an ulp apart), over the product of the
+    norms; a zero denominator scores 0. With a float64 index and every norm
+    in [2^-400, 2^400], so that nothing overflows, an einsum filter first
+    scores every pair over the same denominators. In dimension d the two
+    differ by at most 2 (d + 1) eps to first order, so a row of the exact
+    top k is within 4 (d + 1) eps of the k-th filter score. Only rows within
+    8 (d + 2) eps of it (a margin for second-order terms and rounding) are
+    scored again. Other inputs have every pair scored.
+    """
     if pool.index is None:
         raise SelectionError("pool has no index; call build_index first")
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > len(pool):
         raise ValueError(f"k={k} exceeds pool size {len(pool)}")
+    if not queries:
+        return []
     import numpy as np
 
     vectors = [np.asarray(embedder.embed(query.render()), dtype=float) for query in queries]
-    return [[pool.examples[i] for i in ranked] for ranked in _top_k(pool, vectors, k)]
-
-
-def _top_k(pool: ExamplePool, vectors: list[np.ndarray], k: int) -> list[np.ndarray]:
-    """The ids of each vector's k most cosine-similar index rows: descending
-    score, equal scores in id order, a zero norm scoring 0.
-
-    Candidates are scored pair by pair as elementwise products and per-row
-    sums; a BLAS product may sum rows in different orders, so equal rows
-    could score an ulp apart. When every norm is in `_NORM_RANGE` and the
-    pool has `unit_rows`, a filter rules rows out first: it scores every
-    pair as the dot product of unit copies. In dimension d, the filter and
-    the exact score are each within (d + 2) eps of the true cosine to first
-    order, so a row of the exact top k is within 4 (d + 2) eps of the k-th
-    filter score; the slack is twice that, for second-order terms and the
-    threshold's rounding.
-    """
-    import numpy as np
-
-    if not vectors:
-        return []
-    index, row_norms, unit = pool.index, pool.row_norms, pool.unit_rows
-    raw, (low, high) = np.vstack(vectors), _NORM_RANGE
+    index, row_norms, raw = pool.index, pool.row_norms, np.vstack(vectors)
     norms = np.array([math.sqrt(float(vector @ vector)) for vector in vectors])
-    if k > 0 and unit is not None and ((norms >= low) & (norms <= high)).all():
-        n, d = unit.shape
+    every, low, high = np.concatenate((norms, row_norms)), 2.0**-400, 2.0**400
+    if k > 0 and index.dtype == float and ((every >= low) & (every <= high)).all():
+        n, d = index.shape
         # einsum, not a matrix product, keeps the filter off BLAS and its buffers.
-        filtered = np.einsum("ij,kj->ik", raw / norms[:, None], unit)
+        filtered = np.einsum("ij,kj->ik", raw, index) / np.outer(norms, row_norms)
         floor = np.partition(filtered, n - k, axis=1)[:, n - k] - 8 * (d + 2) * np.finfo(float).eps
         rows, cols = np.nonzero(filtered >= floor[:, None])
-    elif len(vectors) > 1:  # one at a time, so each vector in range keeps the filter
-        return [ids for vector in vectors for ids in _top_k(pool, [vector], k)]
     else:
-        rows, cols = np.zeros(len(index), dtype=int), np.arange(len(index))
+        rows, cols = np.divmod(np.arange(len(vectors) * len(index)), len(index))
     dots = (index[cols] * raw[rows]).sum(axis=1)
     denom = row_norms[cols] * norms[rows]
     scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     # rows ascend; within a vector, descending score, then ascending id.
     order = np.lexsort((cols, -scores, rows))
     counts = np.bincount(rows, minlength=len(vectors))
-    return list(cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]])
+    ranked = cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
+    return [[pool.examples[i] for i in ids] for ids in ranked.tolist()]

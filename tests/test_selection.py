@@ -283,27 +283,31 @@ class TestSelectSemantic:
     @given(data=st.data())
     def test_batched_kernel_equals_the_full_scan_for_every_query(self, data):
         n = data.draw(st.integers(min_value=1, max_value=40), label="n")
-        dim = data.draw(st.integers(min_value=1, max_value=16), label="dim")
+        dim = data.draw(st.integers(min_value=1, max_value=24), label="dim")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        rows = rng.normal(size=(n, dim))
-        # Copies of other rows: duplicates and power-of-two scalings tie
-        # exactly, other scalings score a few ulps apart, inside the slack;
-        # a copy scaled by 2**-600 has a norm below the filter's range.
-        exact = st.sampled_from([1.0, 2.0, 0.5])
-        factor = st.one_of(exact, st.sampled_from([3.0, 0.1, 1.0 + 2.0**-40, 2.0**-600]))
-        row = st.integers(min_value=0, max_value=n - 1)
-        copies = data.draw(st.lists(st.tuples(row, row, factor), max_size=n), label="copies")
-        for target, source, scale in copies:
-            rows[target] = rows[source] * scale
-        for target in data.draw(st.lists(row, max_size=2), label="zero rows"):
-            rows[target] = 0.0
+        bases = rng.normal(size=(data.draw(st.integers(1, 4), label="bases"), dim))
+        # Every row is a scaled copy of a base, so most scores tie in exact
+        # arithmetic: duplicates and power-of-two scalings tie exactly, other
+        # scalings score a few ulps apart, inside the slack.
+        exact = [1.0, 2.0, 0.5]
+        scale = st.sampled_from(exact + [3.0, 0.1, 0.3, 7.0, 1.0 + 2.0**-40])
+        base = st.integers(min_value=0, max_value=len(bases) - 1)
+        copies = data.draw(st.lists(st.tuples(base, scale), min_size=n, max_size=n), label="rows")
+        rows = np.array([bases[b] * factor for b, factor in copies])
         query_vector = st.one_of(
             st.integers(0, 2**32 - 1).map(lambda s: np.random.default_rng(s).normal(size=dim)),
-            st.builds(lambda i, scale: rows[i] * scale, row, st.sampled_from([1.0, 3.0, 0.1])),
-            st.just(np.zeros(dim)),
-            st.just(np.full(dim, math.nan)),
+            st.builds(lambda b, factor: bases[b] * factor, base, scale),
         )
         vectors = data.draw(st.lists(query_vector, min_size=1, max_size=20), label="queries")
+        # At most one input outside the filter's norm range, so that every
+        # pair is scored: a zero row, a row scaled by 2**-600, or a zero or
+        # NaN query.
+        outliers = ["", "", "zero row", "tiny row", "zero query", "nan query"]
+        outlier = data.draw(st.sampled_from(outliers), label="outlier")
+        if outlier.endswith("row"):
+            rows[data.draw(st.integers(0, n - 1))] *= 0.0 if outlier == "zero row" else 2.0**-600
+        elif outlier:
+            vectors.append(np.full(dim, 0.0 if outlier == "zero query" else math.nan))
         k = data.draw(st.integers(min_value=0, max_value=n), label="k")
 
         pool, mapping = pool_with_vectors(rows.tolist())
@@ -319,7 +323,7 @@ class TestSelectSemantic:
             assert ids == full_scan_top_k(pool.index, vector, k)
             # Python sums round apart from numpy's, so the pure-Python
             # oracle agrees wherever the only near-ties are exact ones.
-            if all(scale in (1.0, 2.0, 0.5) for _, _, scale in copies):
+            if outlier != "tiny row" and all(factor in exact for _, factor in copies):
                 assert ids == brute_force_top_k(rows.tolist(), vector.tolist(), k)
 
 
