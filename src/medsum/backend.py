@@ -21,10 +21,10 @@ import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence
 
 from .model import _KIND_BY_VALUE, _KIND_TAIL, PromptKind, compact_json, json_field
 
@@ -758,36 +758,101 @@ class CompletionClient:
 
 
 class EmbeddingGateway(Protocol):
-    """Maps text to a fixed-dimension vector."""
+    """Maps texts to fixed-dimension vectors, one row per text, in order."""
 
     dimension: int
 
-    def embed(self, text: str) -> np.ndarray: ...
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray: ...
+
+
+# numpy's SeedSequence hash and mix multipliers, and PCG64's LCG multiplier.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _PCG64_MULT = 0xCA01F9DD, 0x4973F715, 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=None)
+def _seeding_constants() -> list[list[np.ndarray]]:
+    """SeedSequence's (xor, multiplier) uint32 columns for each vectorised
+    step; a source word's hashes of the other three hold a 0 in its own row."""
+    import numpy as np
+
+    a = [_INIT_A * pow(_MULT_A, j, 1 << 32) & 0xFFFFFFFF for j in range(17)]
+    b = [_INIT_B * pow(_MULT_B, j, 1 << 32) & 0xFFFFFFFF for j in range(9)]
+    steps = [(a[0:4], a[1:5])]
+    for src, j in enumerate(range(4, 16, 3)):
+        steps.append([c[:src] + [0] + c[src:] for c in (a[j : j + 3], a[j + 1 : j + 4])])
+    steps.append((b[0:8], b[1:9]))
+    return [[np.array(c, dtype=np.uint32)[:, None] for c in step] for step in steps]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds: Sequence[int]) -> list[dict[str, Any]]:
+    """`np.random.PCG64(seed).state` of each 64-bit seed, from one vectorised
+    pass of numpy's SeedSequence over uint32 arrays (which wrap silently,
+    unlike numpy scalars) and then PCG64's own seeding steps."""
+    import numpy as np
+
+    (xor, mult), *sources, (out_xor, out_mult) = _seeding_constants()
+    words = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((4, len(words)), dtype=np.uint32)
+    # The entropy words, low first; the missing ones hash as 0.
+    pool[0], pool[1] = words & 0xFFFFFFFF, words >> 32
+    pool = _hashmix(pool, xor, mult)
+    for src, (xor, mult) in enumerate(sources):
+        mixed = _MIX_L * pool - _MIX_R * _hashmix(pool[src], xor, mult)
+        mixed ^= mixed >> 16
+        mixed[src] = pool[src]
+        pool = mixed
+    # generate_state(4, uint64): 8 words from the cycled pool, paired little-endian.
+    out = _hashmix(np.concatenate((pool, pool)), out_xor, out_mult).astype(np.uint64)
+    states, mask = [], (1 << 128) - 1
+    for v0, v1, v2, v3 in (out[0::2] | out[1::2] << 32).T.tolist():
+        inc = ((v2 << 64 | v3) << 1 | 1) & mask
+        state = {"state": (((v0 << 64 | v1) + inc) * _PCG64_MULT + inc) & mask, "inc": inc}
+        states.append({"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 class HashEmbedder:
     """Deterministic embedding double for tests and offline runs.
 
-    Seeds a PCG64 generator from the SHA-256 of the text and draws a unit
-    Gaussian vector, so identical texts embed identically on every platform.
+    A text's vector is a unit Gaussian draw seeded with the first 8 bytes
+    (big-endian) of its SHA-256. A batch derives every PCG64 state at once
+    and draws from one shared generator, with the bytes of a fresh
+    `PCG64(seed)`, whose seeding and stream numpy keeps fixed (NEP 19).
     """
 
     def __init__(self, dimension: int = 32):
         if dimension <= 0:
             raise ValueError("dimension must be positive")
         self.dimension = dimension
+        # Held from setting the shared generator's state to the end of its draw.
+        self._lock = threading.Lock()
+        self._generator: np.random.Generator | None = None
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        if not all(texts):
             raise ValueError("cannot embed empty text")
         import numpy as np
 
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        rng = np.random.Generator(np.random.PCG64(seed))
-        vector = rng.standard_normal(self.dimension)
+        digests = [hashlib.sha256(text.encode("utf-8")).digest() for text in texts]
+        states = _pcg64_states([int.from_bytes(digest[:8], "big") for digest in digests])
+        rows = np.empty((len(texts), self.dimension))
+        with self._lock:
+            if self._generator is None:
+                self._generator = np.random.Generator(np.random.PCG64(0))
+            for row, state in zip(rows, states):
+                self._generator.bit_generator.state = state
+                self._generator.standard_normal(out=row)
         # np.linalg.norm's own formula for a 1-D float vector, without its dispatch.
-        norm = math.sqrt(float(vector.dot(vector)))
-        if norm == 0.0:  # unreachable in practice, but keep the unit-norm contract
-            vector[0] = 1.0
-            norm = 1.0
-        return vector / norm
+        norms = np.array([math.sqrt(float(row.dot(row))) for row in rows])
+        zero = norms == 0.0  # unreachable in practice, but keep the unit-norm contract
+        rows[zero, 0], norms[zero] = 1.0, 1.0
+        return rows / norms[:, None]

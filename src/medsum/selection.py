@@ -110,19 +110,32 @@ def load_example_pools(path: str | Path) -> dict[ExampleKind, ExamplePool]:
 
 
 def build_index(pool: ExamplePool, embedder: EmbeddingGateway) -> ExamplePool:
-    """Embed every example's own query rendering and attach the index."""
+    """Embed every example's own query rendering in one batch and attach the
+    index; a failed batch is retried one text at a time to name the example."""
     if not pool.examples:
         raise SelectionError("cannot index an empty pool")
+    texts = [SelectionQuery(ex.age, ex.sex, ex.input_text).render() for ex in pool.examples]
+    try:
+        rows = embedder.embed_many(texts)
+    except Exception as exc:
+        for i, text in enumerate(texts):
+            try:
+                embedder.embed_many([text])
+            except Exception as cause:
+                raise SelectionError(f"embedding failed for example {i}: {cause}") from cause
+        raise SelectionError(f"embedding failed for the pool: {exc}") from exc
+    index = _checked_rows(rows, len(texts), embedder.dimension)
+    return ExamplePool(kind=pool.kind, examples=pool.examples, index=index)
+
+
+def _checked_rows(rows: np.ndarray, count: int, dimension: int) -> np.ndarray:
+    """An `embed_many` result as floats, checked to hold one row per text."""
     import numpy as np
 
-    rows = []
-    for i, example in enumerate(pool.examples):
-        query = SelectionQuery(age=example.age, sex=example.sex, text=example.input_text)
-        try:
-            rows.append(np.asarray(embedder.embed(query.render()), dtype=float))
-        except Exception as exc:
-            raise SelectionError(f"embedding failed for example {i}: {exc}") from exc
-    return ExamplePool(kind=pool.kind, examples=pool.examples, index=np.vstack(rows))
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape != (count, dimension):
+        raise SelectionError(f"embedding gave shape {rows.shape}, expected {(count, dimension)}")
+    return rows
 
 
 def select_random(pool: ExamplePool, k: int, seed: int) -> list[LabeledExample]:
@@ -169,8 +182,8 @@ def select_semantic(
 def select_semantic_many(
     pool: ExamplePool, queries: Sequence[SelectionQuery], k: int, embedder: EmbeddingGateway
 ) -> list[list[LabeledExample]]:
-    """`select_semantic` of each query, in order: every query is embedded
-    once, before any is scored, and all are scored in one pass.
+    """`select_semantic` of each query, in order: the queries are embedded in
+    one batch, before any is scored, and all are scored in one pass.
 
     A score sums a pair's elementwise products per row, as a BLAS product
     may not (equal rows could score an ulp apart), over the product of the
@@ -192,9 +205,10 @@ def select_semantic_many(
         return []
     import numpy as np
 
-    vectors = [np.asarray(embedder.embed(query.render()), dtype=float) for query in queries]
-    index, row_norms, raw = pool.index, pool.row_norms, np.vstack(vectors)
-    norms = np.array([math.sqrt(float(vector @ vector)) for vector in vectors])
+    texts = [query.render() for query in queries]
+    raw = _checked_rows(embedder.embed_many(texts), len(texts), embedder.dimension)
+    index, row_norms = pool.index, pool.row_norms
+    norms = np.array([math.sqrt(float(vector @ vector)) for vector in raw])
     every, low, high = np.concatenate((norms, row_norms)), 2.0**-400, 2.0**400
     if k > 0 and index.dtype == float and ((every >= low) & (every <= high)).all():
         n, d = index.shape
@@ -203,12 +217,12 @@ def select_semantic_many(
         floor = np.partition(filtered, n - k, axis=1)[:, n - k] - 8 * (d + 2) * np.finfo(float).eps
         rows, cols = np.nonzero(filtered >= floor[:, None])
     else:
-        rows, cols = np.divmod(np.arange(len(vectors) * len(index)), len(index))
+        rows, cols = np.divmod(np.arange(len(raw) * len(index)), len(index))
     dots = (index[cols] * raw[rows]).sum(axis=1)
     denom = row_norms[cols] * norms[rows]
     scores = np.divide(dots, denom, out=np.zeros_like(dots), where=denom > 0)
     # rows ascend; within a vector, descending score, then ascending id.
     order = np.lexsort((cols, -scores, rows))
-    counts = np.bincount(rows, minlength=len(vectors))
+    counts = np.bincount(rows, minlength=len(raw))
     ranked = cols[order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]]
     return [[pool.examples[i] for i in ids] for ids in ranked.tolist()]

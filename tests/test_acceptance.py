@@ -364,8 +364,8 @@ def test_knn_equivalence():
                 self.mapping = mapping
                 self.dimension = dimension
 
-            def embed(self, text):
-                return self.mapping[text]
+            def embed_many(self, texts):
+                return np.array([self.mapping[text] for text in texts], dtype=float)
 
         def brute_force(vectors, query, k):
             scores = []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import medsum.backend as backend
@@ -896,13 +896,64 @@ class TestHashEmbedder:
         with pytest.raises(ValueError):
             HashEmbedder().embed("")
 
+    def test_empty_batch_has_no_rows(self):
+        assert HashEmbedder(dimension=8).embed_many([]).shape == (0, 8)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_empty_text_anywhere_in_a_batch_is_error(self, position):
+        texts = ["a", "b"]
+        texts.insert(position, "")
+        with pytest.raises(ValueError):
+            HashEmbedder().embed_many(texts)
+
     @settings(max_examples=200, deadline=None)
-    @given(text=st.text(min_size=1), dimension=st.integers(min_value=1, max_value=512))
-    def test_bytes_equal_the_draw_over_its_linalg_norm(self, text, dimension):
-        seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
-        draw = np.random.Generator(np.random.PCG64(seed)).standard_normal(dimension)
-        expected = draw / float(np.linalg.norm(draw))
-        assert HashEmbedder(dimension).embed(text).tobytes() == expected.tobytes()
+    @example(seeds=[0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @given(seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=16))
+    def test_batched_seeding_equals_pcg64(self, seeds):
+        assert backend._pcg64_states(seeds) == [np.random.PCG64(seed).state for seed in seeds]
+
+    @settings(max_examples=200, deadline=None)
+    @example(texts=["ß", "日本語 text", "ß"], dimension=1)
+    @given(
+        # Drawn from a few texts, so a batch often repeats one.
+        texts=st.lists(st.text(min_size=1), min_size=1, max_size=4).flatmap(
+            lambda texts: st.lists(st.sampled_from(texts), max_size=10)
+        ),
+        dimension=st.integers(min_value=1, max_value=512),
+    )
+    def test_bytes_equal_the_draw_over_its_linalg_norm(self, texts, dimension):
+        expected = []
+        for text in texts:
+            seed = int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
+            draw = np.random.Generator(np.random.PCG64(seed)).standard_normal(dimension)
+            expected.append((draw / float(np.linalg.norm(draw))).tobytes())
+        rows = HashEmbedder(dimension).embed_many(texts)
+        assert rows.shape == (len(texts), dimension)
+        assert rows.tobytes() == b"".join(expected)
+
+    def test_concurrent_batches_equal_their_serial_bytes(self):
+        batches = [[f"thread {t} text {i}" for i in range(300)] for t in range(8)]
+        serial = [[HashEmbedder(64).embed_many(batch).tobytes()] * 5 for batch in batches]
+        embedder = HashEmbedder(64)
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def caller(t):
+            barrier.wait(timeout=5)
+            results[t] = [embedder.embed_many(batches[t]).tobytes() for _ in range(5)]
+
+        threads = [threading.Thread(target=caller, args=(t,), daemon=True) for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial
 
 
 class TestHTTPTransport:

@@ -540,13 +540,13 @@ class TestRunMedsumEnt:
         class LoggingEmbedder:
             dimension = 16
 
-            def embed(self, text):
-                if "Doctor: " in text:
-                    if not events:  # room for a request sent early to arrive
-                        sent.wait(timeout=0.2)
-                    with lock:
-                        events.append(("embed", text))
-                return hash_embedder.embed(text)
+            def embed_many(self, texts):
+                windows = [("embed", text) for text in texts if "Doctor: " in text]
+                if windows and not events:  # room for a request sent early to arrive
+                    sent.wait(timeout=0.2)
+                with lock:
+                    events.extend(windows)
+                return hash_embedder.embed_many(texts)
 
         def respond(req):
             with lock:
@@ -570,10 +570,10 @@ class TestRunMedsumEnt:
         class WindowRefusingEmbedder:
             dimension = 16
 
-            def embed(self, text):
-                if "Doctor: " in text:
+            def embed_many(self, texts):
+                if any("Doctor: " in text for text in texts):
                     raise RuntimeError("embedding service down")
-                return hash_embedder.embed(text)
+                return hash_embedder.embed_many(texts)
 
         pools = {kind: build_index(make_pool(kind, 4), hash_embedder) for kind in ExampleKind}
         client, transport = make_client(scripted_pipeline_responder)

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -30,8 +31,8 @@ class FixedEmbedder:
         self.mapping = mapping
         self.dimension = dimension
 
-    def embed(self, text):
-        return np.asarray(self.mapping.get(text, [0.0] * self.dimension), dtype=float)
+    def embed_many(self, texts):
+        return np.array([self.mapping.get(t, [0.0] * self.dimension) for t in texts], dtype=float)
 
 
 def brute_force_top_k(vectors, query, k):
@@ -94,11 +95,51 @@ class TestBuildIndex:
         class Exploding:
             dimension = 4
 
-            def embed(self, text):
+            def embed_many(self, texts):
                 raise RuntimeError("boom")
 
         with pytest.raises(SelectionError, match="example 0"):
             build_index(make_pool(ExampleKind.RFE_EXTRACTION, 3), Exploding())
+
+    def test_embedding_failure_names_the_first_failing_example(self):
+        pool = make_pool(ExampleKind.RFE_EXTRACTION, 4)
+        ex = pool.examples[2]
+        bad = SelectionQuery(ex.age, ex.sex, ex.input_text).render()
+
+        class RefusesOne:
+            dimension = 4
+
+            def embed_many(self, texts):
+                if bad in texts:
+                    raise RuntimeError("refused")
+                return HashEmbedder(4).embed_many(texts)
+
+        with pytest.raises(SelectionError, match="example 2: refused"):
+            build_index(pool, RefusesOne())
+
+    def test_batch_only_failure_names_the_pool(self):
+        class RefusesBatches:
+            dimension = 4
+
+            def embed_many(self, texts):
+                if len(texts) > 1:
+                    raise RuntimeError("batch too large")
+                return HashEmbedder(4).embed_many(texts)
+
+        with pytest.raises(SelectionError, match="the pool: batch too large"):
+            build_index(make_pool(ExampleKind.RFE_EXTRACTION, 3), RefusesBatches())
+
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3), (3,)])
+    def test_result_of_the_wrong_shape_is_named(self, shape):
+        class Misshapen:
+            dimension = 4
+
+            def embed_many(self, texts):
+                return np.zeros(shape)
+
+        named = rf"shape {re.escape(str(shape))}, expected \(3, 4\)"
+        with pytest.raises(SelectionError, match=named):
+            build_index(make_pool(ExampleKind.RFE_EXTRACTION, 3), Misshapen())
 
 
 class TestSelectRandom:
@@ -217,6 +258,19 @@ class TestSelectSemantic:
             select_semantic(
                 pool, SelectionQuery(1, "f", "q"), 1, HashEmbedder(8)
             )
+
+    def test_query_rows_of_the_wrong_shape_are_named(self):
+        pool = build_index(make_pool(ExampleKind.RFE_EXTRACTION, 3), HashEmbedder(8))
+
+        class OneRowShort:
+            dimension = 8
+
+            def embed_many(self, texts):
+                return HashEmbedder(8).embed_many(texts[1:])
+
+        queries = [SelectionQuery(1, "f", "q"), SelectionQuery(2, "m", "r")]
+        with pytest.raises(SelectionError, match=r"shape \(1, 8\), expected \(2, 8\)"):
+            select_semantic_many(pool, queries, 1, OneRowShort())
 
     def test_k_exceeding_pool_is_error(self):
         embedder = HashEmbedder(8)
