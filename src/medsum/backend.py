@@ -20,7 +20,7 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -143,17 +143,60 @@ def default_params(kind: PromptKind | str) -> CompletionParams:
     return DEFAULT_COMPLETION_PARAMS[PromptKind(kind)]
 
 
-@dataclass(frozen=True)
 class CompletionRequest:
-    prompt: str
-    params: CompletionParams
-    prompt_kind: PromptKind
+    """One completion call: its prompt text, params and prompt kind.
 
-    def __post_init__(self) -> None:
-        if type(self.prompt_kind) is not PromptKind:
-            object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
-        if not self.prompt:
+    Immutable, and equal and hashed by those three. `deferred` makes one
+    whose prompt is joined on the first read of `prompt`, so a call that a
+    cache serves never assembles its text; once joined, it keeps the text
+    alone, not what it was joined from.
+    """
+
+    __slots__ = ("_prompt", "params", "prompt_kind")
+
+    def __init__(self, prompt: str, params: CompletionParams, prompt_kind: PromptKind | str):
+        if not prompt:
             raise ValueError("prompt is empty")
+        _set_prompt(self, prompt)
+        _set_params(self, params)
+        _set_kind(self, prompt_kind if type(prompt_kind) is PromptKind else PromptKind(prompt_kind))
+
+    @classmethod
+    def deferred(cls, join: Callable[[str], str], input_text: str, params: CompletionParams,
+                 prompt_kind: PromptKind) -> "CompletionRequest":
+        """The request whose prompt is `join(input_text)`, which must not be empty."""
+        req = object.__new__(cls)
+        _set_prompt(req, (join, input_text))
+        _set_params(req, params)
+        _set_kind(req, prompt_kind)
+        return req
+
+    @property
+    def prompt(self) -> str:
+        prompt = self._prompt
+        if type(prompt) is tuple:  # (join, input text): not joined yet
+            prompt = prompt[0](prompt[1])
+            _set_prompt(self, prompt)
+        return prompt
+
+    def _fields(self) -> tuple[str, CompletionParams, PromptKind]:
+        return self.prompt, self.params, self.prompt_kind
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CompletionRequest):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "CompletionRequest(prompt=%r, params=%r, prompt_kind=%r)" % self._fields()
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def build(
@@ -164,6 +207,12 @@ class CompletionRequest:
     ) -> "CompletionRequest":
         kind = PromptKind(kind)
         return cls(prompt=prompt, params=params or default_params(kind), prompt_kind=kind)
+
+
+# The slots' own setters, which the frozen __setattr__ leaves alone.
+_set_prompt = CompletionRequest._prompt.__set__
+_set_params = CompletionRequest.params.__set__
+_set_kind = CompletionRequest.prompt_kind.__set__
 
 
 def cache_key(req: CompletionRequest) -> str:
@@ -624,7 +673,9 @@ class CompletionClient:
     offers `peek`) is the whole cache: a stored text is served without
     calling `send`, and `send` stores what it fetches. Over any other
     transport the client keeps the texts in memory. Each call computes its
-    cache key once, unless the caller passes it, and looks it up once.
+    cache key once, unless the caller passes it, and looks it up once. A
+    call the cache serves never reads its request's prompt, so the text of
+    a `deferred` request is joined only for calls that go to the transport.
     Concurrent calls with one key share a single transport call
     (single-flight): all get its text, or all get its error. `max_in_flight`
     bounds concurrent transport calls when set.
@@ -694,8 +745,9 @@ class CompletionClient:
         in order, as the caller takes them.
 
         On the first take every call is taken from `calls`, and then every
-        call starts: one the cache can serve completes on the calling
-        thread, any other runs on the fan-out executor. A call's failure, or
+        call starts: one the cache can serve is answered from its one lookup
+        and its prompt is never read; any other has its prompt joined on the
+        calling thread and runs on the fan-out executor. A call's failure, or
         one raised by `calls` itself, is raised in its turn, after the texts
         before it. Closing the iterator cancels the calls not yet started.
         Never call this from a task running on that executor: a worker
@@ -712,11 +764,14 @@ class CompletionClient:
         pending: list[str | Future[str]] = []
         try:
             for req, key in taken:
-                if self._lookup(key) is None:
+                text = self._lookup(key)
+                if text is None:
+                    # Read to join the prompt here, not among the answers
+                    # coming back on the fan-out threads.
+                    req.prompt
                     executor = _fan_out_executor(self._fan_out_width)
-                    pending.append(executor.submit(self.complete, req, key))
-                else:
-                    pending.append(self.complete(req, key))
+                    text = executor.submit(self.complete, req, key)
+                pending.append(text)
             if failure is not None:
                 failed: Future[str] = Future()
                 failed.set_exception(failure)

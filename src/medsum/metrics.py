@@ -143,11 +143,21 @@ def _strip_bullet(line: str) -> str:
 
 
 def _parse_concepts(completion: str) -> list[str]:
-    # Each distinct non-empty concept once, in first-seen order.
-    concepts = list(dict.fromkeys(filter(None, map(_strip_bullet, completion.splitlines()))))
+    # Each distinct non-empty line once, in first-seen order, as
+    # _strip_bullet gives it: its three cases run inline.
+    concepts: dict[str, None] = {}
+    for line in map(str.strip, completion.splitlines()):
+        if not line:
+            continue
+        if line[0] in "-*•":
+            line = line[1:].lstrip()
+        elif line[0].isdecimal():
+            line = _BULLET_RE.sub("", line).strip()
+        if line:
+            concepts[line] = None
     if not concepts and completion.strip():
         raise ConceptParseError(completion)
-    return concepts
+    return list(concepts)
 
 
 class _Judge:
@@ -190,8 +200,13 @@ _VERDICTS = {"yes": True, "true": True, "no": False, "false": False}
 
 
 def _parse_verdicts(completion: str, expected: int) -> list[bool]:
+    lines = completion.splitlines()
+    # The usual completion, one bare verdict word on each of `expected` lines.
+    bare = list(map(_VERDICTS.get, lines))
+    if len(bare) == expected and None not in bare:
+        return bare
     verdicts: list[bool] = []
-    for line in completion.splitlines():
+    for line in lines:
         token = _strip_bullet(line)
         if not token:
             continue
@@ -222,8 +237,8 @@ class LLMVerifier(_Judge):
         if not concepts:
             return []
         input_text = (
-            "Concepts:\n"
-            + "\n".join(f"- {c}" for c in concepts)
+            "Concepts:\n- "
+            + "\n- ".join(concepts)
             + "\n\nText:\n"
             + target_text
         )

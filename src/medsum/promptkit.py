@@ -189,13 +189,15 @@ class BoundPrompt:
     """A template with every slot but {input} filled in; made by `bind`.
 
     `fill(input_text)` returns exactly the prompt `render` gives for the same
-    arguments and raises the same BudgetExceededError, but counts only the
-    input's words: the words of the text around it were counted once, when
-    it was bound. So one bound prompt serves every input that shares its
-    demographics and examples, such as the turn windows of one encounter.
+    arguments and raises the same BudgetExceededError. It is `check` then
+    `join`, and `check` counts only the input's words: the words of the text
+    around it were counted once, when it was bound. So one bound prompt
+    serves every input that shares its demographics and examples, such as
+    the turn windows of one encounter. `request_builder` checks each input
+    at once but joins it only if the request's prompt is read.
     """
 
-    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open")
+    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open", "__weakref__")
 
     def __init__(self, head: str, tail: str, budget: TokenBudget):
         self.head = head
@@ -207,9 +209,9 @@ class BoundPrompt:
         self._head_open = bool(head) and not head[-1].isspace()
         self._tail_open = bool(tail) and not tail[0].isspace()
 
-    def fill(self, input_text: str) -> str:
-        """The prompt with `input_text` in the {input} slot, checked against
-        the budget."""
+    def check(self, input_text: str) -> None:
+        """Raise BudgetExceededError if the prompt with `input_text` in the
+        {input} slot does not fit the budget."""
         words = self._words + len(input_text.split())
         if input_text:
             # A word that runs on across a join is one word, not two.
@@ -220,7 +222,16 @@ class BoundPrompt:
         elif self._head_open and self._tail_open:
             words -= 1
         self.budget.check_words(words)
+
+    def join(self, input_text: str) -> str:
+        """The prompt with `input_text` in the {input} slot, unchecked."""
         return self.head + input_text + self.tail
+
+    def fill(self, input_text: str) -> str:
+        """The prompt with `input_text` in the {input} slot, checked against
+        the budget."""
+        self.check(input_text)
+        return self.join(input_text)
 
 
 def bind(
@@ -283,10 +294,22 @@ def request_builder(
 ) -> Callable[[str], tuple[CompletionRequest, str]]:
     """Maps an input text to the request of kind `kind`, at the kind's default
     parameters, for `prompt.fill(input_text)`, and that request's cache key.
-    The key comes from a `PrefixKeyer` built here, once for every input."""
+    The budget is checked here, but the request is `deferred`: its text is
+    joined only when its prompt is read, which a call the cache serves never
+    does. The key comes from a `PrefixKeyer` built here, once for every input."""
+    kind = PromptKind(kind)
     params = default_params(kind)
     keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
-    return lambda text: (CompletionRequest(prompt.fill(text), params, kind), keyer.key(text))
+    check, join, deferred = prompt.check, prompt.join, CompletionRequest.deferred
+    fixed_text = bool(prompt.head or prompt.tail)
+
+    def build(input_text: str) -> tuple[CompletionRequest, str]:
+        check(input_text)
+        if not (fixed_text or input_text):
+            raise ValueError("prompt is empty")
+        return deferred(join, input_text, params, kind), keyer.key(input_text)
+
+    return build
 
 
 def render(

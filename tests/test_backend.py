@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import logging
@@ -419,26 +420,24 @@ class TestGather:
         # Only the miss reached the transport, and it ran on the executor.
         assert len(threads) == 1 and threads[0] is not threading.current_thread()
 
-    def test_hits_run_through_complete_before_the_first_text_without_the_executor(
-        self, tmp_path, monkeypatch
-    ):
+    def test_hits_are_served_from_one_lookup_before_the_first_text(self, tmp_path, monkeypatch):
         store = ReplayStore(tmp_path / "store.jsonl", create=True)
         first, second = request_for("first"), request_for("second")
         for req in (first, second):
             store.put(cache_key(req), req.prompt_kind, f"stored {req.prompt}")
         client = CompletionClient(ReplayTransport(store))
-        calls = []
-        complete = client.complete
-        client.complete = lambda *args: calls.append(threading.current_thread()) or complete(*args)
+        lookups, lookup = [], client._lookup
+        client._lookup = lambda key: lookups.append(key) or lookup(key)
+        client.complete = lambda *args: pytest.fail("a hit went through complete")
 
         def no_executor(width):
             raise AssertionError("a hit reached the fan-out executor")
 
         monkeypatch.setattr(backend, "_fan_out_executor", no_executor)
         texts = client.gather(keyed(first, second))
-        assert calls == []  # lazy: nothing runs before the first take
+        assert lookups == []  # lazy: nothing runs before the first take
         assert next(texts) == "stored first"
-        assert calls == [threading.current_thread()] * 2
+        assert lookups == [cache_key(first), cache_key(second)]
         assert list(texts) == ["stored second"]
 
     def test_replay_transport_peeks_its_store(self, tmp_path):
@@ -483,6 +482,103 @@ class TestGather:
         # run, the call queued behind the blocked one would have run too.
         backend._fan_out_executor(1).submit(lambda: None).result(timeout=5)
         assert [req.prompt for req in transport.requests] == ["first", "blocks"]
+
+
+def _unjoinable():
+    """A deferred request whose join fails the test, with an eager twin."""
+    def join(text):
+        pytest.fail(f"the prompt of {text!r} was joined")
+
+    eager = request_for("head deferred tail")
+    return CompletionRequest.deferred(join, "deferred", eager.params, eager.prompt_kind), eager
+
+
+class TestDeferredRequest:
+    def test_equals_and_hashes_as_its_eager_twin_once_joined(self):
+        head, tail = "Text:\n", "\nConcepts:"
+        eager = request_for(head + "fever" + tail, PromptKind.METRIC_EXTRACTION)
+        deferred = CompletionRequest.deferred(
+            lambda text: head + text + tail, "fever", eager.params, eager.prompt_kind
+        )
+        assert deferred == eager and eager == deferred
+        assert hash(deferred) == hash(eager)
+        assert repr(deferred) == repr(eager)
+        assert deferred != request_for(head + "chills" + tail, PromptKind.METRIC_EXTRACTION)
+        assert cache_key(deferred) == cache_key(eager)
+
+    def test_is_frozen(self):
+        req, eager = _unjoinable()
+        for target in (req, eager):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                target.params = None
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del target.prompt_kind
+        assert req.params is eager.params
+
+    def test_joins_once_and_keeps_only_the_text(self):
+        joins = []
+        req = CompletionRequest.deferred(
+            lambda text: joins.append(text) or f"<{text}>", "in", default_params("summarization"),
+            PromptKind.SUMMARIZATION,
+        )
+        assert req.prompt == "<in>" and req.prompt == "<in>"
+        assert joins == ["in"]
+        assert req._prompt == "<in>"
+
+    def test_concurrent_first_reads_all_get_the_joined_text(self):
+        params, kind = default_params("summarization"), PromptKind.SUMMARIZATION
+        requests = [
+            CompletionRequest.deferred(lambda text: f"<{text}>", str(i), params, kind)
+            for i in range(300)
+        ]
+        seen = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(seen))
+
+        def read(sink):
+            barrier.wait(timeout=10)
+            sink.extend(req.prompt for req in requests)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read, args=(sink,)) for sink in seen]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [[f"<{i}>" for i in range(300)]] * len(seen)
+        assert all(type(req._prompt) is str for req in requests)
+
+    @pytest.mark.parametrize("backed_by", ["store", "memory"])
+    def test_hits_through_complete_and_gather_never_join(self, backed_by, tmp_path):
+        req, eager = _unjoinable()
+        if backed_by == "store":
+            store = ReplayStore(tmp_path / "store.jsonl", create=True)
+            store.put(cache_key(eager), eager.prompt_kind, "stored")
+            client = CompletionClient(ReplayTransport(store))
+        else:
+            client, _ = make_client(lambda _: "stored")
+            client.complete(eager)
+        assert client.complete(req, cache_key(eager)) == "stored"
+        assert list(client.gather([(req, cache_key(eager))])) == ["stored"]
+
+    def test_gather_joins_a_miss_on_the_calling_thread(self):
+        joined_on, sent_on = [], []
+        client, transport = make_client(lambda req: sent_on.append(threading.current_thread()) or "sent")
+
+        def join(text):
+            joined_on.append(threading.current_thread())
+            return "joined " + text
+
+        params = default_params("summarization")
+        req = CompletionRequest.deferred(join, "miss", params, PromptKind.SUMMARIZATION)
+        assert list(client.gather([(req, cache_key(request_for("joined miss")))])) == ["sent"]
+        assert joined_on == [threading.current_thread()]
+        assert sent_on != joined_on
+        assert transport.requests == [request_for("joined miss")]
 
 
 class TestRetryPolicy:

@@ -487,6 +487,36 @@ def test_verdict_parser_matches_the_regex_reference(completion, expected):
     )
 
 
+@pytest.fixture
+def bullet_strips(monkeypatch):
+    """The lines `_parse_verdicts` hands to `_strip_bullet`: its general loop."""
+    calls = []
+    strip = metrics._strip_bullet
+    monkeypatch.setattr(metrics, "_strip_bullet", lambda line: calls.append(line) or strip(line))
+    return calls
+
+
+def test_too_few_bare_verdicts_is_still_a_count_error(bullet_strips):
+    with pytest.raises(VerificationParseError, match=r"^expected 3 verdicts, got 2$"):
+        metrics._parse_verdicts("yes\nno", 3)
+    assert bullet_strips == ["yes", "no"]
+
+
+@pytest.mark.parametrize("completion, expected", [("yes\n\nno", [True, False]), ("Yes", [True])])
+def test_verdicts_that_are_not_all_bare_words_take_the_general_loop(
+    bullet_strips, completion, expected
+):
+    assert metrics._parse_verdicts(completion, len(expected)) == expected
+    assert bullet_strips == completion.splitlines()
+
+
+def test_a_thousand_bare_verdict_lines_parse_in_one_pass(bullet_strips):
+    words = ["yes", "no", "true", "false", "no"] * 200
+    verdicts = metrics._parse_verdicts("\n".join(words), len(words))
+    assert verdicts == [word in ("yes", "true") for word in words]
+    assert bullet_strips == []
+
+
 def test_bullet_regex_classes_are_the_str_predicates():
     """The parsers test `str.isdecimal` where the bullet pattern has `\\d`,
     and `strip` strips what it has as `\\s`; both agree on every code point."""

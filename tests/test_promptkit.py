@@ -1,12 +1,22 @@
 import dataclasses
+import gc
 import math
 import re
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from medsum.backend import CompletionRequest, cache_key, default_params
+from medsum.backend import (
+    CompletionClient,
+    CompletionRequest,
+    RecordingTransport,
+    ReplayStore,
+    ScriptedTransport,
+    cache_key,
+    default_params,
+)
 from medsum.model import (
     SECTION_KEYS,
     EntityStatus,
@@ -19,6 +29,7 @@ from medsum.model import (
 from medsum.promptkit import (
     CANONICAL_HEADERS,
     TEMPLATE_IDS,
+    BoundPrompt,
     BudgetExceededError,
     EntityListParseError,
     KindMismatchError,
@@ -363,6 +374,69 @@ class TestRequestBuilder:
             )
             assert req == expected
             assert key == cache_key(expected)
+
+
+    def _sent_and_recorded(self, tmp_path):
+        sent = []
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        inner = ScriptedTransport(lambda req: sent.append(req) or "- fever")
+        return CompletionClient(RecordingTransport(inner, store)), store, sent
+
+    @pytest.mark.parametrize("through", ["complete", "gather"])
+    def test_a_miss_sends_the_rendered_request_and_records_it_under_its_key(
+        self, templates, tmp_path, through
+    ):
+        template, input_text = templates["metric_extraction"], "Patient reports fever."
+        build = request_builder(bind(template), template.kind)
+        client, store, sent = self._sent_and_recorded(tmp_path)
+        req, key = build(input_text)
+        text = client.complete(req, key) if through == "complete" else next(client.gather([(req, key)]))
+        expected = CompletionRequest(
+            render(template, input_text=input_text), default_params(template.kind), template.kind
+        )
+        assert text == "- fever"
+        assert sent == [expected] and sent[0].prompt == expected.prompt
+        assert store.get(cache_key(expected)) == text
+        client.close()
+
+    def test_a_hit_never_joins_its_prompt(self, templates, tmp_path):
+        class Unjoinable(BoundPrompt):
+            __slots__ = ()
+
+            def join(self, input_text):
+                pytest.fail(f"the prompt of {input_text!r} was joined")
+
+        template, input_text = templates["metric_extraction"], "Patient reports fever."
+        client, _, sent = self._sent_and_recorded(tmp_path)
+        assert client.complete(*request_builder(bind(template), template.kind)(input_text)) == "- fever"
+        bound = bind(template)
+        build = request_builder(Unjoinable(bound.head, bound.tail, bound.budget), template.kind)
+        assert client.complete(*build(input_text)) == "- fever"
+        assert list(client.gather([build(input_text)] * 2)) == ["- fever"] * 2
+        assert len(sent) == 1
+        client.close()
+
+    def test_budget_is_checked_when_the_request_is_built_even_if_its_key_is_stored(
+        self, templates, tmp_path
+    ):
+        template, input_text = templates["metric_extraction"], " ".join(["tok"] * 50)
+        client, _, _ = self._sent_and_recorded(tmp_path)
+        client.complete(*request_builder(bind(template), template.kind)(input_text))
+        tight = bind(template, budget=TokenBudget(max_context_tokens=10, inflation_factor=1.0))
+        with pytest.raises(BudgetExceededError):
+            request_builder(tight, template.kind)(input_text)
+        client.close()
+
+    def test_a_joined_request_lets_its_bound_prompt_go(self, templates):
+        template = templates["metric_extraction"]
+        bound = bind(template)
+        alive = weakref.ref(bound)
+        req, _ = request_builder(bound, template.kind)("fever")
+        del bound
+        assert alive() is not None  # the request joins through it
+        assert req.prompt == render(template, input_text="fever")
+        gc.collect()
+        assert alive() is None
 
 
 class TestLoadTemplates:
