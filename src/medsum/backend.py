@@ -20,11 +20,13 @@ import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, Protocol, Sequence
+from typing import (
+    IO, TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Protocol, Sequence,
+)
 
 from .model import _KIND_BY_VALUE, _KIND_TAIL, PromptKind, compact_json, json_field
 
@@ -42,6 +44,7 @@ __all__ = [
     "ReplayStoreError",
     "CompletionParams",
     "CompletionRequest",
+    "PendingCall",
     "RetryPolicy",
     "default_params",
     "cache_key",
@@ -143,76 +146,35 @@ def default_params(kind: PromptKind | str) -> CompletionParams:
     return DEFAULT_COMPLETION_PARAMS[PromptKind(kind)]
 
 
+@dataclass(frozen=True, slots=True)
 class CompletionRequest:
-    """One completion call: its prompt text, params and prompt kind.
+    """One completion call: its prompt text, params and prompt kind."""
 
-    Immutable, and equal and hashed by those three. `deferred` makes one
-    whose prompt is joined on the first read of `prompt`, so a call that a
-    cache serves never assembles its text; once joined, it keeps the text
-    alone, not what it was joined from.
-    """
+    prompt: str
+    params: CompletionParams
+    prompt_kind: PromptKind
 
-    __slots__ = ("_prompt", "params", "prompt_kind")
-
-    def __init__(self, prompt: str, params: CompletionParams, prompt_kind: PromptKind | str):
-        if not prompt:
+    def __post_init__(self) -> None:
+        if not self.prompt:
             raise ValueError("prompt is empty")
-        _set_prompt(self, prompt)
-        _set_params(self, params)
-        _set_kind(self, prompt_kind if type(prompt_kind) is PromptKind else PromptKind(prompt_kind))
+        if type(self.prompt_kind) is not PromptKind:
+            object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
 
     @classmethod
-    def deferred(cls, join: Callable[[str], str], input_text: str, params: CompletionParams,
-                 prompt_kind: PromptKind) -> "CompletionRequest":
-        """The request whose prompt is `join(input_text)`, which must not be empty."""
-        req = object.__new__(cls)
-        _set_prompt(req, (join, input_text))
-        _set_params(req, params)
-        _set_kind(req, prompt_kind)
-        return req
-
-    @property
-    def prompt(self) -> str:
-        prompt = self._prompt
-        if type(prompt) is tuple:  # (join, input text): not joined yet
-            prompt = prompt[0](prompt[1])
-            _set_prompt(self, prompt)
-        return prompt
-
-    def _fields(self) -> tuple[str, CompletionParams, PromptKind]:
-        return self.prompt, self.params, self.prompt_kind
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CompletionRequest):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return "CompletionRequest(prompt=%r, params=%r, prompt_kind=%r)" % self._fields()
-
-    def __setattr__(self, name: str, value: Any = None) -> None:
-        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    @classmethod
-    def build(
-        cls,
-        kind: PromptKind | str,
-        prompt: str,
-        params: CompletionParams | None = None,
-    ) -> "CompletionRequest":
-        kind = PromptKind(kind)
-        return cls(prompt=prompt, params=params or default_params(kind), prompt_kind=kind)
+    def build(cls, kind: PromptKind | str, prompt: str,
+              params: CompletionParams | None = None) -> "CompletionRequest":
+        return cls(prompt, params or default_params(kind), kind)
 
 
-# The slots' own setters, which the frozen __setattr__ leaves alone.
-_set_prompt = CompletionRequest._prompt.__set__
-_set_params = CompletionRequest.params.__set__
-_set_kind = CompletionRequest.prompt_kind.__set__
+class PendingCall(NamedTuple):
+    """A completion call known by its cache key, kind and params, whose
+    request is built only if no cache serves it: `build()` returns the
+    `CompletionRequest` whose `cache_key` is `key`."""
+
+    key: str
+    prompt_kind: PromptKind
+    params: CompletionParams
+    build: Callable[[], CompletionRequest]
 
 
 def cache_key(req: CompletionRequest) -> str:
@@ -672,15 +634,14 @@ class CompletionClient:
     parser changes never invalidate it. A transport with a store (one that
     offers `peek`) is the whole cache: a stored text is served without
     calling `send`, and `send` stores what it fetches. Over any other
-    transport the client keeps the texts in memory. Each call computes its
-    cache key once, unless the caller passes it, and looks it up once. A
-    call the cache serves never reads its request's prompt, so the text of
-    a `deferred` request is joined only for calls that go to the transport.
-    Concurrent calls with one key share a single transport call
-    (single-flight): all get its text, or all get its error. `max_in_flight`
-    bounds concurrent transport calls when set.
+    transport the client keeps the texts in memory. A call is a built
+    request, keyed once unless the caller passes its key, or a
+    `PendingCall`, which carries its key and is built only on a miss; either
+    way its key is looked up once. Concurrent calls with one key share a
+    single transport call (single-flight): all get its text, or all get its
+    error. `max_in_flight` bounds concurrent transport calls when set.
 
-    `gather` fans independent requests out to a long-lived executor,
+    `gather` fans independent calls out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
     FAN_OUT_WIDTH wide otherwise, and shared by the clients of that width.
     `close` closes the transport, and with it any store behind it.
@@ -708,10 +669,12 @@ class CompletionClient:
         )
         self._fan_out_width = max_in_flight or FAN_OUT_WIDTH
 
-    def complete(self, req: CompletionRequest, key: str | None = None) -> str:
-        """The completion text for `req`. `key` is `cache_key(req)`, when the
-        caller has already computed it."""
-        key = key or cache_key(req)
+    def complete(self, req: CompletionRequest | PendingCall, key: str | None = None) -> str:
+        """The completion text for `req`, a built request or a pending call.
+        `key` is a built request's `cache_key`, when the caller has already
+        computed it."""
+        pending = type(req) is PendingCall
+        key = req.key if pending else key or cache_key(req)
         text = self._lookup(key)
         if text is not None:
             return text
@@ -727,7 +690,7 @@ class CompletionClient:
         if waiting is not None:
             return waiting.result()
         try:
-            text = self._send_with_retries(req, key)
+            text = self._send_with_retries(req.build() if pending else req, key)
         except BaseException as exc:
             with self._lock:
                 del self._flights[key]
@@ -740,18 +703,18 @@ class CompletionClient:
         flight.set_result(text)
         return text
 
-    def gather(self, calls: Iterable[tuple[CompletionRequest, str]]) -> Iterator[str]:
-        """The texts of `complete(req, key)` for (request, cache key) pairs,
-        in order, as the caller takes them.
+    def gather(self, calls: Iterable[PendingCall]) -> Iterator[str]:
+        """The texts of `complete(call)` for pending calls, in order, as the
+        caller takes them.
 
         On the first take every call is taken from `calls`, and then every
         call starts: one the cache can serve is answered from its one lookup
-        and its prompt is never read; any other has its prompt joined on the
-        calling thread and runs on the fan-out executor. A call's failure, or
-        one raised by `calls` itself, is raised in its turn, after the texts
-        before it. Closing the iterator cancels the calls not yet started.
-        Never call this from a task running on that executor: a worker
-        waiting on its own pool can deadlock it.
+        and is never built; any other is built on the calling thread and
+        runs on the fan-out executor. A call's failure, or one raised by
+        `calls` itself, is raised in its turn, after the texts before it.
+        Closing the iterator cancels the calls not yet started. Never call
+        this from a task running on that executor: a worker waiting on its
+        own pool can deadlock it.
         """
         # Sending while later calls are still built would slow their building
         # (the GIL), and the last call's start sets when the last text arrives.
@@ -763,14 +726,13 @@ class CompletionClient:
             failure = exc
         pending: list[str | Future[str]] = []
         try:
-            for req, key in taken:
-                text = self._lookup(key)
+            for call in taken:
+                text = self._lookup(call.key)
                 if text is None:
-                    # Read to join the prompt here, not among the answers
-                    # coming back on the fan-out threads.
-                    req.prompt
+                    # Built here, not among the answers coming back on the
+                    # fan-out threads.
                     executor = _fan_out_executor(self._fan_out_width)
-                    text = executor.submit(self.complete, req, key)
+                    text = executor.submit(self.complete, call.build(), call.key)
                 pending.append(text)
             if failure is not None:
                 failed: Future[str] = Future()
@@ -878,7 +840,9 @@ class HashEmbedder:
     A text's vector is a unit Gaussian draw seeded with the first 8 bytes
     (big-endian) of its SHA-256. A batch derives every PCG64 state at once
     and draws from one shared generator, with the bytes of a fresh
-    `PCG64(seed)`, whose seeding and stream numpy keeps fixed (NEP 19).
+    `PCG64(seed)`. NEP 19 keeps PCG64's seeding and raw stream fixed, but
+    not `Generator.standard_normal`, which may change between numpy
+    releases; `tests/test_pinned_output.py` pins the rows' bytes.
     """
 
     def __init__(self, dimension: int = 32):

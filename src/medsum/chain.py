@@ -20,7 +20,9 @@ from .backend import (
     CompletionClient,
     CompletionRequest,
     EmbeddingGateway,
+    PendingCall,
     cache_key,
+    default_params,
 )
 from .model import (
     Encounter,
@@ -224,27 +226,36 @@ def _select_examples(
     return select_semantic_many(pool, queries, k, deps.embedder)
 
 
-def _request(kind: PromptKind, prompt: str) -> tuple[CompletionRequest, str]:
-    """A request with its default parameters, and its cache key."""
-    req = CompletionRequest.build(kind, prompt)
-    return req, cache_key(req)
+def _traced(log: RunLog, call: PendingCall) -> None:
+    params = call.params
+    log.trace.append(TraceEntry(call.prompt_kind, call.key, params.as_dict(), params.json_text))
 
 
-def _traced(log: RunLog, req: CompletionRequest, key: str) -> None:
-    params = req.params
-    log.trace.append(TraceEntry(req.prompt_kind, key, params.as_dict(), params.json_text))
-
-
-def _complete(call: tuple[CompletionRequest, str], deps: ChainDeps, log: RunLog) -> str:
-    """Send one (request, cache key) on the calling thread, then trace it."""
-    text = deps.client.complete(*call)
-    _traced(log, *call)
+def _complete(call: PendingCall, deps: ChainDeps, log: RunLog) -> str:
+    """Send one call on the calling thread, then trace it."""
+    text = deps.client.complete(call)
+    _traced(log, call)
     return text
+
+
+def _render_call(
+    kind: PromptKind, template_id: str, input_text: str, enc: Encounter, cfg: ChainConfig,
+    deps: ChainDeps, log: RunLog, examples: Sequence[LabeledExample] = (),
+) -> str:
+    """Render a whole prompt, with room left for its completion, and
+    `_complete` its call at the kind's default parameters."""
+    params = default_params(kind)
+    prompt = render(
+        deps.templates[template_id], input_text=input_text, age=enc.age, sex=enc.sex,
+        examples=examples, budget=cfg.budget, reserve=params.max_tokens,
+    )
+    req = CompletionRequest(prompt, params, kind)
+    return _complete(PendingCall(cache_key(req), kind, params, lambda: req), deps, log)
 
 
 def _extraction_builders(
     kind: PromptKind, texts: Sequence[str], enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> list[Callable[[str], tuple[CompletionRequest, str]]]:
+) -> list[Callable[[str], PendingCall]]:
     """The request builder of the RFE or turn-window extraction prompt (the
     template id is the prompt kind's value) for each text, bound to the
     encounter's demographics and to the examples selected for that text.
@@ -260,18 +271,18 @@ def _extraction_builders(
     return builders
 
 
-def _extraction_requests(
+def _extraction_calls(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> Iterator[tuple[str, CompletionRequest, str]]:
-    """(provenance tag, request, cache key) of every extraction call, in
-    chain order: the opening message ("rfe"), then each turn window
-    ("turn-pair <i>"). The windows' examples are selected in one call."""
+) -> Iterator[tuple[str, PendingCall]]:
+    """(provenance tag, pending call) of every extraction call, in chain
+    order: the opening message ("rfe"), then each turn window ("turn-pair
+    <i>"). The windows' examples are selected in one call."""
     [rfe] = _extraction_builders(PromptKind.RFE_EXTRACTION, [enc.rfe], enc, cfg, deps)
-    yield ("rfe", *rfe(enc.rfe))
+    yield "rfe", rfe(enc.rfe)
     texts = [window_text(window) for window in pair_turns(enc.turns)]
     builders = _extraction_builders(PromptKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
-    for i, (text, request) in enumerate(zip(texts, builders)):
-        yield (f"turn-pair {i}", *request(text))
+    for i, (text, call) in enumerate(zip(texts, builders)):
+        yield f"turn-pair {i}", call(text)
 
 
 def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:
@@ -360,11 +371,9 @@ def resolve_unknowns(
         + "\n\nConversation:\n"
         + encounter_text(enc)
     )
-    prompt = render(
-        deps.templates["unknown_resolver"], input_text=input_text, age=enc.age, sex=enc.sex,
-        budget=cfg.budget,
+    completion = _render_call(
+        PromptKind.UNKNOWN_RESOLVER, "unknown_resolver", input_text, enc, cfg, deps, log
     )
-    completion = _complete(_request(PromptKind.UNKNOWN_RESOLVER, prompt), deps, log)
     try:
         parsed, warnings = parse_entity_list(completion)
     except Exception as exc:
@@ -409,11 +418,9 @@ def _summary(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
 ) -> StructuredSummary:
     """The summary stage of both methods, from the selected examples on."""
-    prompt = render(
-        deps.templates[template_id], input_text=input_text, age=enc.age, sex=enc.sex,
-        examples=examples, budget=cfg.budget,
+    completion = _render_call(
+        PromptKind.SUMMARIZATION, template_id, input_text, enc, cfg, deps, log, examples
     )
-    completion = _complete(_request(PromptKind.SUMMARIZATION, prompt), deps, log)
     summary, warnings = parse_summary(completion)
     log.warnings.extend(f"summary: {w}" for w in warnings)
     return summary
@@ -437,12 +444,14 @@ def summarize(
 def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunRecord:
     """Full staged run for one encounter.
 
-    The RFE request and one request per turn window go out together
-    through `CompletionClient.gather`; their completions are parsed and
-    collated in chain order (RFE first, then windows in order). The
-    resolver (if it fires) and the summary follow one after the other, so
-    the critical path is three stages: {RFE, windows} -> resolver ->
-    summary.
+    The RFE call and one call per turn window go out together through
+    `CompletionClient.gather`; their completions are parsed and collated in
+    chain order (RFE first, then windows in order). The resolver (if it
+    fires) and the summary follow one after the other. With W windows and
+    the fan-out executor `width` wide and to itself, an encounter waits for
+    ceil((1 + W) / width) rounds of extraction calls, then 1 if the
+    resolver fires, then 1 for the summary: 2 rounds without the resolver
+    up to 23 windows at the default width 24.
 
     Call count is always 1 (RFE) + one per turn window + 1 if the resolver
     fired + 1 (summarization); the record's trace carries exactly those
@@ -454,11 +463,11 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
     log = RunLog()
     tags: list[str] = []
 
-    def calls() -> Iterator[tuple[CompletionRequest, str]]:
-        for tag, req, key in _extraction_requests(enc, cfg, deps):
+    def calls() -> Iterator[PendingCall]:
+        for tag, call in _extraction_calls(enc, cfg, deps):
             tags.append(tag)
-            _traced(log, req, key)
-            yield req, key
+            _traced(log, call)
+            yield call
 
     texts = deps.client.gather(calls())
     stage = "rfe extraction"

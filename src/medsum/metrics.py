@@ -174,10 +174,10 @@ class _Judge:
         budget: TokenBudget | None = None,
     ):
         self._client = client
-        self._request = request_builder(bind(template, budget=budget or TokenBudget()), self._kind)
+        self._call = request_builder(bind(template, budget=budget or TokenBudget()), self._kind)
 
     def _complete(self, input_text: str) -> str:
-        return self._client.complete(*self._request(input_text))
+        return self._client.complete(self._call(input_text))
 
 
 class LLMConceptExtractor(_Judge):

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Sequence
 
-from .backend import CompletionRequest, PrefixKeyer, default_params, open_text
+from .backend import CompletionRequest, PendingCall, PrefixKeyer, default_params, open_text
 from .model import (
     SECTION_KEYS,
     EntityStatus,
@@ -98,7 +98,9 @@ def estimate_tokens(text: str, inflation_factor: float = 1.3) -> int:
 
 @dataclass(frozen=True)
 class TokenBudget:
-    """Context-size guard for rendered prompts."""
+    """Context-size guard for rendered prompts: a prompt's estimate plus the
+    tokens reserved for its completion (its `max_tokens`) must fit
+    `max_context_tokens`, as a completions API counts them."""
 
     max_context_tokens: int = 4096
     inflation_factor: float = 1.3
@@ -109,12 +111,13 @@ class TokenBudget:
         if self.inflation_factor < 1.0:
             raise ValueError("inflation_factor must be >= 1")
 
-    def check_words(self, words: int) -> None:
+    def check_words(self, words: int, reserve: int = 0) -> None:
         """Raise BudgetExceededError if a text of `words` whitespace words,
-        estimated as `estimate_tokens` does, exceeds the budget."""
+        estimated as `estimate_tokens` does, exceeds the budget less the
+        `reserve` tokens, which the error gives as its budget."""
         estimated = math.ceil(words * self.inflation_factor)
-        if estimated > self.max_context_tokens:
-            raise BudgetExceededError(estimated, self.max_context_tokens)
+        if estimated + reserve > self.max_context_tokens:
+            raise BudgetExceededError(estimated, self.max_context_tokens - reserve)
 
 
 _SLOTS = ("age", "sex", "input", "examples")
@@ -194,10 +197,11 @@ class BoundPrompt:
     around it were counted once, when it was bound. So one bound prompt
     serves every input that shares its demographics and examples, such as
     the turn windows of one encounter. `request_builder` checks each input
-    at once but joins it only if the request's prompt is read.
+    at once but joins it only if its call is built. `reserve` is the
+    tokens left for the completion (see `TokenBudget`).
     """
 
-    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open", "__weakref__")
+    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open")
 
     def __init__(self, head: str, tail: str, budget: TokenBudget):
         self.head = head
@@ -209,9 +213,9 @@ class BoundPrompt:
         self._head_open = bool(head) and not head[-1].isspace()
         self._tail_open = bool(tail) and not tail[0].isspace()
 
-    def check(self, input_text: str) -> None:
+    def check(self, input_text: str, reserve: int = 0) -> None:
         """Raise BudgetExceededError if the prompt with `input_text` in the
-        {input} slot does not fit the budget."""
+        {input} slot does not fit the budget with `reserve` tokens left."""
         words = self._words + len(input_text.split())
         if input_text:
             # A word that runs on across a join is one word, not two.
@@ -221,16 +225,16 @@ class BoundPrompt:
                 words -= 1
         elif self._head_open and self._tail_open:
             words -= 1
-        self.budget.check_words(words)
+        self.budget.check_words(words, reserve)
 
     def join(self, input_text: str) -> str:
         """The prompt with `input_text` in the {input} slot, unchecked."""
         return self.head + input_text + self.tail
 
-    def fill(self, input_text: str) -> str:
+    def fill(self, input_text: str, reserve: int = 0) -> str:
         """The prompt with `input_text` in the {input} slot, checked against
-        the budget."""
-        self.check(input_text)
+        the budget with `reserve` tokens left."""
+        self.check(input_text, reserve)
         return self.join(input_text)
 
 
@@ -289,27 +293,26 @@ def bind(
     )
 
 
-def request_builder(
-    prompt: BoundPrompt, kind: PromptKind
-) -> Callable[[str], tuple[CompletionRequest, str]]:
-    """Maps an input text to the request of kind `kind`, at the kind's default
-    parameters, for `prompt.fill(input_text)`, and that request's cache key.
-    The budget is checked here, but the request is `deferred`: its text is
-    joined only when its prompt is read, which a call the cache serves never
-    does. The key comes from a `PrefixKeyer` built here, once for every input."""
+def request_builder(prompt: BoundPrompt, kind: PromptKind) -> Callable[[str], PendingCall]:
+    """Maps an input text to the pending call of kind `kind`, at the kind's
+    default parameters, whose request has the prompt `prompt.fill(input_text,
+    reserve=max_tokens)`. The budget is checked here, but the prompt is joined
+    only when the call is built, which a call the cache serves never is. The
+    key comes from a `PrefixKeyer` built here, once for every input."""
     kind = PromptKind(kind)
     params = default_params(kind)
     keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
-    check, join, deferred = prompt.check, prompt.join, CompletionRequest.deferred
+    check, join, reserve = prompt.check, prompt.join, params.max_tokens
     fixed_text = bool(prompt.head or prompt.tail)
 
-    def build(input_text: str) -> tuple[CompletionRequest, str]:
-        check(input_text)
+    def call(input_text: str) -> PendingCall:
+        check(input_text, reserve)
         if not (fixed_text or input_text):
             raise ValueError("prompt is empty")
-        return deferred(join, input_text, params, kind), keyer.key(input_text)
+        return PendingCall(keyer.key(input_text), kind, params,
+                           lambda: CompletionRequest(join(input_text), params, kind))
 
-    return build
+    return call
 
 
 def render(
@@ -320,13 +323,16 @@ def render(
     sex: str | None = None,
     examples: Sequence[LabeledExample] = (),
     budget: TokenBudget | None = None,
+    reserve: int = 0,
 ) -> str:
-    """Fill a template's slots and enforce the token budget.
+    """Fill a template's slots and enforce the token budget, with `reserve`
+    tokens left for the completion.
 
-    The same as `bind(...).fill(input_text)`; see both. Raises
+    The same as `bind(...).fill(input_text, reserve)`; see both. Raises
     KindMismatchError, TemplateError, or BudgetExceededError on overflow.
     """
-    return bind(template, age=age, sex=sex, examples=examples, budget=budget).fill(input_text)
+    bound = bind(template, age=age, sex=sex, examples=examples, budget=budget)
+    return bound.fill(input_text, reserve)
 
 
 def _default_template_dir() -> Path:

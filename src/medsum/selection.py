@@ -3,8 +3,11 @@
 Two strategies: seeded uniform draws without replacement, and exact
 nearest-neighbor retrieval by cosine similarity over embedded queries.
 Pools are small, so retrieval scores every example; an example's id is its
-position in the pool. Random selection uses numpy's PCG64 generator so a
-seed reproduces the same draw on every platform. numpy is imported by the
+position in the pool. Random selection draws `Generator.permutation` over
+numpy's PCG64, so a seed gives the same draw on every platform. NEP 19
+keeps PCG64's seeding and raw stream fixed, but not the `Generator` method,
+which may change between numpy releases; `tests/test_selection.py` checks
+the draws against a pure-Python reference. numpy is imported by the
 functions that draw, index or score, so importing this module does not load
 it.
 """

@@ -1,10 +1,12 @@
 import json
+import os
 import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from medsum.backend import (
@@ -27,6 +29,11 @@ from medsum.model import (
 from medsum.promptkit import load_templates
 from medsum.selection import ExamplePool, load_example_pools
 
+# Where CI is set (GitHub Actions sets it), every property test draws the same
+# examples on every run, and a failure prints the blob that replays it.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 # A decoded JSON value of each type: null, a bool, an int, a non-integral
 # float, a string, a list (a list of pairs among them) and an object.
@@ -45,6 +52,79 @@ def json_of_another_type(kind):
     """Decoded JSON values whose type is not `kind` (str, int, list or dict);
     a bool is not an int."""
     return st.one_of(*(values for t, values in _JSON_OF_TYPE.items() if t is not kind))
+
+
+# A pure-Python numpy random stream: SeedSequence, then PCG64 XSL-RR, then
+# `random_interval`'s mask rejection on buffered 32-bit halves (low half
+# first), then `Generator.shuffle`'s Fisher-Yates from the back. NEP 19 fixes
+# the BitGenerator streams but not the Generator methods built on them.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _seed_sequence_words(seed, count):
+    """numpy's `SeedSequence(seed).generate_state(count, np.uint32)`."""
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return result ^ result >> 16
+
+    entropy = []
+    while True:  # 32-bit words, low first; 0 is one word
+        entropy.append(seed & _M32)
+        seed >>= 32
+        if not seed:
+            break
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const, words = 0x8B51F9DD, []
+    for i in range(count):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _M32
+        value = value * hash_const & _M32
+        words.append(value ^ value >> 16)
+    return words
+
+
+def reference_permutation(seed, n):
+    """`np.random.Generator(np.random.PCG64(seed)).permutation(n)` as a list."""
+    words = _seed_sequence_words(seed, 8)
+    v0, v1, v2, v3 = (words[i] | words[i + 1] << 32 for i in range(0, 8, 2))
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    inc = ((v2 << 64 | v3) << 1 | 1) & _M128
+    state = ((v0 << 64 | v1) + inc) * mult + inc & _M128
+    halves = []
+
+    def next_uint32():
+        nonlocal state
+        if not halves:  # PCG64 XSL-RR: step, then fold and rotate
+            state = (state * mult + inc) & _M128
+            folded, rot = (state >> 64 ^ state) & _M64, state >> 122
+            value = (folded >> rot | folded << (64 - rot)) & _M64
+            halves[:] = [value >> 32, value & _M32]
+        return halves.pop()
+
+    order = list(range(n))
+    for i in reversed(range(1, n)):  # Fisher-Yates from the back
+        mask = (1 << i.bit_length()) - 1
+        j = next_uint32() & mask
+        while j > i:  # random_interval's mask rejection
+            j = next_uint32() & mask
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
 SIX_SECTION_SUMMARY = """\

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from medsum.backend import (
     CompletionRequest,
     HashEmbedder,
     HTTPTransport,
+    PendingCall,
     PrefixKeyer,
     RecordingTransport,
     ReplayMissError,
@@ -41,6 +43,11 @@ from conftest import json_of_another_type, make_client
 
 def request_for(prompt="hello", kind=PromptKind.SUMMARIZATION, params=None):
     return CompletionRequest.build(kind, prompt, params)
+
+
+def pending(req, build=None):
+    """The pending call of a built request; `build` defaults to returning it."""
+    return PendingCall(cache_key(req), req.prompt_kind, req.params, build or (lambda: req))
 
 
 class TestDefaultParams:
@@ -338,7 +345,7 @@ class TestStoreBackedClient:
         sends = []
         transport.send = lambda *args: sends.append(args)
         client = CompletionClient(transport)
-        assert [client.complete(req), *client.gather([(req, cache_key(req))])] == ["first"] * 2
+        assert [client.complete(req), *client.gather([pending(req)])] == ["first"] * 2
         # The store is the only cache: what it holds now is what is served.
         store.put(cache_key(req), req.prompt_kind, "second")
         assert client.complete(req) == "second"
@@ -393,7 +400,7 @@ class TestStoreBackedClient:
 
 
 def keyed(*requests):
-    return [(req, cache_key(req)) for req in requests]
+    return [pending(req) for req in requests]
 
 
 class TestGather:
@@ -484,77 +491,61 @@ class TestGather:
         assert [req.prompt for req in transport.requests] == ["first", "blocks"]
 
 
-def _unjoinable():
-    """A deferred request whose join fails the test, with an eager twin."""
-    def join(text):
-        pytest.fail(f"the prompt of {text!r} was joined")
+def _unbuildable():
+    """A pending call whose build fails the test, with its built twin."""
+    def build():
+        pytest.fail("a pending call was built")
 
-    eager = request_for("head deferred tail")
-    return CompletionRequest.deferred(join, "deferred", eager.params, eager.prompt_kind), eager
+    eager = request_for("head pending tail")
+    return pending(eager, build), eager
 
 
-class TestDeferredRequest:
-    def test_equals_and_hashes_as_its_eager_twin_once_joined(self):
+class TestPendingCall:
+    def test_a_request_is_a_frozen_dataclass_equal_by_its_fields(self):
         head, tail = "Text:\n", "\nConcepts:"
-        eager = request_for(head + "fever" + tail, PromptKind.METRIC_EXTRACTION)
-        deferred = CompletionRequest.deferred(
-            lambda text: head + text + tail, "fever", eager.params, eager.prompt_kind
-        )
-        assert deferred == eager and eager == deferred
-        assert hash(deferred) == hash(eager)
-        assert repr(deferred) == repr(eager)
-        assert deferred != request_for(head + "chills" + tail, PromptKind.METRIC_EXTRACTION)
-        assert cache_key(deferred) == cache_key(eager)
+        req = request_for(head + "fever" + tail, PromptKind.METRIC_EXTRACTION)
+        twin = CompletionRequest(head + "fever" + tail, req.params, "metric_extraction")
+        assert twin.prompt_kind is PromptKind.METRIC_EXTRACTION
+        assert twin == req and hash(twin) == hash(req) and repr(twin) == repr(req)
+        assert twin != request_for(head + "chills" + tail, PromptKind.METRIC_EXTRACTION)
+        assert cache_key(twin) == cache_key(req)
+        assert dataclasses.fields(req) and not hasattr(req, "__dict__")
+        with pytest.raises(ValueError, match="prompt is empty"):
+            CompletionRequest("", req.params, req.prompt_kind)
 
     def test_is_frozen(self):
-        req, eager = _unjoinable()
-        for target in (req, eager):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                target.params = None
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                del target.prompt_kind
-        assert req.params is eager.params
+        _, eager = _unbuildable()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eager.params = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del eager.prompt_kind
+        with pytest.raises(AttributeError):
+            pending(eager).key = "other"
 
-    def test_joins_once_and_keeps_only_the_text(self):
-        joins = []
-        req = CompletionRequest.deferred(
-            lambda text: joins.append(text) or f"<{text}>", "in", default_params("summarization"),
-            PromptKind.SUMMARIZATION,
-        )
-        assert req.prompt == "<in>" and req.prompt == "<in>"
-        assert joins == ["in"]
-        assert req._prompt == "<in>"
-
-    def test_concurrent_first_reads_all_get_the_joined_text(self):
-        params, kind = default_params("summarization"), PromptKind.SUMMARIZATION
-        requests = [
-            CompletionRequest.deferred(lambda text: f"<{text}>", str(i), params, kind)
-            for i in range(300)
-        ]
-        seen = [[] for _ in range(8)]
-        barrier = threading.Barrier(len(seen))
-
-        def read(sink):
-            barrier.wait(timeout=10)
-            sink.extend(req.prompt for req in requests)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=read, args=(sink,)) for sink in seen]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert seen == [[f"<{i}>" for i in range(300)]] * len(seen)
-        assert all(type(req._prompt) is str for req in requests)
+    def test_concurrent_misses_of_one_key_build_once(self):
+        built, release = [], threading.Event()
+        req = request_for("slow")
+        client, transport = make_client(lambda _: release.wait(timeout=5) and "sent")
+        call = pending(req, lambda: built.append(threading.current_thread()) or req)
+        results = []
+        callers = [threading.Thread(target=lambda: results.append(client.complete(call)))
+                   for _ in range(8)]
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 5
+        while not transport.requests and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        for caller in callers:
+            caller.join(timeout=10)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == ["sent"] * 8
+        assert len(built) == 1 and transport.requests == [req]
+        assert client._flights == {}
 
     @pytest.mark.parametrize("backed_by", ["store", "memory"])
-    def test_hits_through_complete_and_gather_never_join(self, backed_by, tmp_path):
-        req, eager = _unjoinable()
+    def test_hits_through_complete_and_gather_never_build(self, backed_by, tmp_path):
+        call, eager = _unbuildable()
         if backed_by == "store":
             store = ReplayStore(tmp_path / "store.jsonl", create=True)
             store.put(cache_key(eager), eager.prompt_kind, "stored")
@@ -562,23 +553,115 @@ class TestDeferredRequest:
         else:
             client, _ = make_client(lambda _: "stored")
             client.complete(eager)
-        assert client.complete(req, cache_key(eager)) == "stored"
-        assert list(client.gather([(req, cache_key(eager))])) == ["stored"]
+        assert client.complete(call) == "stored"
+        assert list(client.gather([call])) == ["stored"]
 
-    def test_gather_joins_a_miss_on_the_calling_thread(self):
-        joined_on, sent_on = [], []
+    def test_gather_builds_a_miss_on_the_calling_thread(self):
+        built_on, sent_on = [], []
         client, transport = make_client(lambda req: sent_on.append(threading.current_thread()) or "sent")
+        req = request_for("built miss")
+        call = pending(req, lambda: built_on.append(threading.current_thread()) or req)
+        assert list(client.gather([call])) == ["sent"]
+        assert built_on == [threading.current_thread()]
+        assert sent_on != built_on
+        assert transport.requests == [request_for("built miss")]
 
-        def join(text):
-            joined_on.append(threading.current_thread())
-            return "joined " + text
 
-        params = default_params("summarization")
-        req = CompletionRequest.deferred(join, "miss", params, PromptKind.SUMMARIZATION)
-        assert list(client.gather([(req, cache_key(request_for("joined miss")))])) == ["sent"]
-        assert joined_on == [threading.current_thread()]
-        assert sent_on != joined_on
-        assert transport.requests == [request_for("joined miss")]
+def _drain(width):
+    """Return once every task queued on the fan-out executor of `width` has
+    run: `width` tasks that wait for each other run only on a free pool."""
+    barrier = threading.Barrier(width)
+    executor = backend._fan_out_executor(width)
+    for done in [executor.submit(barrier.wait, 5) for _ in range(width)]:
+        done.result(timeout=10)
+
+
+@st.composite
+def _gateway_runs(draw):
+    """Call ids over a small key space (repeats allowed), the ids answered
+    before the run, the ids whose first attempt fails transiently, and the
+    position of one more call, of a key of its own, that is refused."""
+    ids = draw(st.lists(st.integers(0, 4), min_size=1, max_size=10))
+    stored = draw(st.sets(st.integers(0, 4)))
+    flaky = draw(st.sets(st.integers(0, 4)))
+    return ids, stored, flaky, draw(st.integers(0, len(ids)))
+
+
+class TestGatewayOverPendingCalls:
+    BROKEN = 5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        run=_gateway_runs(),
+        backed_by=st.sampled_from(["store", "memory"]),
+        through=st.sampled_from(["gather", "complete"]),
+        max_in_flight=st.sampled_from([None, 1, 3]),
+    )
+    def test_builds_and_sends_only_misses_and_answers_in_turn(
+        self, run, backed_by, through, max_in_flight
+    ):
+        ids, stored, flaky, broken_at = run
+        ids = ids[:broken_at] + [self.BROKEN] + ids[broken_at:]
+        requests = {i: request_for(f"prompt {i}") for i in range(self.BROKEN + 1)}
+        built, attempts, answered, live = [], Counter(), [], []
+
+        def respond(req):
+            i = int(req.prompt.split()[1])
+            if live:
+                attempts[i] += 1
+                if i == self.BROKEN:
+                    raise BackendProtocolError("refused")
+                if i in flaky and attempts[i] == 1:
+                    raise TransientBackendError("busy")
+                answered.append(i)
+            return f"text {i}"
+
+        with tempfile.TemporaryDirectory() as tmp:
+            transport = ScriptedTransport(respond)
+            if backed_by == "store":
+                store = ReplayStore(Path(tmp) / "store.jsonl", create=True)
+                for i in stored:
+                    store.put(cache_key(requests[i]), requests[i].prompt_kind, f"text {i}")
+                transport = RecordingTransport(transport, store)
+            client = CompletionClient(transport, sleeper=lambda _: None, max_in_flight=max_in_flight)
+            for i in stored:
+                client.complete(requests[i])  # a store hit, or the memory cache's first answer
+            live.append(True)
+            calls = [pending(requests[i], lambda i=i: built.append(i) or requests[i]) for i in ids]
+            if through == "gather":
+                texts = client.gather(calls)
+                outcomes = [next(texts) for _ in range(broken_at)]
+                with pytest.raises(BackendProtocolError):
+                    next(texts)
+                outcomes.append("refused")
+                _drain(max_in_flight or backend.FAN_OUT_WIDTH)
+            else:
+                outcomes = []
+                for call in calls:
+                    try:
+                        outcomes.append(client.complete(call))
+                    except BackendProtocolError:
+                        outcomes.append("refused")
+            client.close()
+
+        expected = [f"text {i}" if i != self.BROKEN else "refused" for i in ids]
+        assert outcomes == expected[:len(outcomes)]
+        assert client._flights == {}
+        missed = [i for i in dict.fromkeys(ids) if i not in stored]
+        if through == "complete":
+            assert built == missed
+        else:
+            # Every call is looked up before any answer is taken; a repeat
+            # that misses joins its key's flight or finds its text.
+            assert set(built) == set(missed)
+            assert all(built.count(i) <= ids.count(i) for i in missed)
+        assert attempts[self.BROKEN] == 1
+        assert len(answered) == len(set(answered))
+        assert set(answered) <= set(missed) - {self.BROKEN}
+        assert set(ids[:broken_at]) - stored <= set(answered)
+        if through == "complete":
+            assert set(answered) == set(missed) - {self.BROKEN}
+        assert all(attempts[i] == 1 + (i in flaky) for i in answered)
 
 
 class TestRetryPolicy:

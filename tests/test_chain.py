@@ -194,6 +194,8 @@ class TestBoundWindowPrompt:
         )
         template = deps.templates["dialogue_extraction"]
 
+        reserve = default_params(PromptKind.DIALOGUE_EXTRACTION).max_tokens
+
         def rendered(window, budget):
             return render(
                 template,
@@ -202,17 +204,18 @@ class TestBoundWindowPrompt:
                 sex=enc.sex,
                 examples=examples,
                 budget=budget,
+                reserve=reserve,
             )
 
-        # Room for the first three windows' prompts only.
+        # Room for the first three windows' prompts and their completions only.
         fits = max(len(rendered(w, None).split()) for w in windows[:3])
         cfg = ChainConfig(
-            extraction_k=3, run_seed=5, budget=TokenBudget(fits, inflation_factor=1.0)
+            extraction_k=3, run_seed=5, budget=TokenBudget(fits + reserve, inflation_factor=1.0)
         )
         prompts = []
         with pytest.raises(BudgetExceededError) as chained:
-            for _, req, _ in chain._extraction_requests(enc, cfg, deps):
-                prompts.append(req.prompt)
+            for _, call in chain._extraction_calls(enc, cfg, deps):
+                prompts.append(call.build().prompt)
         assert prompts[1:] == [rendered(w, cfg.budget) for w in windows[:3]]
         with pytest.raises(BudgetExceededError) as direct:
             rendered(windows[3], cfg.budget)
@@ -221,6 +224,30 @@ class TestBoundWindowPrompt:
         with pytest.raises(ChainError) as failed:
             run_medsum_ent(enc, cfg, deps)
         assert failed.value.stage == "turn extraction"
+
+
+class TestSummaryBudget:
+    @pytest.mark.parametrize("runner", [run_medsum_ent, run_naive_baseline])
+    def test_the_summary_prompt_leaves_room_for_its_completion(self, scripted_deps, runner):
+        """A completions API counts the prompt plus `max_tokens` against the
+        context, so a prompt that fits alone but not with them is refused."""
+        deps, transport = scripted_deps
+        enc = make_encounter()
+
+        def cfg(context):
+            return ChainConfig(budget=TokenBudget(context, inflation_factor=1.0))
+
+        runner(enc, cfg(4096), deps)
+        words = len(transport.requests[-1].prompt.split())
+        reserve = default_params(PromptKind.SUMMARIZATION).max_tokens
+        assert transport.requests[-1].prompt_kind is PromptKind.SUMMARIZATION
+        runner(enc, cfg(words + reserve), deps)
+        with pytest.raises(ChainError) as failed:
+            runner(enc, cfg(words + reserve - 1), deps)
+        assert failed.value.stage == "summarization"
+        budget = failed.value.__cause__
+        assert isinstance(budget, BudgetExceededError)
+        assert (budget.estimated, budget.budget) == (words, words - 1)
 
 
 class TestCollate:

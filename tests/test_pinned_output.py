@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 import medsum.cli as cli
+import medsum.selection as selection
 from medsum.backend import CompletionClient, HashEmbedder, ReplayStore, ScriptedTransport
 from medsum.chain import ChainConfig, ChainDeps, SelectionMode, run_many
 from medsum.cli import load_dataset
@@ -30,7 +31,7 @@ from medsum.model import Method, PromptKind
 from medsum.promptkit import load_templates
 from medsum.selection import build_index, load_example_pools
 
-from conftest import scripted_pipeline_responder
+from conftest import reference_permutation, scripted_pipeline_responder
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -40,6 +41,9 @@ JSONL_SHA256 = "138d8a275cf2d960e529bc4abed5c31e65a9a091848d51e864ef1e7c42d53506
 # The sorted cache keys of every metric-judge request of that eval; they
 # appear in no record or report, only in a recorded metric store.
 METRIC_KEYS_SHA256 = "16edc5c3acb8c41a200d4bf293bd9a3a71d01cf39269a9e25514538117f6fabc"
+# The little-endian float64 rows `HashEmbedder().embed_many` gives for every
+# distinct text the sample runs embed, sorted.
+EMBEDDING_ROWS_SHA256 = "189a02a0ef6f67ad25d7e2135d847ccbdbee6927a9e7ce0e83b4fef8834ea927"
 
 
 def metric_responder(req):
@@ -179,3 +183,21 @@ def test_run_writes_the_json_dumps_reference_bytes(tmp_path, monkeypatch):
     assert output.read_bytes() == expected.encode("ascii")
     for line in store.read_text(encoding="ascii").splitlines():
         assert line == json.dumps(json.loads(line), sort_keys=True, separators=(",", ":"))
+
+
+def test_numpy_draws_behind_the_pinned_bytes(monkeypatch):
+    """The two numpy `Generator` draws the sample records rest on, each
+    pinned on its own: every `_order` permutation drawn is the pure-Python
+    reference stream, and every embedded text's row has pinned bytes."""
+    texts, draws = [], []
+    embed_many, order = HashEmbedder.embed_many, selection._order
+    monkeypatch.setattr(
+        HashEmbedder, "embed_many", lambda self, batch: texts.extend(batch) or embed_many(self, batch)
+    )
+    monkeypatch.setattr(selection, "_order", lambda seed, n: draws.append((seed, n)) or order(seed, n))
+    sample_records()
+    assert draws and texts
+    for seed, n in set(draws):
+        assert order(seed, n).tolist() == reference_permutation(seed, n)
+    rows = HashEmbedder().embed_many(sorted(set(texts)))
+    assert sha256(rows.astype("<f8").tobytes()) == EMBEDDING_ROWS_SHA256

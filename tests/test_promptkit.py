@@ -211,10 +211,12 @@ _REFERENCE_EXAMPLE_KIND = {
 }
 
 
-def reference_render(template, *, input_text, age=None, sex=None, examples=(), budget=None):
+def reference_render(
+    template, *, input_text, age=None, sex=None, examples=(), budget=None, reserve=0
+):
     """Single-pass renderer: every slot, {input} included, filled by one
     regex substitution over the whole preamble, then the whole prompt's
-    words counted against the budget."""
+    words counted against the budget less `reserve`."""
     expected = _REFERENCE_EXAMPLE_KIND.get(template.kind)
     if examples and expected is None:
         raise KindMismatchError(f"{template.kind.value} prompts take no in-context examples")
@@ -245,8 +247,8 @@ def reference_render(template, *, input_text, age=None, sex=None, examples=(), b
     prompt = _REFERENCE_SLOT_RE.sub(lambda m: values.get(m.group(1), ""), template.preamble)
     budget = budget or TokenBudget()
     estimated = math.ceil(len(prompt.split()) * budget.inflation_factor)
-    if estimated > budget.max_context_tokens:
-        raise BudgetExceededError(estimated, budget.max_context_tokens)
+    if estimated + reserve > budget.max_context_tokens:
+        raise BudgetExceededError(estimated, budget.max_context_tokens - reserve)
     return prompt
 
 
@@ -308,9 +310,10 @@ class TestBind:
         example_text=join_text,
         max_tokens=st.integers(min_value=1, max_value=1500),
         factor=st.floats(min_value=1.0, max_value=2.5, allow_nan=False),
+        reserve=st.sampled_from([0, 0, 1, 200, 512]),
     )
     def test_fill_matches_single_pass_render(
-        self, template, inputs, age, sex, shots, example_text, max_tokens, factor
+        self, template, inputs, age, sex, shots, example_text, max_tokens, factor, reserve
     ):
         kind = _REFERENCE_EXAMPLE_KIND.get(template.kind, ExampleKind.SUMMARIZATION)
         examples = [
@@ -322,12 +325,16 @@ class TestBind:
         bound = _outcome(lambda: bind(template, **kwargs))
         # One bound prompt serves every input, as the turn windows share one.
         for input_text in inputs:
-            expected = _outcome(lambda: reference_render(template, input_text=input_text, **kwargs))
+            expected = _outcome(
+                lambda: reference_render(template, input_text=input_text, reserve=reserve, **kwargs)
+            )
             if isinstance(bound, tuple):
                 assert bound == expected
                 continue
-            assert _outcome(lambda: bound.fill(input_text)) == expected
-            assert _outcome(lambda: render(template, input_text=input_text, **kwargs)) == expected
+            assert _outcome(lambda: bound.fill(input_text, reserve)) == expected
+            assert _outcome(
+                lambda: render(template, input_text=input_text, reserve=reserve, **kwargs)
+            ) == expected
 
     def test_word_running_into_the_template_counts_once(self):
         template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:{input}:end")
@@ -352,9 +359,10 @@ class TestRequestBuilder:
         sex=join_text,
         shots=st.integers(min_value=0, max_value=3),
         example_text=join_text,
+        context=st.integers(min_value=1, max_value=1500),
     )
-    def test_request_and_key_match_render_and_cache_key(
-        self, templates, template_id, inputs, age, sex, shots, example_text
+    def test_call_matches_render_and_cache_key(
+        self, templates, template_id, inputs, age, sex, shots, example_text, context
     ):
         template = templates[template_id]
         kind = _REFERENCE_EXAMPLE_KIND.get(template.kind)
@@ -362,19 +370,23 @@ class TestRequestBuilder:
             LabeledExample(kind, example_text + str(i), 30 + i, sex, example_text)
             for i in range(shots if kind is not None else 0)
         ]
-        kwargs = dict(age=age, sex=sex, examples=examples)
+        params = default_params(template.kind)
+        kwargs = dict(age=age, sex=sex, examples=examples, budget=TokenBudget(context))
         # One builder serves every input, as the turn windows share one.
         build = request_builder(bind(template, **kwargs), template.kind)
         for input_text in inputs:
-            req, key = build(input_text)
-            expected = CompletionRequest(
-                render(template, input_text=input_text, **kwargs),
-                default_params(template.kind),
-                template.kind,
+            prompt = _outcome(lambda: render(
+                template, input_text=input_text, reserve=params.max_tokens, **kwargs
+            ))
+            call = _outcome(lambda: build(input_text))
+            if isinstance(prompt, tuple):  # the budget, less the completion's tokens, overflows
+                assert call == prompt
+                continue
+            expected = CompletionRequest(prompt, params, template.kind)
+            assert (call.key, call.prompt_kind, call.params) == (
+                cache_key(expected), template.kind, params
             )
-            assert req == expected
-            assert key == cache_key(expected)
-
+            assert call.build() == expected
 
     def _sent_and_recorded(self, tmp_path):
         sent = []
@@ -389,8 +401,8 @@ class TestRequestBuilder:
         template, input_text = templates["metric_extraction"], "Patient reports fever."
         build = request_builder(bind(template), template.kind)
         client, store, sent = self._sent_and_recorded(tmp_path)
-        req, key = build(input_text)
-        text = client.complete(req, key) if through == "complete" else next(client.gather([(req, key)]))
+        call = build(input_text)
+        text = client.complete(call) if through == "complete" else next(client.gather([call]))
         expected = CompletionRequest(
             render(template, input_text=input_text), default_params(template.kind), template.kind
         )
@@ -408,32 +420,52 @@ class TestRequestBuilder:
 
         template, input_text = templates["metric_extraction"], "Patient reports fever."
         client, _, sent = self._sent_and_recorded(tmp_path)
-        assert client.complete(*request_builder(bind(template), template.kind)(input_text)) == "- fever"
+        assert client.complete(request_builder(bind(template), template.kind)(input_text)) == "- fever"
         bound = bind(template)
         build = request_builder(Unjoinable(bound.head, bound.tail, bound.budget), template.kind)
-        assert client.complete(*build(input_text)) == "- fever"
+        assert client.complete(build(input_text)) == "- fever"
         assert list(client.gather([build(input_text)] * 2)) == ["- fever"] * 2
         assert len(sent) == 1
         client.close()
 
-    def test_budget_is_checked_when_the_request_is_built_even_if_its_key_is_stored(
+    def test_budget_is_checked_when_the_call_is_made_even_if_its_key_is_stored(
         self, templates, tmp_path
     ):
         template, input_text = templates["metric_extraction"], " ".join(["tok"] * 50)
         client, _, _ = self._sent_and_recorded(tmp_path)
-        client.complete(*request_builder(bind(template), template.kind)(input_text))
+        client.complete(request_builder(bind(template), template.kind)(input_text))
         tight = bind(template, budget=TokenBudget(max_context_tokens=10, inflation_factor=1.0))
         with pytest.raises(BudgetExceededError):
             request_builder(tight, template.kind)(input_text)
         client.close()
 
-    def test_a_joined_request_lets_its_bound_prompt_go(self, templates):
+    def test_the_budget_leaves_room_for_the_completion(self, templates):
+        template, input_text = templates["metric_extraction"], "Patient reports fever."
+        words = len(render(template, input_text=input_text).split())
+        reserve = default_params(template.kind).max_tokens
+
+        def call(context):
+            budget = TokenBudget(max_context_tokens=context, inflation_factor=1.0)
+            return request_builder(bind(template, budget=budget), template.kind)(input_text)
+
+        assert call(words + reserve).build().prompt == render(template, input_text=input_text)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            call(words + reserve - 1)
+        assert (excinfo.value.estimated, excinfo.value.budget) == (words, words - 1)
+
+    def test_a_built_request_lets_its_bound_prompt_go(self, templates):
+        class Tracked(BoundPrompt):
+            __slots__ = ("__weakref__",)
+
         template = templates["metric_extraction"]
         bound = bind(template)
+        bound = Tracked(bound.head, bound.tail, bound.budget)
         alive = weakref.ref(bound)
-        req, _ = request_builder(bound, template.kind)("fever")
+        call = request_builder(bound, template.kind)("fever")
         del bound
-        assert alive() is not None  # the request joins through it
+        assert alive() is not None  # the pending call builds through it
+        req = call.build()
+        del call
         assert req.prompt == render(template, input_text="fever")
         gc.collect()
         assert alive() is None

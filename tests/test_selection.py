@@ -19,9 +19,10 @@ from medsum.selection import (
     select_random,
     select_semantic,
     select_semantic_many,
+    _order,
 )
 
-from conftest import make_pool
+from conftest import make_pool, reference_permutation
 
 
 class FixedEmbedder:
@@ -167,6 +168,16 @@ class TestSelectRandom:
         pool = make_pool(ExampleKind.RFE_EXTRACTION, 5)
         drawn = select_random(pool, 3, seed=42)
         assert [pool.examples.index(e) for e in drawn] == [4, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 9), st.integers(0, 2**64 - 1)),
+        n=st.sampled_from([1, 2, 3, 60, 300, 1000]),
+    )
+    def test_order_is_the_pure_python_reference_stream(self, seed, n):
+        """`_order` rests on `Generator.permutation`, which NEP 19 leaves free
+        to change between numpy releases; a change fails here, by name."""
+        assert _order(seed, n).tolist() == reference_permutation(seed, n)
 
     @settings(max_examples=40, deadline=None)
     @given(
