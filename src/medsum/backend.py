@@ -710,8 +710,9 @@ class CompletionClient:
         On the first take every call is taken from `calls`, and then every
         call starts: one the cache can serve is answered from its one lookup
         and is never built; any other is built on the calling thread and
-        runs on the fan-out executor. A call's failure, or one raised by
-        `calls` itself, is raised in its turn, after the texts before it.
+        runs on the fan-out executor. A call's failure, or one raised by its
+        `build` or by `calls` itself, is raised in its turn, after the texts
+        before it.
         Closing the iterator cancels the calls not yet started. Never call
         this from a task running on that executor: a worker waiting on its
         own pool can deadlock it.
@@ -731,8 +732,13 @@ class CompletionClient:
                 if text is None:
                     # Built here, not among the answers coming back on the
                     # fan-out threads.
+                    try:
+                        req = call.build()
+                    except Exception as exc:  # raised in its turn; later calls never start
+                        failure = exc
+                        break
                     executor = _fan_out_executor(self._fan_out_width)
-                    text = executor.submit(self.complete, call.build(), call.key)
+                    text = executor.submit(self.complete, req, call.key)
                 pending.append(text)
             if failure is not None:
                 failed: Future[str] = Future()

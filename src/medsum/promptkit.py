@@ -108,16 +108,9 @@ class TokenBudget:
     def __post_init__(self) -> None:
         if self.max_context_tokens <= 0:
             raise ValueError("max_context_tokens must be positive")
-        if self.inflation_factor < 1.0:
-            raise ValueError("inflation_factor must be >= 1")
-
-    def check_words(self, words: int, reserve: int = 0) -> None:
-        """Raise BudgetExceededError if a text of `words` whitespace words,
-        estimated as `estimate_tokens` does, exceeds the budget less the
-        `reserve` tokens, which the error gives as its budget."""
-        estimated = math.ceil(words * self.inflation_factor)
-        if estimated + reserve > self.max_context_tokens:
-            raise BudgetExceededError(estimated, self.max_context_tokens - reserve)
+        factor = self.inflation_factor
+        if not 1.0 <= factor < math.inf:  # NaN fails this too
+            raise ValueError(f"inflation_factor must be finite and >= 1, got {factor!r}")
 
 
 _SLOTS = ("age", "sex", "input", "examples")
@@ -193,21 +186,24 @@ class BoundPrompt:
 
     `fill(input_text)` returns exactly the prompt `render` gives for the same
     arguments and raises the same BudgetExceededError. It is `check` then
-    `join`, and `check` counts only the input's words: the words of the text
-    around it were counted once, when it was bound. So one bound prompt
-    serves every input that shares its demographics and examples, such as
-    the turn windows of one encounter. `request_builder` checks each input
-    at once but joins it only if its call is built. `reserve` is the
-    tokens left for the completion (see `TokenBudget`).
+    `join`. `check` decides from lengths when they prove the fit, and counts
+    words exactly otherwise, with the same decisions and errors; the words
+    of the text around the input are counted once, on first need. So one
+    bound prompt serves every input that shares its demographics and
+    examples, such as the turn windows of one encounter. `request_builder`
+    checks each input at once but joins it only if its call is built.
+    `reserve` is the tokens left for the completion (see `TokenBudget`).
     """
 
-    __slots__ = ("head", "tail", "budget", "_words", "_head_open", "_tail_open")
+    __slots__ = ("head", "tail", "budget", "_bound", "_words", "_head_open", "_tail_open")
 
     def __init__(self, head: str, tail: str, budget: TokenBudget):
         self.head = head
         self.tail = tail
         self.budget = budget
-        self._words = len(head.split()) + len(tail.split())
+        # n code points hold at most (n + 1) // 2 whitespace words.
+        self._bound = (len(head) + 1) // 2 + (len(tail) + 1) // 2
+        self._words: int | None = None
         # Whether a word at the end of head (start of tail) would run on
         # into text put right after (before) it.
         self._head_open = bool(head) and not head[-1].isspace()
@@ -215,7 +211,14 @@ class BoundPrompt:
 
     def check(self, input_text: str, reserve: int = 0) -> None:
         """Raise BudgetExceededError if the prompt with `input_text` in the
-        {input} slot does not fit the budget with `reserve` tokens left."""
+        {input} slot, estimated as `estimate_tokens` does, does not fit the
+        budget less `reserve` tokens, which the error gives as its budget."""
+        factor, limit = self.budget.inflation_factor, self.budget.max_context_tokens - reserve
+        # The corrections at the joins below only subtract, so this bounds the words.
+        if math.ceil((self._bound + (len(input_text) + 1) // 2) * factor) <= limit:
+            return
+        if self._words is None:
+            self._words = len(self.head.split()) + len(self.tail.split())
         words = self._words + len(input_text.split())
         if input_text:
             # A word that runs on across a join is one word, not two.
@@ -225,7 +228,9 @@ class BoundPrompt:
                 words -= 1
         elif self._head_open and self._tail_open:
             words -= 1
-        self.budget.check_words(words, reserve)
+        estimated = math.ceil(words * factor)
+        if estimated > limit:
+            raise BudgetExceededError(estimated, limit)
 
     def join(self, input_text: str) -> str:
         """The prompt with `input_text` in the {input} slot, unchecked."""

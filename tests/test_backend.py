@@ -468,6 +468,28 @@ class TestGather:
         with pytest.raises(BackendProtocolError):
             next(texts)
 
+    def test_a_build_that_raises_surfaces_at_its_position(self, tmp_path):
+        def unbuildable():
+            raise ValueError("cannot build this prompt")
+
+        store = ReplayStore(tmp_path / "store.jsonl", create=True)
+        stored, miss, broken, later = (request_for(p) for p in ("stored", "miss", "broken", "later"))
+        store.put(cache_key(stored), stored.prompt_kind, "from the store")
+        transport = ScriptedTransport(lambda req: f"echo:{req.prompt}")
+        client = CompletionClient(RecordingTransport(transport, store))
+        texts = client.gather([
+            pending(stored),
+            pending(miss),
+            PendingCall(cache_key(broken), broken.prompt_kind, broken.params, unbuildable),
+            pending(later),
+        ])
+        assert next(texts) == "from the store"
+        assert next(texts) == "echo:miss"
+        with pytest.raises(ValueError, match="cannot build this prompt"):
+            next(texts)
+        assert transport.requests == [miss]  # no call after the failure starts
+        assert client._flights == {}
+
     def test_closing_after_the_first_text_cancels_queued_calls(self):
         started, release = threading.Event(), threading.Event()
 

@@ -610,6 +610,31 @@ def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
 
 
 @pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_non_finite_inflation_factor_exits_1_before_writing(workspace, capsys, command, factor):
+    """`json.loads` reads `NaN` and `Infinity`; the budget refuses them at
+    once instead of failing every call that checks a prompt."""
+    records = workspace["dir"] / "scored.jsonl"
+    if command == "eval":  # a record to score, whose prompts would reach the budget check
+        reference = StructuredSummary(medical_intent="fever").to_dict()
+        write_dataset(workspace["dataset"], [encounter_record("enc-001", n_turns=4, reference=reference)])
+        prerecord(workspace["store"], workspace)
+        run = ["run", str(workspace["dataset"]), str(records), "--config", str(workspace["config"])]
+        assert main(run + ["--backend", "replay", "--replay-store", str(workspace["store"])]) == EXIT_OK
+    argv = _set_up_argv(workspace, command, {"inflation_factor": factor})
+    if command == "eval":
+        argv[1] = str(records)
+    capsys.readouterr()
+    before = _files(workspace["dir"])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", (
+        "error: bad run configuration: inflation_factor must be finite and >= 1, "
+        f"got {factor!r}\n"
+    ))
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
 @pytest.mark.parametrize("regular_file", [False, True])
 def test_templates_dir_that_is_not_a_directory_exits_1(workspace, capsys, command, regular_file):
     """A missing `templates_dir`, or one that is a file, is refused rather

@@ -275,15 +275,25 @@ _TEMPLATE_TEXT = st.lists(
     st.sampled_from([p for p in _JOIN_PIECES if p not in ("{input}", "{examples}", "{age}", "{sex}")]),
     max_size=6,
 ).map("".join)
+# Text whose word count its length bounds exactly (one-character words one
+# space apart), and text whose length overstates it most (whitespace alone).
+_ONE_CHARACTER_WORDS = st.integers(min_value=1, max_value=40).map(lambda n: " ".join("a" * n))
+_BOUND_EDGE_TEXT = _ONE_CHARACTER_WORDS | st.text(
+    alphabet=" \n\t\x0b\x85\u3000", min_size=1, max_size=30
+)
 
 
 @st.composite
 def templates_to_bind(draw):
-    """A shipped template, or one built around {input} from join text."""
+    """A shipped template, or one built around {input} from join text or
+    from one-character words."""
     shipped = sorted(load_templates().items())
     if draw(st.booleans()):
         return draw(st.sampled_from(shipped))[1]
     kind = draw(st.sampled_from(list(PromptKind)))
+    if draw(st.booleans()):  # a prompt whose words its length bounds exactly
+        head, tail = draw(_ONE_CHARACTER_WORDS), draw(_ONE_CHARACTER_WORDS)
+        return PromptTemplate(kind=kind, preamble=f"{head} {{input}} {tail}")
     parts = [draw(_TEMPLATE_TEXT)]
     for slot in ("{age}", "{sex}"):
         if draw(st.booleans()):
@@ -299,27 +309,52 @@ def templates_to_bind(draw):
         assume(False)
 
 
+def _length_bound(*texts):
+    """Whitespace words that texts of these lengths can hold at most."""
+    return sum((len(text) + 1) // 2 for text in texts)
+
+
+class _SplitError(Exception):
+    pass
+
+
+class _Unsplittable(str):
+    """A text whose words must not be counted."""
+
+    def split(self, *args, **kwargs):
+        raise _SplitError(str(self))
+
+
 class TestBind:
     @settings(max_examples=300, deadline=None)
     @given(
         template=templates_to_bind(),
-        inputs=st.lists(join_text, min_size=1, max_size=4),
+        inputs=st.lists(join_text | _BOUND_EDGE_TEXT, min_size=1, max_size=4),
         age=st.integers(min_value=0, max_value=120),
         sex=join_text,
-        shots=st.integers(min_value=0, max_value=3),
+        shots=st.sampled_from([0, 0, 1, 2, 3]),
         example_text=join_text,
-        max_tokens=st.integers(min_value=1, max_value=1500),
         factor=st.floats(min_value=1.0, max_value=2.5, allow_nan=False),
         reserve=st.sampled_from([0, 0, 1, 200, 512]),
+        data=st.data(),
     )
     def test_fill_matches_single_pass_render(
-        self, template, inputs, age, sex, shots, example_text, max_tokens, factor, reserve
+        self, template, inputs, age, sex, shots, example_text, factor, reserve, data
     ):
         kind = _REFERENCE_EXAMPLE_KIND.get(template.kind, ExampleKind.SUMMARIZATION)
         examples = [
             LabeledExample(kind, example_text + str(i), 30 + i, sex, example_text)
             for i in range(shots)
         ]
+        sizes = st.integers(min_value=1, max_value=1500)
+        unbudgeted = _outcome(lambda: bind(template, age=age, sex=sex, examples=examples))
+        if not isinstance(unbudgeted, tuple):
+            # Around the context size where an input's length bound stops proving the fit.
+            edge_input = data.draw(st.sampled_from(inputs), label="edge_input")
+            bound = _length_bound(unbudgeted.head, unbudgeted.tail, edge_input)
+            edge = math.ceil(bound * factor) + reserve
+            sizes |= st.integers(min_value=max(1, edge - 1), max_value=edge + 1)
+        max_tokens = data.draw(sizes, label="max_tokens")
         budget = TokenBudget(max_context_tokens=max_tokens, inflation_factor=factor)
         kwargs = dict(age=age, sex=sex, examples=examples, budget=budget)
         bound = _outcome(lambda: bind(template, **kwargs))
@@ -344,6 +379,37 @@ class TestBind:
         with pytest.raises(BudgetExceededError) as excinfo:
             bind(template, budget=exact).fill("one two")
         assert excinfo.value.estimated == 2
+
+    def test_an_input_the_lengths_prove_fits_is_never_split(self, templates):
+        template = templates["metric_extraction"]
+        params = default_params(template.kind)
+        unbudgeted = bind(template)
+        text = "fever, chills " * 5
+        words = _length_bound(unbudgeted.head, unbudgeted.tail, text)
+        budget = TokenBudget(words + params.max_tokens, inflation_factor=1.0)
+        bound = bind(template, budget=budget)
+        expected = render(template, input_text=text, budget=budget, reserve=params.max_tokens)
+        assert bound.fill(_Unsplittable(text), params.max_tokens) == expected
+        call = request_builder(bound, template.kind)(_Unsplittable(text))
+        assert call.key == cache_key(CompletionRequest(expected, params, template.kind))
+
+        longer = text + "x"  # one code point past the bound
+        assert _length_bound(longer) == _length_bound(text) + 1
+        with pytest.raises(_SplitError):
+            bound.fill(_Unsplittable(longer), params.max_tokens)
+        with pytest.raises(_SplitError):
+            request_builder(bound, template.kind)(_Unsplittable(longer))
+        for reserve in (params.max_tokens, budget.max_context_tokens):  # fits, then overflows
+            assert _outcome(lambda: bound.fill(longer, reserve)) == _outcome(lambda: reference_render(
+                template, input_text=longer, budget=budget, reserve=reserve
+            ))
+
+    def test_the_text_around_the_input_is_split_only_past_the_bound(self):
+        head, tail = _Unsplittable("Text:\n"), _Unsplittable("\nConcepts:")
+        bound = BoundPrompt(head, tail, TokenBudget(max_context_tokens=30, inflation_factor=1.0))
+        assert bound.fill("fever and chills", reserve=5) == "Text:\nfever and chills\nConcepts:"
+        with pytest.raises(_SplitError):
+            bound.check("fever and chills " * 3, reserve=5)
 
     def test_missing_demographics_fail_at_bind(self, templates):
         with pytest.raises(TemplateError, match="age"):
