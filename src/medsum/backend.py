@@ -859,9 +859,6 @@ class HashEmbedder:
         self._lock = threading.Lock()
         self._generator: np.random.Generator | None = None
 
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_many([text])[0]
-
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         if not all(texts):
             raise ValueError("cannot embed empty text")

@@ -143,6 +143,11 @@ class ChainConfig:
             "inflation_factor": self.budget.inflation_factor,
         }
 
+    def shots(self, kind: ExampleKind) -> tuple[str, int]:
+        """The setting that says how many examples of `kind` a prompt takes, and its value."""
+        name = "summarization_k" if kind is ExampleKind.SUMMARIZATION else "extraction_k"
+        return name, getattr(self, name)
+
 
 @dataclass
 class ChainDeps:
@@ -210,7 +215,7 @@ def _select_examples(
     """The configured number of examples of `kind` for the prompt of each
     input text; a random draw ignores the text, so all share one list. One
     text takes the one-query `select_semantic`, more are scored together."""
-    k = cfg.summarization_k if kind is ExampleKind.SUMMARIZATION else cfg.extraction_k
+    _, k = cfg.shots(kind)
     if k == 0 or not query_texts:
         return [[]] * len(query_texts)
     pool = deps.pools.get(kind)

@@ -60,6 +60,7 @@ from .model import (
     validate_reference,
 )
 from .promptkit import (
+    BudgetExceededError,
     PromptTemplate,
     TemplateError,
     TokenBudget,
@@ -303,6 +304,11 @@ def build_deps(
             if kind not in loaded:
                 raise CliError(f"example pool file has no {kind.value!r} examples")
             pool = loaded[kind]
+            name, k = cfg.shots(kind)
+            if len(pool) < k:
+                raise CliError(
+                    f"example pool file has {len(pool)} {kind.value!r} examples; {name} is {k}"
+                )
             if cfg.selection_mode is SelectionMode.SEMANTIC:
                 pool = build_index(pool, embedder)
             pools[kind] = pool
@@ -441,7 +447,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 print(f"WARN encounter {encounter_id!r} {why}, skipped", file=sys.stderr)
                 skipped += 1
                 continue
-            scores = evaluate_encounter(summary, reference, verifier, extractor)
+            try:
+                scores = evaluate_encounter(summary, reference, verifier, extractor)
+            except BudgetExceededError as exc:
+                raise CliError(
+                    f"encounter {encounter_id!r}: a metric prompt does not fit the budget: {exc}"
+                ) from exc
             evaluations.append(EncounterEvaluation(encounter_id, row_key, scores))
     except (BackendError, ConceptParseError, VerificationParseError) as exc:
         raise CliError(f"backend failure during evaluation: {exc}", EXIT_BACKEND) from exc

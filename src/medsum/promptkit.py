@@ -186,16 +186,16 @@ class BoundPrompt:
 
     `fill(input_text)` returns exactly the prompt `render` gives for the same
     arguments and raises the same BudgetExceededError. It is `check` then
-    `join`. `check` decides from lengths when they prove the fit, and counts
-    words exactly otherwise, with the same decisions and errors; the words
-    of the text around the input are counted once, on first need. So one
-    bound prompt serves every input that shares its demographics and
-    examples, such as the turn windows of one encounter. `request_builder`
-    checks each input at once but joins it only if its call is built.
-    `reserve` is the tokens left for the completion (see `TokenBudget`).
+    `join`. `check` decides from lengths when they prove the fit, and
+    otherwise counts the words of the joined prompt with `estimate_tokens`,
+    with the same decisions and errors. So one bound prompt serves every
+    input that shares its demographics and examples, such as the turn
+    windows of one encounter. `request_builder` checks each input at once
+    but joins it only if its call is built. `reserve` is the tokens left for
+    the completion (see `TokenBudget`).
     """
 
-    __slots__ = ("head", "tail", "budget", "_bound", "_words", "_head_open", "_tail_open")
+    __slots__ = ("head", "tail", "budget", "_bound")
 
     def __init__(self, head: str, tail: str, budget: TokenBudget):
         self.head = head
@@ -203,32 +203,16 @@ class BoundPrompt:
         self.budget = budget
         # n code points hold at most (n + 1) // 2 whitespace words.
         self._bound = (len(head) + 1) // 2 + (len(tail) + 1) // 2
-        self._words: int | None = None
-        # Whether a word at the end of head (start of tail) would run on
-        # into text put right after (before) it.
-        self._head_open = bool(head) and not head[-1].isspace()
-        self._tail_open = bool(tail) and not tail[0].isspace()
 
     def check(self, input_text: str, reserve: int = 0) -> None:
         """Raise BudgetExceededError if the prompt with `input_text` in the
         {input} slot, estimated as `estimate_tokens` does, does not fit the
         budget less `reserve` tokens, which the error gives as its budget."""
         factor, limit = self.budget.inflation_factor, self.budget.max_context_tokens - reserve
-        # The corrections at the joins below only subtract, so this bounds the words.
+        # Joining never adds words, so this bounds the joined prompt's words.
         if math.ceil((self._bound + (len(input_text) + 1) // 2) * factor) <= limit:
             return
-        if self._words is None:
-            self._words = len(self.head.split()) + len(self.tail.split())
-        words = self._words + len(input_text.split())
-        if input_text:
-            # A word that runs on across a join is one word, not two.
-            if self._head_open and not input_text[0].isspace():
-                words -= 1
-            if self._tail_open and not input_text[-1].isspace():
-                words -= 1
-        elif self._head_open and self._tail_open:
-            words -= 1
-        estimated = math.ceil(words * factor)
+        estimated = estimate_tokens(self.join(input_text), factor)
         if estimated > limit:
             raise BudgetExceededError(estimated, limit)
 

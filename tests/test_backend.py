@@ -1074,28 +1074,28 @@ class TestReplayStore:
 class TestHashEmbedder:
     def test_deterministic(self):
         embedder = HashEmbedder(dimension=32)
-        a = embedder.embed("identical text")
-        b = embedder.embed("identical text")
+        a = embedder.embed_many(["identical text"])[0]
+        b = embedder.embed_many(["identical text"])[0]
         assert np.array_equal(a, b)
 
     def test_unit_norm(self):
         embedder = HashEmbedder(dimension=32)
         for text in ("a", "b", "some much longer text with words"):
-            assert abs(np.linalg.norm(embedder.embed(text)) - 1.0) < 1e-9
+            assert abs(np.linalg.norm(embedder.embed_many([text])[0]) - 1.0) < 1e-9
 
     def test_cosine_in_range(self):
         embedder = HashEmbedder(dimension=16)
-        u = embedder.embed("first text")
-        v = embedder.embed("second text")
+        u = embedder.embed_many(["first text"])[0]
+        v = embedder.embed_many(["second text"])[0]
         cosine = float(u @ v)
         assert -1.0 <= cosine <= 1.0
 
     def test_fixed_dimension(self):
-        assert HashEmbedder(dimension=8).embed("x").shape == (8,)
+        assert HashEmbedder(dimension=8).embed_many(["x"])[0].shape == (8,)
 
     def test_empty_text_is_error(self):
         with pytest.raises(ValueError):
-            HashEmbedder().embed("")
+            HashEmbedder().embed_many([""])[0]
 
     def test_empty_batch_has_no_rows(self):
         assert HashEmbedder(dimension=8).embed_many([]).shape == (0, 8)

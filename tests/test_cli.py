@@ -443,6 +443,20 @@ class TestRun:
         assert message in err
         assert not output.exists()
 
+    @pytest.mark.parametrize("kind", ["rfe_extraction", "dialogue_extraction"])
+    def test_pool_smaller_than_its_k_exits_1_before_writing(self, workspace, capsys, kind):
+        """A pool with fewer examples than its k is refused at start, not
+        failed encounter by encounter as if the backend had failed."""
+        lines = workspace["pools"].read_text().splitlines(keepends=True)
+        dropped = [line for line in lines if json.loads(line)["kind"] == kind][3:]
+        workspace["pools"].write_text("".join(line for line in lines if line not in dropped))
+        argv = _set_up_argv(workspace, "run", {"extraction_k": 5})
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"error: example pool file has 3 {kind!r} examples; extraction_k is 5\n"
+        )
+        assert not (workspace["dir"] / "out.jsonl").exists()
+
     def test_config_violation_exits_1(self, workspace):
         bad_config = workspace["dir"] / "bad.json"
         bad_config.write_text(json.dumps({"extraction_k": 2, "pools": str(workspace["pools"])}))
@@ -1382,6 +1396,22 @@ class TestEval:
             "average",
         ):
             assert rows[0][column] == "100.0"
+
+    def test_metric_prompt_over_the_budget_exits_1_without_a_report(self, workspace, capsys):
+        self.identity_dataset(workspace)
+        records = self.run_and_eval(workspace)
+        config = workspace["dir"] / "small.json"
+        config.write_text(json.dumps({"max_context_tokens": 230}))  # 30 left past max_tokens
+        capsys.readouterr()
+        before = _files(workspace["dir"])
+        argv = ["eval", str(records), str(workspace["dataset"]), "--verifier", "llm"]
+        argv += ["--config", str(config), "--replay-store", str(workspace["store"])]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            "error: encounter 'enc-001': a metric prompt does not fit the budget: "
+            "estimated 56 tokens exceeds budget of 30 by 26\n"
+        ))
+        assert _files(workspace["dir"]) == before
 
     def test_two_configs_two_rows(self, workspace):
         self.identity_dataset(workspace)

@@ -325,6 +325,19 @@ class _Unsplittable(str):
         raise _SplitError(str(self))
 
 
+@pytest.fixture
+def estimate_calls(monkeypatch):
+    """The texts that `promptkit` passes to `estimate_tokens`, in order."""
+    calls = []
+
+    def spy(text, inflation_factor=1.3):
+        calls.append(text)
+        return estimate_tokens(text, inflation_factor)
+
+    monkeypatch.setattr("medsum.promptkit.estimate_tokens", spy)
+    return calls
+
+
 class TestBind:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -380,7 +393,7 @@ class TestBind:
             bind(template, budget=exact).fill("one two")
         assert excinfo.value.estimated == 2
 
-    def test_an_input_the_lengths_prove_fits_is_never_split(self, templates):
+    def test_an_input_the_lengths_prove_fits_is_never_split(self, templates, estimate_calls):
         template = templates["metric_extraction"]
         params = default_params(template.kind)
         unbudgeted = bind(template)
@@ -392,24 +405,37 @@ class TestBind:
         assert bound.fill(_Unsplittable(text), params.max_tokens) == expected
         call = request_builder(bound, template.kind)(_Unsplittable(text))
         assert call.key == cache_key(CompletionRequest(expected, params, template.kind))
+        assert estimate_calls == []
 
         longer = text + "x"  # one code point past the bound
         assert _length_bound(longer) == _length_bound(text) + 1
-        with pytest.raises(_SplitError):
-            bound.fill(_Unsplittable(longer), params.max_tokens)
-        with pytest.raises(_SplitError):
-            request_builder(bound, template.kind)(_Unsplittable(longer))
         for reserve in (params.max_tokens, budget.max_context_tokens):  # fits, then overflows
-            assert _outcome(lambda: bound.fill(longer, reserve)) == _outcome(lambda: reference_render(
+            reference = _outcome(lambda: reference_render(
                 template, input_text=longer, budget=budget, reserve=reserve
             ))
+            estimate_calls.clear()
+            assert _outcome(lambda: bound.fill(_Unsplittable(longer), reserve)) == reference
+            assert estimate_calls == [bound.join(longer)]
+        estimate_calls.clear()
+        call = request_builder(bound, template.kind)(_Unsplittable(longer))
+        assert estimate_calls == [bound.join(longer)]
+        assert call.key == cache_key(CompletionRequest(bound.join(longer), params, template.kind))
 
-    def test_the_text_around_the_input_is_split_only_past_the_bound(self):
+    def test_the_text_around_the_input_is_split_only_past_the_bound(self, estimate_calls):
         head, tail = _Unsplittable("Text:\n"), _Unsplittable("\nConcepts:")
-        bound = BoundPrompt(head, tail, TokenBudget(max_context_tokens=30, inflation_factor=1.0))
+        budget = TokenBudget(max_context_tokens=30, inflation_factor=1.0)
+        bound = BoundPrompt(head, tail, budget)
         assert bound.fill("fever and chills", reserve=5) == "Text:\nfever and chills\nConcepts:"
-        with pytest.raises(_SplitError):
-            bound.check("fever and chills " * 3, reserve=5)
+        assert estimate_calls == []
+        template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:\n{input}\nConcepts:")
+        longer = "fever and chills " * 3
+        for reserve in (5, 20):  # fits, then overflows
+            reference = _outcome(lambda: reference_render(
+                template, input_text=longer, budget=budget, reserve=reserve
+            ))
+            estimate_calls.clear()
+            assert _outcome(lambda: bound.fill(longer, reserve)) == reference
+            assert len(estimate_calls) == 1
 
     def test_missing_demographics_fail_at_bind(self, templates):
         with pytest.raises(TemplateError, match="age"):

@@ -235,7 +235,7 @@ class TestSelectSemantic:
         top = select_semantic(pool, query, 1, embedder)[0]
         assert top == target
         similarity = float(
-            pool.index[3] @ np.asarray(embedder.embed(query.render()))
+            pool.index[3] @ np.asarray(embedder.embed_many([query.render()])[0])
         )
         assert abs(similarity - 1.0) < 1e-9
 
