@@ -182,6 +182,26 @@ def _report_input(raw: Any) -> tuple[str, RowKey, StructuredSummary]:
     return head.encounter_id, RowKey.from_config(head.method, head.config), head.summary
 
 
+# Each config key's JSON type and default; null leaves a key whose default is None unset.
+CONFIG_KEYS: dict[str, tuple[type, Any]] = {
+    "extraction_k": (int, 1),
+    "summarization_k": (int, 0),
+    "selection_mode": (str, "random"),
+    "resolver_enabled": (bool, True),
+    "resolver_fail_closed": (bool, False),
+    "seed": (int, 0),
+    "max_context_tokens": (int, 4096),
+    "inflation_factor": (float, 1.3),
+    "pools": (str, None),
+    "replay_store": (str, None),
+    "templates_dir": (str, None),
+    "endpoint": (str, None),
+    "model": (str, "completion-model"),
+    "workers": (int, None),
+    "max_in_flight": (int, None),
+}
+
+
 def load_config(path: str | None) -> dict[str, Any]:
     if path is None:
         return {}
@@ -192,50 +212,52 @@ def load_config(path: str | None) -> dict[str, Any]:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise CliError("config file must hold a JSON object")
+    for key in config:  # each checked, also one that a flag overrides
+        if key not in CONFIG_KEYS:
+            import difflib  # only a refused file needs it
+
+            near = difflib.get_close_matches(key, CONFIG_KEYS, n=1)
+            hint = f" (did you mean {near[0]!r}?)" if near else ""
+            raise CliError(f"bad run configuration: unknown key {key!r}{hint}")
+        setting(config, key)
     return config
 
 
-def setting(config: dict[str, Any], key: str, kind: type, default: Any = None) -> Any:
-    """`config[key]` (`default` if absent) if it is of `kind`, as `json_field`
-    checks it, else a CliError; null leaves a key with no default unset."""
+def setting(config: dict[str, Any], key: str) -> Any:
+    """`config[key]`, or its default, if `json_field` passes it as its row's
+    type, else a CliError; an integer number comes back a float, as records hold it."""
+    kind, default = CONFIG_KEYS[key]
     value = config.get(key, default)
+    if key in ("workers", "max_in_flight"):
+        return _positive_int(key, value)
     if value is None and default is None:
         return None
     try:
-        return json_field(key, value, kind)
+        return kind(json_field(key, value, kind))
     except TypeError as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
-def build_budget(config: dict[str, Any]) -> TokenBudget:
-    try:
-        return TokenBudget(
-            max_context_tokens=setting(config, "max_context_tokens", int, 4096),
-            # float(): the record snapshot holds the factor as a float, an integer one too.
-            inflation_factor=float(setting(config, "inflation_factor", float, 1.3)),
-        )
-    except ValueError as exc:
-        raise CliError(f"bad run configuration: {exc}") from exc
-
-
 def _positive_int(key: str, value: Any) -> int | None:
-    """A config value that must be a positive integer when it is set."""
+    """A value that must be a positive integer when it is set."""
     if value is not None and (type(value) is not int or value <= 0):
         raise CliError(f"bad run configuration: {key} must be a positive integer, got {value!r}")
     return value
 
 
 def build_chain_config(config: dict[str, Any], seed_override: int | None) -> ChainConfig:
-    budget = build_budget(config)
     try:
         return ChainConfig(
-            extraction_k=setting(config, "extraction_k", int, 1),
-            summarization_k=setting(config, "summarization_k", int, 0),
-            selection_mode=SelectionMode(setting(config, "selection_mode", str, "random")),
-            resolver_enabled=setting(config, "resolver_enabled", bool, True),
-            resolver_fail_closed=setting(config, "resolver_fail_closed", bool, False),
-            run_seed=setting(config, "seed", int, 0) if seed_override is None else seed_override,
-            budget=budget,
+            extraction_k=setting(config, "extraction_k"),
+            summarization_k=setting(config, "summarization_k"),
+            selection_mode=setting(config, "selection_mode"),
+            resolver_enabled=setting(config, "resolver_enabled"),
+            resolver_fail_closed=setting(config, "resolver_fail_closed"),
+            run_seed=setting(config, "seed") if seed_override is None else seed_override,
+            budget=TokenBudget(
+                max_context_tokens=setting(config, "max_context_tokens"),
+                inflation_factor=setting(config, "inflation_factor"),
+            ),
         )
     except ValueError as exc:
         raise CliError(f"bad run configuration: {exc}") from exc
@@ -247,16 +269,15 @@ def build_transport(
     """The transport of `--backend`. A live one keeps up to `in_flight`
     connections open for reuse: the most calls that can be in flight."""
     mode = args.backend
-    store_path = args.replay_store or setting(config, "replay_store", str)
+    store_path = args.replay_store or setting(config, "replay_store")
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
         return ReplayTransport(ReplayStore(store_path))
-    endpoint = setting(config, "endpoint", str)
+    endpoint = setting(config, "endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
-    model = setting(config, "model", str, "completion-model")
-    live = HTTPTransport(endpoint, model=model, pool_size=in_flight)
+    live = HTTPTransport(endpoint, model=setting(config, "model"), pool_size=in_flight)
     if mode == "record":
         return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live
@@ -270,8 +291,8 @@ def build_backend(
     `max_in_flight` calls are in flight, or else one per fan-out thread plus
     one per worker, which sends its encounters' resolver and summary calls
     itself."""
-    max_in_flight = _positive_int("max_in_flight", config.get("max_in_flight"))
-    templates = load_templates(setting(config, "templates_dir", str))
+    max_in_flight = setting(config, "max_in_flight")
+    templates = load_templates(setting(config, "templates_dir") or None)  # "" is unset, not "."
     transport = build_transport(args, config, max_in_flight or FAN_OUT_WIDTH + workers)
     return CompletionClient(transport, max_in_flight=max_in_flight), templates
 
@@ -293,7 +314,7 @@ def build_deps(
 
     pools = {}
     if needed:
-        pools_path = setting(config, "pools", str)
+        pools_path = setting(config, "pools")
         if not pools_path:
             raise CliError("config needs a 'pools' path to an example-pool JSONL file")
         try:
@@ -375,9 +396,7 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = build_chain_config(config, args.seed)
-    workers = _positive_int("--workers", args.workers)
-    if workers is None:
-        workers = _positive_int("workers", config.get("workers")) or 1
+    workers = _positive_int("--workers", args.workers) or setting(config, "workers") or 1
     method = _METHOD_ALIASES[args.method]
     deps = build_deps(args, config, cfg, method, workers)
     output = JsonlLog(args.output)
@@ -425,13 +444,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     scorable = list(_read_records(args.records, _report_input))
     references = load_references(args.dataset)
 
+    config = load_config(args.config)  # checked for either verifier
     client = None
     if args.verifier == "exact":
         verifier = exact_match_verifier
         extractor = segment_concept_extractor
     else:
-        config = load_config(args.config)
-        budget = build_budget(config)
+        budget = build_chain_config(config, None).budget
         client, templates = build_backend(args, config)
         extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
         verifier = LLMVerifier(client, templates["metric_verification"], budget)
@@ -464,10 +483,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise CliError("no scorable encounters (missing references?)")
     rows = aggregate(evaluations, micro=args.micro)
 
-    csv_path = Path(args.csv) if args.csv else Path(args.records).with_suffix(".report.csv")
-    jsonl_path = (
-        Path(args.jsonl) if args.jsonl else Path(args.records).with_suffix(".report.jsonl")
-    )
+    csv_path = Path(args.csv or Path(args.records).with_suffix(".report.csv"))
+    jsonl_path = Path(args.jsonl or Path(args.records).with_suffix(".report.jsonl"))
     try:
         write_csv_report(rows, csv_path)
         write_jsonl_report(evaluations, jsonl_path)
@@ -484,9 +501,7 @@ def cmd_review_packets(args: argparse.Namespace) -> int:
         {h.encounter_id: (h.method, h.summary) for h in _read_records(p, RecordHead.from_json_dict)}
         for p in (args.records_a, args.records_b)
     )
-    context = {}
-    if args.dataset:
-        context = {enc.id: enc for enc in load_dataset(args.dataset)}
+    context = {enc.id: enc for enc in load_dataset(args.dataset)} if args.dataset else {}
 
     common = sorted(set(records_a) & set(records_b))
     for missing in sorted(set(records_a) ^ set(records_b)):

@@ -736,6 +736,12 @@ def test_workers_flag_must_be_a_positive_integer(workspace, capsys, value):
     assert not (workspace["dir"] / "out.jsonl").exists()
 
 
+def _config_section():
+    """README's "Config file" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n### Config file\n", 1)[1].split("\n### ", 1)[0]
+
+
 @pytest.fixture(scope="module")
 def readme_config(tmp_path_factory):
     """README's "Typical contents" config, its paths pointed at a workspace
@@ -747,22 +753,16 @@ def readme_config(tmp_path_factory):
     ReplayStore(root / "store.jsonl", create=True)
     (root / "templates").mkdir()
     (root / "records.jsonl").write_text("")
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n### Config file\n", 1)[1]
-    config = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    config = json.loads(_config_section().split("```json\n", 1)[1].split("```", 1)[0])
     paths = {key: str(root / name) for key, name in _CONFIG_PATHS.items()}
     assert set(paths) <= set(config)
     return {**config, **paths}, root
 
 
 _CONFIG_PATHS = {"pools": "pools.jsonl", "replay_store": "store.jsonl", "templates_dir": "templates"}
-# The keys each command reads with the replay backend, besides `workers` and
-# `max_in_flight`, which test_limits_must_be_positive_integers covers.
-_RUN_KEYS = [
-    "extraction_k", "summarization_k", "selection_mode", "resolver_enabled",
-    "resolver_fail_closed", "seed", "max_context_tokens", "inflation_factor", *_CONFIG_PATHS,
-]
-_EVAL_KEYS = ["max_context_tokens", "inflation_factor", "replay_store", "templates_dir"]
+# Every config key, which `load_config` checks for both commands, besides
+# `workers` and `max_in_flight`, which test_limits_must_be_positive_integers covers.
+_TYPED_KEYS = [key for key in cli.CONFIG_KEYS if key not in ("workers", "max_in_flight")]
 _KIND_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
 _NEAR_MISSES = {
     int: [3.0, True, "3", None],
@@ -811,7 +811,7 @@ def test_config_value_of_another_type_exits_1(readme_config, capsys, command, da
     with one `error:` line, before anything is written; nothing is
     converted."""
     config, root = readme_config
-    key = data.draw(st.sampled_from(_RUN_KEYS if command == "run" else _EVAL_KEYS))
+    key = data.draw(st.sampled_from(_TYPED_KEYS))
     kind = type(config[key])
     value = data.draw(_other_type(key, kind))
     (root / "config.json").write_text(json.dumps({**config, key: value}))
@@ -842,6 +842,116 @@ def test_endpoint_and_model_of_another_type_are_refused(readme_config, data):
         cli.build_transport(args, {**config, key: value})
     assert str(refused.value) == _refusal(key, str, value)
     assert not (root / "new-store.jsonl").exists()
+
+
+_README_KINDS = {
+    "integers": int, "a number, integer or not": float, "booleans": bool, "strings": str
+}
+
+
+def test_readme_config_keys_are_the_table_rows(readme_config):
+    """README's "Config file" example and its type bullets name each row of
+    `CONFIG_KEYS` with the row's JSON type, and no key that has no row."""
+    config, _ = readme_config
+    table = {key: kind for key, (kind, _) in cli.CONFIG_KEYS.items()}
+    assert {key: type(value) for key, value in config.items()} == table
+    bullets = _config_section().split("values are not converted:\n", 1)[1].split("\n\n", 1)[0]
+    listed = {}
+    for bullet in re.split(r"\n *- ", "\n" + bullets)[1:]:
+        label, keys = bullet.split(":", 1)
+        for key in re.findall(r"`(\w+)`", keys):
+            assert key not in listed, key
+            listed[key] = _README_KINDS[label]
+    assert listed == table
+
+
+def test_readme_defaults_and_null_keys_are_the_table_rows():
+    """README's defaults sentence gives each row's default, and its list of
+    keys that may be null is the rows whose default is None."""
+    text = " ".join(_config_section().split())
+    defaults = re.search(r"The defaults: (.*?)\. ", text).group(1)
+    stated = {}
+    for key, value in re.findall(r"`(\w+)` (`[^`]+`|[\d.]+)", defaults):
+        try:  # `true` or 1.3; a string such as `random` is not quoted
+            stated[key] = json.loads(value.strip("`"))
+        except ValueError:
+            stated[key] = value.strip("`")
+    table = cli.CONFIG_KEYS.items()
+    assert {k: (type(v), v) for k, v in stated.items()} == {
+        key: (type(default), default) for key, (_, default) in table if default is not None
+    }
+    nullable = re.search(r"((?:`\w+`,? (?:and )?)+)may be `null`", text).group(1)
+    unset = [key for key, (_, default) in table if default is None]
+    assert re.findall(r"`(\w+)`", nullable) == unset
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("run", []), ("eval", []), ("eval", ["--verifier", "exact"])]
+)
+@pytest.mark.parametrize(
+    "key, hint", [("extration_k", " (did you mean 'extraction_k'?)"), ("verbosity", "")]
+)
+def test_unknown_config_key_exits_1_before_writing(workspace, capsys, command, flags, key, hint):
+    """A key with no row in `CONFIG_KEYS`, a misspelled one say, is refused
+    with one `error:` line, naming the closest key if one is close; `eval
+    --verifier exact`, which reads no key, refuses it too."""
+    argv = _set_up_argv(workspace, command, {key: 3, "selction_mode": "semantic"}) + flags
+    before = _files(workspace["dir"])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"error: bad run configuration: unknown key {key!r}{hint}\n"
+    )
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.mark.parametrize(
+    "setting, flags, refusal",
+    [
+        ({"workers": "abc", "seed": "x"}, ["--workers", "2", "--seed", "3"],
+         "workers must be a positive integer, got 'abc'"),
+        ({"seed": "x"}, ["--seed", "3"], "seed is not an integer: 'x'"),
+        ({"replay_store": 3}, [], "replay_store is not a string: 3"),
+    ],
+)
+def test_flag_does_not_hide_a_bad_config_value(workspace, capsys, setting, flags, refusal):
+    """Every key in the config file is checked, also one that `--workers`,
+    `--seed` or `--replay-store` overrides."""
+    argv = _set_up_argv(workspace, "run", setting) + flags
+    before = _files(workspace["dir"])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"error: bad run configuration: {refusal}\n")
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.mark.parametrize("setting", [{"extraction_k": 2}, {"summarization_k": 2}])
+def test_eval_refuses_a_chain_setting_that_run_refuses(workspace, capsys, setting):
+    """`eval` builds its budget through the same ChainConfig as `run`, so a
+    grid cell the paper has no row for is refused by both."""
+    ((key, value),) = setting.items()
+    message = "one of (1, 3, 5)" if key == "extraction_k" else "0 or 1"
+    for command in ("run", "eval"):
+        assert main(_set_up_argv(workspace, command, setting)) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: bad run configuration: {key} must be {message}, got {value}\n"
+        )
+
+
+def test_empty_templates_dir_leaves_the_bundled_templates(workspace, monkeypatch, tmp_path_factory):
+    """`templates_dir: ""` is unset, as null is; `Path("")` would be the
+    working directory, whose templates would then replace the bundled ones."""
+    prerecord(workspace["store"], workspace)
+    cwd = tmp_path_factory.mktemp("cwd")
+    for bundled in (Path(cli.__file__).parent / "templates").glob("*.txt"):
+        (cwd / bundled.name).write_text("Decoy. " + bundled.read_text(encoding="utf-8"))
+    monkeypatch.chdir(cwd)
+    outputs = []
+    for setting in ({}, {"templates_dir": ""}):
+        argv = _set_up_argv(workspace, "run", setting)
+        output = workspace["dir"] / f"out-{len(outputs)}.jsonl"
+        argv[2] = str(output)
+        assert main(argv) == EXIT_OK
+        outputs.append(output.read_bytes())
+    assert outputs[1] == outputs[0]
 
 
 def _input_file_argv(workspace, command, bad):

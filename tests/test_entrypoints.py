@@ -1,9 +1,10 @@
 """What needs a fresh interpreter: the README's library quickstart,
-`python -m`, and which commands load numpy."""
+`python -m`, which commands load numpy, and the CLI on other CPythons."""
 
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -89,5 +90,55 @@ def test_pools_that_is_not_a_string_exits_1(tmp_path):
     result = run_python(["-m", "medsum", *argv], stdin=subprocess.DEVNULL)
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "error: bad run configuration: pools is not a string: True\n"
+    )
+    assert not output.exists()
+
+
+_OTHER_PYTHONS = ["3.10", "3.12", "3.13"]
+
+
+def _find_python(version):
+    """A `python<version>` that starts and is that CPython: on PATH, or
+    installed beside this interpreter (as pyenv lays versions out); None if
+    none is. A pyenv shim for an inactive version exits 127, so it is not."""
+    name = f"python{version}"
+    on_path = [shutil.which(name, path=d) for d in os.environ.get("PATH", "").split(os.pathsep)]
+    siblings = sorted(Path(sys.base_prefix).parent.glob(f"*/bin/{name}"))
+    probe = (
+        "import platform, sys; "
+        "print('%d.%d' % sys.version_info[:2], platform.python_implementation())"
+    )
+    for exe in dict.fromkeys(str(p) for p in [*on_path, *siblings] if p):
+        found = subprocess.run([exe, "-c", probe], capture_output=True, text=True, timeout=30)
+        if found.returncode == 0 and found.stdout.split() == [version, "CPython"]:
+            return exe
+    return None
+
+
+@pytest.mark.parametrize("version", _OTHER_PYTHONS)
+def test_cli_runs_on_other_interpreters(tmp_path, version):
+    """`validate` and a misspelled-key refusal behave the same on each other
+    CPython found here, with no third-party package needed for either."""
+    exe = _find_python(version)
+    if exe is None:
+        pytest.skip(f"python{version} not found on PATH or beside {sys.base_prefix}")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"extration_k": 3}))
+
+    def medsum(*argv):
+        result = subprocess.run(
+            [exe, "-m", "medsum", *argv], env=env, cwd=ROOT, capture_output=True, text=True,
+            timeout=60,
+        )
+        return result.returncode, result.stdout, result.stderr
+
+    code, out, err = medsum("validate", "sample_data/encounters.jsonl")
+    assert (code, err) == (0, ""), err
+    assert out.endswith("invalid lines: 0\n")
+    output = tmp_path / "out.jsonl"
+    refusal = "unknown key 'extration_k' (did you mean 'extraction_k'?)"
+    assert medsum("run", "sample_data/encounters.jsonl", str(output), "--config", str(config)) == (
+        1, "", f"error: bad run configuration: {refusal}\n"
     )
     assert not output.exists()
