@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 validation/config error, 2 backend failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import statistics
@@ -29,6 +30,7 @@ from .backend import (
     ReplayTransport,
     Transport,
     decode_line,
+    default_params,
     open_text,
     read_lines,
 )
@@ -50,6 +52,7 @@ from .metrics import (
 from .model import (
     Encounter,
     ExampleKind,
+    PromptKind,
     RecordHead,
     RunRecord,
     StructuredSummary,
@@ -263,6 +266,15 @@ def build_chain_config(config: dict[str, Any], seed_override: int | None) -> Cha
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
+def _leave_room(budget: TokenBudget, *kinds: PromptKind) -> TokenBudget:
+    """`budget`, or a CliError if no prompt fits beside a completion of `kinds`."""
+    reserve = max(default_params(kind).max_tokens for kind in kinds)
+    if budget.max_context_tokens > reserve:
+        return budget
+    raise CliError(f"bad run configuration: max_context_tokens must be above {reserve}, "
+                   f"the tokens a completion reserves, got {budget.max_context_tokens}")
+
+
 def build_transport(
     args: argparse.Namespace, config: dict[str, Any], in_flight: int = FAN_OUT_WIDTH + 1
 ) -> Transport:
@@ -393,9 +405,35 @@ def _existing_record_ids(output: JsonlLog, method: Method, config: dict[str, Any
     return ids
 
 
+def _keep_inputs(output: Path, templates: dict[str, PromptTemplate], pools: str | None,
+                 resuming: bool) -> None:
+    """Keep `<output>.inputs.json`, the SHA-256 of each template by id and of the pool file
+    (null if none): refuse one of other inputs when `resuming` records, else write it whole."""
+    inputs = {key: hashlib.sha256(t.preamble.encode()).hexdigest() for key, t in templates.items()}
+    inputs["pools"] = hashlib.sha256(Path(pools).read_bytes()).hexdigest() if pools else None
+    text = (json.dumps(inputs, indent=1) + "\n").encode()
+    sidecar = output.with_name(output.name + ".inputs.json")
+    kept = sidecar.read_bytes() if sidecar.exists() else None
+    if resuming and kept not in (None, text):
+        try:
+            was = json.loads(kept)
+            changed = [name for name, digest in inputs.items() if was.get(name, "") != digest]
+        except (ValueError, AttributeError) as exc:
+            raise CliError(f"{sidecar} is corrupt: {exc}") from exc
+        if changed:
+            raise CliError(f"output file {output} was written from other inputs: "
+                           f"{', '.join(changed)} changed. Write to another output file.")
+    if kept != text:  # written beside, then moved over it, so never torn
+        part = sidecar.with_name(sidecar.name + ".part")
+        part.write_bytes(text)
+        part.replace(sidecar)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = build_chain_config(config, args.seed)
+    _leave_room(cfg.budget, PromptKind.RFE_EXTRACTION, PromptKind.DIALOGUE_EXTRACTION,
+                PromptKind.UNKNOWN_RESOLVER, PromptKind.SUMMARIZATION)
     workers = _positive_int("--workers", args.workers) or setting(config, "workers") or 1
     method = _METHOD_ALIASES[args.method]
     deps = build_deps(args, config, cfg, method, workers)
@@ -405,15 +443,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         encounters = load_dataset(args.dataset)
         done = _existing_record_ids(output, method, cfg.snapshot())
         todo = [enc for enc in encounters if enc.id not in done]
-        if done:
-            print(f"resuming: {len(done)} encounters already in {output.path}")
         # Opened before anything runs, so the file exists and a torn tail is
         # mended even when nothing runs or the run stops before its first record.
         try:
             output.path.parent.mkdir(parents=True, exist_ok=True)
+            pools = setting(config, "pools") if deps.pools else None
+            _keep_inputs(output.path, deps.templates, pools, resuming=bool(done))
             output.open()
         except OSError as exc:  # its directory is a file, say
             raise CliError(f"cannot write {output.path}: {exc.strerror}") from exc
+        if done:
+            print(f"resuming: {len(done)} encounters already in {output.path}")
         if not todo:
             print("nothing to do")
             return EXIT_OK
@@ -450,7 +490,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         verifier = exact_match_verifier
         extractor = segment_concept_extractor
     else:
-        budget = build_chain_config(config, None).budget
+        kinds = PromptKind.METRIC_EXTRACTION, PromptKind.METRIC_VERIFICATION
+        budget = _leave_room(build_chain_config(config, None).budget, *kinds)
         client, templates = build_backend(args, config)
         extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
         verifier = LLMVerifier(client, templates["metric_verification"], budget)

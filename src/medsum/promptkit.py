@@ -160,10 +160,12 @@ class PromptTemplate:
         if "{examples}" in self.preamble:
             if self.preamble.index("{examples}") > self.preamble.index("{input}"):
                 raise TemplateError("{examples} must precede {input}")
-        # Built once for bind: the declared slots and the preamble around {input}.
+        # Built once for bind: the declared slots, and each side of {input}
+        # split at its slots, literal text at even indices and slot names at odd.
         slots = tuple(s for s in _SLOTS if "{%s}" % s in self.preamble)
         object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_parts", tuple(self.preamble.split("{input}")))
+        parts = tuple(_SLOT_RE.split(side) for side in self.preamble.split("{input}"))
+        object.__setattr__(self, "_parts", parts)
 
     def slots(self) -> tuple[str, ...]:
         return self._slots
@@ -271,15 +273,13 @@ def bind(
             raise TemplateError("template declares {sex} but no sex given")
         values["sex"] = sex
 
-    # Single-pass substitution: slot-like text inside the filled values is
-    # never re-expanded, and the input is never scanned.
-    def fill_slot(match: re.Match[str]) -> str:
-        return values[match.group(1)]
-
-    head, tail = template._parts
-    return BoundPrompt(
-        _SLOT_RE.sub(fill_slot, head), _SLOT_RE.sub(fill_slot, tail), budget or TokenBudget()
+    # The literal text joined with the values: slot-like text inside the
+    # filled values is never re-expanded, and the input is never scanned.
+    head, tail = (
+        "".join([values[part] if i % 2 else part for i, part in enumerate(side)])
+        for side in template._parts
     )
+    return BoundPrompt(head, tail, budget or TokenBudget())
 
 
 def request_builder(prompt: BoundPrompt, kind: PromptKind) -> Callable[[str], PendingCall]:
@@ -384,15 +384,19 @@ def parse_entity_list(
         if not line.strip():
             continue
         saw_content = True
-        match = _ENTITY_LINE_RE.match(line)
-        if match is None:
-            warnings.append(f"skipped unparseable line: {line.strip()!r}")
-            continue
+        # A canonical `- <name> (<status>)` line skips the regex, whose name
+        # is this one stripped (blank if this one is), as the entity strips it.
+        head, _, token = line.rpartition(" (")
+        name, status = head[2:], _STATUS_BY_TOKEN.get(token[:-1])
+        if head[:2] != "- " or token[-1:] != ")" or status is None:
+            match = _ENTITY_LINE_RE.match(line)
+            if match is None:
+                warnings.append(f"skipped unparseable line: {line.strip()!r}")
+                continue
+            name, status = match.group("name"), _STATUS_BY_TOKEN[match.group("status").lower()]
         try:
             # The entity normalizes the name, and refuses one that is empty.
-            entity = MedicalEntity(
-                match.group("name"), _STATUS_BY_TOKEN[match.group("status").lower()], provenance
-            )
+            entity = MedicalEntity(name, status, provenance)
         except ValueError:
             warnings.append(f"skipped line with empty entity name: {line.strip()!r}")
             continue

@@ -1,8 +1,10 @@
 import csv
 import functools
 import gc
+import hashlib
 import json
 import operator
+import os
 import re
 import threading
 from pathlib import Path
@@ -33,6 +35,7 @@ from medsum.model import (
     StructuredSummary,
     validate_reference,
 )
+from medsum.promptkit import TEMPLATE_IDS, load_templates
 from conftest import (
     SIX_SECTION_SUMMARY,
     encounter_record,
@@ -370,6 +373,100 @@ class TestRun:
         assert found in err.split("this run has", 1)[1]
         assert output.read_bytes() == before
 
+    @pytest.mark.parametrize("method, reads_pools", [("medsum", True), ("naive", False)])
+    def test_resume_checks_the_inputs_sidecar(self, workspace, method, reads_pools):
+        """`<output>.inputs.json` holds the SHA-256 of each template, by id in
+        TEMPLATE_IDS order, and of the pool file the run reads, or null.
+        Unchanged inputs resume and leave it unwritten; an output written before
+        the sidecar existed resumes and gets one; a sidecar whose output is
+        missing is overwritten."""
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "out.jsonl"
+        sidecar = workspace["dir"] / "out.jsonl.inputs.json"
+        args = self.run_args(workspace, output, method)
+        assert main(args) == EXIT_OK
+        whole, kept = output.read_bytes(), sidecar.read_bytes()
+        templates = load_templates()
+        assert list(json.loads(kept).items()) == [
+            *((key, hashlib.sha256(templates[key].preamble.encode()).hexdigest()) for key in TEMPLATE_IDS),
+            ("pools", hashlib.sha256(workspace["pools"].read_bytes()).hexdigest() if reads_pools else None),
+        ]
+        first = whole[: whole.index(b"\n") + 1]
+        os.utime(sidecar, ns=(0, 0))  # any write would move its mtime
+        output.write_bytes(first)
+        assert main(args) == EXIT_OK
+        assert (output.read_bytes(), sidecar.read_bytes()) == (whole, kept)
+        assert sidecar.stat().st_mtime_ns == 0
+        output.write_bytes(first)
+        sidecar.unlink()
+        assert main(args) == EXIT_OK
+        assert (output.read_bytes(), sidecar.read_bytes()) == (whole, kept)
+        output.unlink()
+        sidecar.write_text("not JSON")
+        assert main(args) == EXIT_OK
+        assert (output.read_bytes(), sidecar.read_bytes()) == (whole, kept)
+
+    @pytest.mark.parametrize("edit", ["summarization", "pools"])
+    def test_resume_refuses_changed_prompts(self, workspace, capsys, edit):
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "medsum.jsonl"
+        args = self.run_args(workspace, output)
+        assert main(args) == EXIT_OK
+        output.write_text(output.read_text().splitlines(keepends=True)[0])
+        if edit == "summarization":  # the same template from a templates_dir, edited
+            templates = workspace["dir"] / "templates"
+            templates.mkdir()
+            preamble = load_templates()["summarization"].preamble
+            (templates / "summarization.txt").write_text("Be brief. " + preamble)
+            config = {"pools": str(workspace["pools"]), "templates_dir": str(templates)}
+            workspace["config"].write_text(json.dumps(config))
+        else:  # one more example in the same pool file
+            example = {"kind": "rfe_extraction", "input_text": "rfe_extraction example 5",
+                       "age": 35, "sex": "female", "label": "- headache (present)"}
+            with workspace["pools"].open("a") as fh:
+                fh.write(json.dumps(example) + "\n")
+        before = _files(workspace["dir"])
+        capsys.readouterr()
+        assert main(args) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", (
+            f"error: output file {output} was written from other inputs: {edit} changed. "
+            "Write to another output file.\n"
+        ))
+        assert _files(workspace["dir"]) == before
+        # An output that a run left before its first record holds none from
+        # the old inputs, so the run goes on (to replay misses: its prompts
+        # changed) and the sidecar takes the new digests.
+        sidecar = workspace["dir"] / "medsum.jsonl.inputs.json"
+        old = json.loads(sidecar.read_text())
+        output.write_bytes(b"")
+        assert main(args) != EXIT_CONFIG
+        assert "other inputs" not in capsys.readouterr().err
+        new = json.loads(sidecar.read_text())
+        assert [key for key in new if new[key] != old[key]] == [edit]
+
+    @pytest.mark.parametrize("records", [True, False], ids=["records", "no-records"])
+    def test_sidecar_that_does_not_decode(self, workspace, capsys, records):
+        """Beside an output that holds records it is an error, and both files
+        stay as they were; beside one that holds none, no record came from
+        other inputs, so the run goes on and writes the sidecar anew."""
+        prerecord(workspace["store"], workspace)
+        output = workspace["dir"] / "medsum.jsonl"
+        sidecar = workspace["dir"] / "medsum.jsonl.inputs.json"
+        args = self.run_args(workspace, output)
+        assert main(args) == EXIT_OK
+        whole, kept = output.read_bytes(), sidecar.read_bytes()
+        output.write_bytes(whole[: whole.index(b"\n") + 1] if records else b"")
+        sidecar.write_bytes(kept[:40])  # as a write cut short would leave it
+        before = _files(workspace["dir"])
+        capsys.readouterr()
+        if records:
+            assert main(args) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"error: {sidecar} is corrupt: ")
+            assert _files(workspace["dir"]) == before
+        else:
+            assert main(args) == EXIT_OK
+            assert (output.read_bytes(), sidecar.read_bytes()) == (whole, kept)
+
     def test_template_without_input_slot_exits_1(self, workspace, capsys):
         ReplayStore(workspace["store"], create=True)
         templates = workspace["dir"] / "templates"
@@ -623,27 +720,53 @@ def test_bad_budget_setting_exits_1(workspace, capsys, command, setting):
     assert "error: bad run configuration: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "eval"])
-@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
-def test_non_finite_inflation_factor_exits_1_before_writing(workspace, capsys, command, factor):
-    """`json.loads` reads `NaN` and `Infinity`; the budget refuses them at
-    once instead of failing every call that checks a prompt."""
+def _scoring_argv(workspace, command, setting):
+    """`_set_up_argv`, where `eval` has a record to score, whose prompts
+    would reach the budget check."""
     records = workspace["dir"] / "scored.jsonl"
-    if command == "eval":  # a record to score, whose prompts would reach the budget check
+    if command == "eval":
         reference = StructuredSummary(medical_intent="fever").to_dict()
         write_dataset(workspace["dataset"], [encounter_record("enc-001", n_turns=4, reference=reference)])
         prerecord(workspace["store"], workspace)
         run = ["run", str(workspace["dataset"]), str(records), "--config", str(workspace["config"])]
         assert main(run + ["--backend", "replay", "--replay-store", str(workspace["store"])]) == EXIT_OK
-    argv = _set_up_argv(workspace, command, {"inflation_factor": factor})
+    argv = _set_up_argv(workspace, command, setting)
     if command == "eval":
         argv[1] = str(records)
+    return argv
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+def test_non_finite_inflation_factor_exits_1_before_writing(workspace, capsys, command, factor):
+    """`json.loads` reads `NaN` and `Infinity`; the budget refuses them at
+    once instead of failing every call that checks a prompt."""
+    argv = _scoring_argv(workspace, command, {"inflation_factor": factor})
     capsys.readouterr()
     before = _files(workspace["dir"])
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr() == ("", (
         "error: bad run configuration: inflation_factor must be finite and >= 1, "
         f"got {factor!r}\n"
+    ))
+    assert _files(workspace["dir"]) == before
+
+
+@pytest.mark.parametrize("command, reserve", [("run", 512), ("eval", 200)])
+def test_budget_that_leaves_a_prompt_no_room_exits_1_before_any_call(
+    workspace, capsys, command, reserve
+):
+    """A `max_context_tokens` not above the most `max_tokens` a command's
+    completions reserve (a summary's 512 for `run`, a metric prompt's 200 for
+    `eval`) leaves one of its prompts no room. It is refused before the output
+    is created or a call is sent, not by the first prompt that reaches it."""
+    argv = _scoring_argv(workspace, command, {"max_context_tokens": reserve})
+    capsys.readouterr()
+    before = _files(workspace["dir"])
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr() == ("", (
+        f"error: bad run configuration: max_context_tokens must be above {reserve}, "
+        f"the tokens a completion reserves, got {reserve}\n"
     ))
     assert _files(workspace["dir"]) == before
 

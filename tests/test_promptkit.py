@@ -27,6 +27,7 @@ from medsum.model import (
     StructuredSummary,
 )
 from medsum.promptkit import (
+    _ENTITY_LINE_RE,
     CANONICAL_HEADERS,
     TEMPLATE_IDS,
     BoundPrompt,
@@ -271,7 +272,8 @@ _JOIN_PIECES = [
 join_text = st.lists(
     st.sampled_from(_JOIN_PIECES) | st.characters(max_codepoint=0x3000), max_size=12
 ).map("".join)
-_TEMPLATE_TEXT = st.lists(
+# A slot's name without its braces is literal text, never a slot.
+_TEMPLATE_TEXT = st.sampled_from(["age", "sex", "examples", "input"]) | st.lists(
     st.sampled_from([p for p in _JOIN_PIECES if p not in ("{input}", "{examples}", "{age}", "{sex}")]),
     max_size=6,
 ).map("".join)
@@ -651,6 +653,69 @@ class TestParseWithProvenance:
         assert entities == [dataclasses.replace(e, provenance=provenance) for e in plain]
         assert all(type(e.status) is EntityStatus for e in entities)
         assert warnings == plain_warnings
+
+
+def reference_parse_entity_list(raw, provenance=()):
+    """`parse_entity_list` with every line through `_ENTITY_LINE_RE`."""
+    entities, warnings, saw_content = [], [], False
+    for line in raw.splitlines():
+        if not line.strip():
+            continue
+        saw_content = True
+        match = _ENTITY_LINE_RE.match(line)
+        if match is None:
+            warnings.append(f"skipped unparseable line: {line.strip()!r}")
+            continue
+        try:
+            status = EntityStatus(match.group("status").lower())
+            entities.append(MedicalEntity(match.group("name"), status, provenance))
+        except ValueError:
+            warnings.append(f"skipped line with empty entity name: {line.strip()!r}")
+    if saw_content and not entities:
+        raise EntityListParseError(raw)
+    return entities, warnings
+
+
+def _outcome_of(fn):
+    """A call's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# Whitespace that str.split(), str.strip() and the regex's \s all honour,
+# non-ASCII spaces among it.
+_LINE_SPACES = st.sampled_from(["", " ", "  ", "\t", "\xa0", "\u2003", "\u3000", " \u202f"])
+# Entity lines near the canonical `- <name> (<status>)`: a dash with or
+# without a space after it, names with inner whitespace, a nested " (" or
+# none at all, upper-case and unknown tokens, and whitespace around each part.
+# The canonical choice of each part comes first, so shrinking moves to it,
+# and is drawn as often as the others together.
+_ENTITY_LINE_PARTS = st.tuples(
+    st.just("") | _LINE_SPACES,
+    st.just("- ") | st.sampled_from(["-", "-  ", "-\xa0", "- \u3000", "* ", ""]),
+    st.lists(
+        st.sampled_from(["back", "Pain", " ", "\xa0", "(", " (", "present", ")", "x"]), max_size=5
+    ).map("".join),
+    st.just(" (") | st.sampled_from(["(", "  (", "\xa0(", " ( ", " (\u2003"]),
+    st.sampled_from(["present", "absent", "unknown"])
+    | st.sampled_from(["PRESENT", "Absent", "maybe", "presentx", ""]),
+    st.just(")") | st.sampled_from([" )", "", "]", "))", ") x"]),
+    st.just("") | _LINE_SPACES,
+).map("".join)
+
+
+class TestEntityLineShortcut:
+    @settings(max_examples=400)
+    @given(
+        lines=st.lists(_ENTITY_LINE_PARTS | st.text(max_size=12), max_size=6),
+        provenance=st.sampled_from([(), ("turn-pair 3",)]),
+    )
+    def test_matches_the_regex_on_every_line(self, lines, provenance):
+        raw = "\n".join(lines)
+        expected = _outcome_of(lambda: reference_parse_entity_list(raw, provenance))
+        assert _outcome_of(lambda: parse_entity_list(raw, provenance)) == expected
 
 
 entity_names = st.lists(
