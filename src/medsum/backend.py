@@ -296,83 +296,93 @@ class HTTPTransport:
 
     Posts {model, prompt, temperature, max_tokens, top_p} and reads
     choices[0].text from the response, the wire shape of widely deployed
-    completion servers. The API key comes from the MEDSUM_API_KEY
-    environment variable.
+    completion servers, with the API key in $MEDSUM_API_KEY if it is set.
+    An endpoint that is not a printable-ASCII http or https URL is a
+    ValueError; an https one is verified against the system's trust store.
 
-    The session it makes keeps up to `pool_size` connections open for
-    reuse; give it the most calls that can be in flight at once, or each
-    call beyond the pool opens a connection of its own and drops it.
-    `close` closes the session and its pooled connections.
+    Each thread that sends keeps one keep-alive connection for its next
+    call; a reused one the server has since hung up is reconnected once.
+    `close` hangs up every one, those of threads that have exited too.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        model: str = "completion-model",
-        timeout: float = 120.0,
-        session: Any | None = None,
-        pool_size: int = FAN_OUT_WIDTH,
-    ):
-        import requests
-        from requests.adapters import HTTPAdapter
+    def __init__(self, endpoint: str, model: str = "completion-model", timeout: float = 120.0):
+        import http.client
+        import ssl
+        from urllib.parse import urlsplit
 
-        self.endpoint = endpoint
-        self.model = model
-        self.timeout = timeout
-        if session is None:
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=pool_size)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
+        url = urlsplit(endpoint)  # it and url.port are ValueErrors for a malformed URL
+        printable = all("!" <= c <= "~" for c in endpoint)  # what http.client can send
+        if url.scheme not in ("http", "https") or not url.hostname or not printable:
+            raise ValueError("not a printable-ASCII http or https URL")
+        self.endpoint, self.model, self.timeout = endpoint, model, timeout
+        https = {"context": ssl.create_default_context()} if url.scheme == "https" else {}
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._connect = partial(connection, url.hostname, url.port, timeout=timeout, **https)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._connections: dict[int, Any] = {}  # by thread ident
+        self._lock = threading.Lock()
 
     def send(self, req: CompletionRequest) -> str:
-        import requests
+        import gzip
+        import http.client
+        import zlib
 
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip"}
         api_key = os.environ.get(API_KEY_ENV)
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
-        payload = {
-            "model": self.model,
-            "prompt": req.prompt,
-            "temperature": req.params.temperature,
-            "max_tokens": req.params.max_tokens,
-            "top_p": req.params.top_p,
-        }
+        payload = {"model": self.model, "prompt": req.prompt, **req.params.as_dict()}
+        ident = threading.get_ident()  # a later thread may reuse an exited one's, and its conn
+        with self._lock:
+            conn = self._connections.get(ident)
+            if conn is None:
+                conn = self._connections[ident] = self._connect()
+        data, reused = json.dumps(payload).encode(), conn.sock is not None
         try:
-            resp = self._session.post(
-                self.endpoint, json=payload, headers=headers, timeout=self.timeout
-            )
-        except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError,
-                requests.exceptions.ContentDecodingError) as exc:  # or a body cut off in transit
-            raise TransientBackendError(str(exc)) from exc
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code}")
-        if resp.status_code != 200:
-            raise BackendProtocolError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            try:
+                conn.request("POST", self._path, data, headers)
+                resp = conn.getresponse()
+            except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one too
+                if not reused:  # else it was kept alive, and the server has since hung up
+                    raise
+                conn.close()
+                conn.request("POST", self._path, data, headers)
+                resp = conn.getresponse()
+            with resp:
+                status, body = resp.status, resp.read()
+                if resp.getheader("Content-Encoding") == "gzip":
+                    body = gzip.decompress(body)  # EOFError or zlib.error if garbled
+        except (OSError, http.client.HTTPException, EOFError, zlib.error) as exc:
+            conn.close()
+            raise TransientBackendError(f"{type(exc).__name__}: {exc}") from exc
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status}")
+        if status != 200:
+            raise BackendProtocolError(f"HTTP {status}: {body.decode('utf-8', 'replace')[:200]}")
         try:
-            return json_field("completion text", resp.json()["choices"][0]["text"], str)
+            return json_field("completion text", json.loads(body)["choices"][0]["text"], str)
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BackendProtocolError(f"malformed completion response: {exc}") from exc
 
     def close(self) -> None:
-        self._session.close()
+        with self._lock:
+            for conn in self._connections.values():
+                conn.close()
 
 
 @contextmanager
 def open_text(path: str | Path, error: Callable[[str], Exception], newline: str | None = None):
     """The UTF-8 text file at `path`, open for reading within the `with`.
 
-    A file that cannot be opened (missing, or a directory) is
-    `error("cannot read <path>: <reason>")`, and bytes read in the block that
-    are not UTF-8 are `error("<path> is not UTF-8 text: ...")`. `newline` is
-    `open`'s.
+    A file that cannot be opened (missing, a directory, or a path holding a
+    NUL or a lone surrogate) is `error("cannot read <path>: <reason>")`, and
+    bytes read in the block that are not UTF-8 are `error("<path> is not
+    UTF-8 text: ...")`. `newline` is `open`'s.
     """
     try:
         fh = open(path, encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise error(f"cannot read {path}: {exc.strerror}") from exc
+    except (OSError, ValueError) as exc:
+        raise error(f"cannot read {path}: {getattr(exc, 'strerror', exc)}") from exc
     with fh:
         try:
             yield fh
@@ -504,12 +514,13 @@ class ReplayStore:
         self._entries: dict[str, str] = {}
         self._lock = threading.Lock()
         self._log = JsonlLog(self.path)
-        if create and not self.path.exists():
+        if create and not self.path.exists():  # False, not an error, for a path open() refuses
             try:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self.path.touch()
-            except OSError as exc:  # its directory is a file, say
-                raise ReplayStoreError(f"cannot write {self.path}: {exc.strerror}") from exc
+            except (OSError, ValueError) as exc:  # its directory is a file, say
+                why = getattr(exc, "strerror", exc)
+                raise ReplayStoreError(f"cannot write {self.path}: {why}") from exc
         else:
             self._load()
 

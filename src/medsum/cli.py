@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .backend import (
-    FAN_OUT_WIDTH,
     BackendError,
     CompletionClient,
     HashEmbedder,
@@ -275,11 +274,9 @@ def _leave_room(budget: TokenBudget, *kinds: PromptKind) -> TokenBudget:
                    f"the tokens a completion reserves, got {budget.max_context_tokens}")
 
 
-def build_transport(
-    args: argparse.Namespace, config: dict[str, Any], in_flight: int = FAN_OUT_WIDTH + 1
-) -> Transport:
-    """The transport of `--backend`. A live one keeps up to `in_flight`
-    connections open for reuse: the most calls that can be in flight."""
+def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transport:
+    """The transport of `--backend`; an `endpoint` that is not an http or
+    https URL is refused before any store is created."""
     mode = args.backend
     store_path = args.replay_store or setting(config, "replay_store")
     if mode in ("record", "replay") and not store_path:
@@ -289,33 +286,25 @@ def build_transport(
     endpoint = setting(config, "endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
-    live = HTTPTransport(endpoint, model=setting(config, "model"), pool_size=in_flight)
+    try:
+        live = HTTPTransport(endpoint, model=setting(config, "model"))
+    except ValueError as exc:
+        raise CliError(f"bad run configuration: endpoint {endpoint!r}: {exc}") from exc
     if mode == "record":
         return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live
 
 
-def build_backend(
-    args: argparse.Namespace, config: dict[str, Any], workers: int = 1
-) -> tuple[CompletionClient, dict[str, PromptTemplate]]:
-    """The completion client and the prompt templates of `run` and `eval`,
-    for `workers` threads calling the client at once. At most
-    `max_in_flight` calls are in flight, or else one per fan-out thread plus
-    one per worker, which sends its encounters' resolver and summary calls
-    itself."""
+def build_backend(args: argparse.Namespace,
+                  config: dict[str, Any]) -> tuple[CompletionClient, dict[str, PromptTemplate]]:
+    """The completion client and the prompt templates of `run` and `eval`."""
     max_in_flight = setting(config, "max_in_flight")
     templates = load_templates(setting(config, "templates_dir") or None)  # "" is unset, not "."
-    transport = build_transport(args, config, max_in_flight or FAN_OUT_WIDTH + workers)
-    return CompletionClient(transport, max_in_flight=max_in_flight), templates
+    return CompletionClient(build_transport(args, config), max_in_flight=max_in_flight), templates
 
 
-def build_deps(
-    args: argparse.Namespace,
-    config: dict[str, Any],
-    cfg: ChainConfig,
-    method: Method,
-    workers: int = 1,
-) -> ChainDeps:
+def build_deps(args: argparse.Namespace, config: dict[str, Any], cfg: ChainConfig,
+               method: Method) -> ChainDeps:
     embedder = HashEmbedder()
 
     needed: list[ExampleKind] = []
@@ -345,7 +334,7 @@ def build_deps(
             if cfg.selection_mode is SelectionMode.SEMANTIC:
                 pool = build_index(pool, embedder)
             pools[kind] = pool
-    client, templates = build_backend(args, config, workers)
+    client, templates = build_backend(args, config)
     return ChainDeps(client=client, templates=templates, pools=pools, embedder=embedder)
 
 
@@ -436,7 +425,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 PromptKind.UNKNOWN_RESOLVER, PromptKind.SUMMARIZATION)
     workers = _positive_int("--workers", args.workers) or setting(config, "workers") or 1
     method = _METHOD_ALIASES[args.method]
-    deps = build_deps(args, config, cfg, method, workers)
+    deps = build_deps(args, config, cfg, method)
     output = JsonlLog(args.output)
     succeeded = failed = 0
     try:

@@ -3,6 +3,7 @@ import os
 import socket
 import threading
 import time
+from collections.abc import Callable
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -313,18 +314,23 @@ def reference_summary():
 
 class _CompletionHandler(BaseHTTPRequestHandler):
     """Answers each POST with the next scripted (status, body), or with 200
-    and the completion text "echo: <prompt>" once the script is used up. A
+    and the completion text `respond(prompt)` once the script is used up. A
     body of bytes is written as it is, in place of the whole response, and
     the connection is then closed."""
 
     protocol_version = "HTTP/1.1"  # keep-alive: a client may reuse the connection
+    # The headers and the body go out in two sends; with Nagle's algorithm on,
+    # the body would wait for the client's delayed ACK, about 40 ms a call.
+    disable_nagle_algorithm = True
 
     def do_POST(self):
         endpoint = self.server.endpoint
-        prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         with endpoint.lock:
+            endpoint.received.append((dict(self.headers), payload))
             scripted = endpoint.script.pop(0) if endpoint.script else None
-        status, body = scripted or (200, {"choices": [{"text": f"echo: {prompt}"}]})
+        text = endpoint.respond(payload["prompt"])
+        status, body = scripted or (200, {"choices": [{"text": text}]})
         if isinstance(body, bytes):
             self.wfile.write(body)
             self.close_connection = True
@@ -365,15 +371,19 @@ class LoopbackEndpoint:
     """A completion endpoint served over HTTP/1.1 on 127.0.0.1.
 
     `script` holds (status, body) pairs answered in turn, a body being text
-    or a JSON value; `delay` is the seconds each answer waits; `accepted`
-    holds each connection the server accepted and `closed` counts those
-    whose handler has finished, which a keep-alive handler does once its
-    client hangs up.
+    or a JSON value; after them each prompt is answered `respond(prompt)`,
+    "echo: <prompt>" by default. `delay` is the seconds each answer waits;
+    `received` holds the headers and decoded JSON body of each request, in
+    arrival order; `accepted` holds each connection the server accepted and
+    `closed` counts those whose handler has finished, which a keep-alive
+    handler does once its client hangs up.
     """
 
     def __init__(self):
         self.script: list[tuple[int, object]] = []
+        self.respond: Callable[[str], str] = "echo: {}".format
         self.delay = 0.0
+        self.received: list[tuple[dict[str, str], dict]] = []
         self.accepted: list[socket.socket] = []
         self.closed = 0
         self.lock = threading.Lock()

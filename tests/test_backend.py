@@ -1,4 +1,5 @@
 import dataclasses
+import gzip
 import hashlib
 import json
 import logging
@@ -1158,36 +1159,20 @@ class TestHashEmbedder:
 
 
 class TestHTTPTransport:
-    class FakeResponse:
-        def __init__(self, status_code, payload=None, text=""):
-            self.status_code = status_code
-            self._payload = payload
-            self.text = text
+    """What HTTPTransport sends, and what it makes of one answer, against
+    the loopback endpoint."""
 
-        def json(self):
-            if self._payload is None:
-                raise ValueError("no json")
-            return self._payload
+    @pytest.fixture
+    def transport(self, loopback_endpoint):
+        transport = HTTPTransport(loopback_endpoint.url, model="m1")
+        yield transport
+        transport.close()
 
-    class FakeSession:
-        def __init__(self, responses):
-            self.responses = list(responses)
-            self.posts = []
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            self.posts.append({"url": url, "json": json, "headers": headers})
-            return self.responses.pop(0)
-
-    def test_posts_completion_payload(self):
-        from medsum.backend import HTTPTransport
-
-        session = self.FakeSession(
-            [self.FakeResponse(200, {"choices": [{"text": "completed"}]})]
-        )
-        transport = HTTPTransport("http://example/v1/completions", model="m1", session=session)
+    def test_posts_completion_payload(self, loopback_endpoint, transport):
+        loopback_endpoint.script.append((200, {"choices": [{"text": "completed"}]}))
         req = request_for("the prompt", PromptKind.RFE_EXTRACTION)
         assert transport.send(req) == "completed"
-        sent = session.posts[0]["json"]
+        _, sent = loopback_endpoint.received[0]
         assert sent == {
             "model": "m1",
             "prompt": "the prompt",
@@ -1196,33 +1181,77 @@ class TestHTTPTransport:
             "top_p": 1.0,
         }
 
-    def test_rate_limit_is_transient(self):
-        from medsum.backend import HTTPTransport
-
-        session = self.FakeSession([self.FakeResponse(429)])
-        transport = HTTPTransport("http://example", session=session)
+    def test_rate_limit_is_transient(self, loopback_endpoint, transport):
+        loopback_endpoint.script.append((429, ""))
         with pytest.raises(TransientBackendError):
             transport.send(request_for())
 
     @pytest.mark.parametrize("text", [None, 5, {}])
-    def test_completion_text_that_is_not_a_string_is_protocol_error(self, text):
-        from medsum.backend import HTTPTransport
-
-        session = self.FakeSession([self.FakeResponse(200, {"choices": [{"text": text}]})])
-        transport = HTTPTransport("http://example", session=session)
+    def test_completion_text_that_is_not_a_string_is_protocol_error(
+        self, loopback_endpoint, transport, text
+    ):
+        loopback_endpoint.script.append((200, {"choices": [{"text": text}]}))
         with pytest.raises(BackendProtocolError) as refused:
             transport.send(request_for())
         assert str(refused.value) == (
             f"malformed completion response: completion text is not a string: {text!r}"
         )
 
-    def test_client_error_is_protocol_error(self):
-        from medsum.backend import HTTPTransport
-
-        session = self.FakeSession([self.FakeResponse(400, text="bad")])
-        transport = HTTPTransport("http://example", session=session)
+    def test_client_error_is_protocol_error(self, loopback_endpoint, transport):
+        loopback_endpoint.script.append((400, "bad"))
         with pytest.raises(BackendProtocolError):
             transport.send(request_for())
+
+    @pytest.mark.parametrize("key", ["sk-test", "", None])
+    def test_api_key_is_sent_as_a_bearer_token(self, loopback_endpoint, transport, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv(backend.API_KEY_ENV, raising=False)
+        else:
+            monkeypatch.setenv(backend.API_KEY_ENV, key)
+        assert transport.send(request_for("keyed")) == "echo: keyed"
+        headers, _ = loopback_endpoint.received[0]
+        assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
+
+    def test_gzip_body_is_decoded(self, loopback_endpoint, transport):
+        body = gzip.compress(json.dumps({"choices": [{"text": "unzipped"}]}).encode())
+        loopback_endpoint.script.append((200, (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Encoding: gzip\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )))
+        assert transport.send(request_for()) == "unzipped"
+        headers, _ = loopback_endpoint.received[0]
+        assert headers["Accept-Encoding"] == "gzip"
+
+    def test_kept_alive_connection_the_server_hung_up_is_reconnected(
+        self, loopback_endpoint, transport
+    ):
+        # An answer that leaves the connection looking kept alive; the
+        # endpoint then hangs up, as a server closing an idle connection does.
+        body = json.dumps({"choices": [{"text": "first"}]}).encode()
+        loopback_endpoint.script.append((200, (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+        )))
+        assert transport.send(request_for("one")) == "first"
+        assert transport.send(request_for("two")) == "echo: two"
+        assert [sent["prompt"] for _, sent in loopback_endpoint.received] == ["one", "two"]
+        assert loopback_endpoint.connections == 2
+
+    @pytest.mark.parametrize(
+        "endpoint, why",
+        [
+            ("example.invalid/v1", "not a printable-ASCII http or https URL"),
+            ("ftp://x/y", "not a printable-ASCII http or https URL"),
+            ("http:///v1", "not a printable-ASCII http or https URL"),
+            ("http://x/v1 completions", "not a printable-ASCII http or https URL"),
+            ("http://x/v\u00e9", "not a printable-ASCII http or https URL"),
+            ("http://[::1", "Invalid IPv6 URL"),
+            ("http://x:port/v1", "Port could not be cast to integer value"),
+        ],
+    )
+    def test_endpoint_that_is_not_an_http_url_is_refused(self, endpoint, why):
+        with pytest.raises(ValueError, match=why):
+            HTTPTransport(endpoint)
 
 
 class TestHTTPTransportOverLoopback:
@@ -1295,20 +1324,21 @@ class TestHTTPTransportOverLoopback:
         finally:
             transport.close()
 
-    def test_two_fan_out_wide_gathers_reuse_one_pool(self, loopback_endpoint, caplog):
+    def test_two_fan_out_wide_gathers_reuse_one_pool(self, loopback_endpoint):
         # Each answer waits, so the calls of one gather overlap.
         loopback_endpoint.delay = 0.05
         client = CompletionClient(HTTPTransport(loopback_endpoint.url))
+        opened = []
         try:
-            with caplog.at_level(logging.WARNING, logger="urllib3"):
-                for burst in range(2):
-                    prompts = [f"burst {burst} call {i}" for i in range(backend.FAN_OUT_WIDTH)]
-                    texts = client.gather(keyed(*(request_for(p) for p in prompts)))
-                    assert list(texts) == [f"echo: {p}" for p in prompts]
+            for burst in range(2):
+                prompts = [f"burst {burst} call {i}" for i in range(backend.FAN_OUT_WIDTH)]
+                texts = client.gather(keyed(*(request_for(p) for p in prompts)))
+                assert list(texts) == [f"echo: {p}" for p in prompts]
+                opened.append(loopback_endpoint.connections)
         finally:
             client.close()
-        assert 0 < loopback_endpoint.connections <= backend.FAN_OUT_WIDTH
-        assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+        # The second burst runs on the fan-out threads' kept-alive connections.
+        assert 0 < opened[0] == opened[1] <= backend.FAN_OUT_WIDTH
 
     def test_close_hangs_up_every_pooled_connection(self, loopback_endpoint):
         loopback_endpoint.delay = 0.02
@@ -1319,6 +1349,34 @@ class TestHTTPTransportOverLoopback:
         # Keep-alive: the server still holds every connection open.
         assert loopback_endpoint.closed == 0 < loopback_endpoint.connections
         client.close()
+        assert loopback_endpoint.wait_until_all_closed()
+
+    def test_concurrent_senders_each_keep_one_connection_that_close_hangs_up(
+        self, loopback_endpoint
+    ):
+        """More sending threads than cores, switching often: no connection
+        is shared, and `close`, called once every thread has exited, hangs
+        up each one."""
+        transport = HTTPTransport(loopback_endpoint.url)
+        texts: dict[int, list[str]] = {}
+
+        def sender(n):
+            texts[n] = [transport.send(request_for(f"{n}.{i}")) for i in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=sender, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert texts == {n: [f"echo: {n}.{i}" for i in range(5)] for n in range(8)}
+        assert loopback_endpoint.connections <= 8
+        transport.close()
         assert loopback_endpoint.wait_until_all_closed()
 
     def test_client_close_closes_the_transport_and_its_store(self, loopback_endpoint, tmp_path):

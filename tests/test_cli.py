@@ -622,6 +622,52 @@ class TestRun:
         assert capsys.readouterr() == ("", f"error: cannot write {store}: File exists\n")
         assert not (workspace["dir"] / "out.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "endpoint, why",
+        [
+            ("example.invalid/v1", "not a printable-ASCII http or https URL"),
+            ("ftp://x/y", "not a printable-ASCII http or https URL"),
+            ("http://[::1", "Invalid IPv6 URL"),
+        ],
+        ids=["no-scheme", "ftp", "unclosed-ipv6"],
+    )
+    def test_endpoint_that_is_not_an_http_url_exits_1(self, workspace, capsys, endpoint, why):
+        """Refused before the store or the output is created, so no
+        encounter fails on it."""
+        config = workspace["dir"] / "record.json"
+        config.write_text(json.dumps({"pools": str(workspace["pools"]), "endpoint": endpoint}))
+        argv = ["run", str(workspace["dataset"]), str(workspace["dir"] / "out.jsonl")]
+        argv += ["--config", str(config), "--backend", "record", "--replay-store",
+                 str(workspace["store"])]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == (
+            "", f"error: bad run configuration: endpoint {endpoint!r}: {why}\n"
+        )
+        assert not (workspace["dir"] / "out.jsonl").exists()
+        assert not workspace["store"].exists()
+
+    @pytest.mark.parametrize("backend", ["replay", "record"])
+    @pytest.mark.parametrize("path", ["\x00", "\ud800"], ids=["nul", "lone-surrogate"])
+    @pytest.mark.parametrize("key", ["pools", "replay_store", "templates_dir"])
+    def test_config_path_the_os_cannot_take_exits_1(self, workspace, capfd, key, path, backend):
+        """A path holding a NUL or a lone surrogate, which `open()` refuses
+        before asking the OS, is one `error:` line, not a traceback."""
+        config = workspace["dir"] / "paths.json"
+        config.write_text(json.dumps({
+            "pools": str(workspace["pools"]),
+            "replay_store": str(workspace["store"]),
+            "endpoint": "http://127.0.0.1:9/v1",
+            key: path,
+        }))
+        ReplayStore(workspace["store"], create=True)
+        before = _files(workspace["dir"])
+        argv = ["run", str(workspace["dataset"]), str(workspace["dir"] / "out.jsonl")]
+        argv += ["--config", str(config), "--backend", backend]
+        assert main(argv) == EXIT_CONFIG
+        out, err = capfd.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert _files(workspace["dir"]) == before
+
     def test_output_that_cannot_be_made_exits_1(self, workspace, capsys):
         ReplayStore(workspace["store"], create=True)
         output = workspace["pools"] / "out.jsonl"  # under a file
@@ -809,32 +855,21 @@ def test_limits_must_be_positive_integers(workspace, capsys, command, key, value
     assert not (workspace["dir"] / "out.jsonl").exists()
 
 
-@pytest.mark.parametrize(
-    "command, setting, flags, pool_size",
-    [
-        ("run", {}, [], FAN_OUT_WIDTH + 1),
-        ("run", {"workers": 3}, [], FAN_OUT_WIDTH + 3),
-        ("run", {"workers": 3}, ["--workers", "5"], FAN_OUT_WIDTH + 5),
-        ("run", {"workers": 3, "max_in_flight": 4}, [], 4),
-        ("eval", {}, [], FAN_OUT_WIDTH + 1),
-        ("eval", {"max_in_flight": 2}, [], 2),
-    ],
-)
-def test_live_pool_holds_every_call_in_flight(
-    workspace, monkeypatch, command, setting, flags, pool_size
-):
-    """A live transport keeps a connection for each call that can be in
-    flight: `max_in_flight`, or a fan-out's width plus one per worker."""
-    sizes = []
+def test_live_run_opens_one_connection_per_sending_thread(workspace, loopback_endpoint):
+    """A live `run --workers 3` keeps a connection for each thread that
+    sends: at most one per fan-out thread plus one per worker, which sends
+    its encounters' summary calls itself."""
+    def respond(prompt):
+        summary = prompt.startswith("Write a structured summary")
+        return SIX_SECTION_SUMMARY if summary else "- cough (present)"
 
-    def transport(endpoint, model, pool_size):
-        sizes.append(pool_size)
-        return ScriptedTransport(scripted_pipeline_responder)
-
-    monkeypatch.setattr(cli, "HTTPTransport", transport)
-    argv = _set_up_argv(workspace, command, {"endpoint": "http://stand-in", **setting})
-    main([*argv, "--backend", "live", *flags])
-    assert sizes == [pool_size]
+    loopback_endpoint.respond = respond
+    argv = _set_up_argv(workspace, "run", {"endpoint": loopback_endpoint.url})
+    assert main([*argv, "--backend", "live", "--workers", "3"]) == EXIT_OK
+    summaries = [p for _, p in loopback_endpoint.received if p["max_tokens"] == 512]
+    assert len(summaries) == 3
+    assert 0 < loopback_endpoint.connections <= FAN_OUT_WIDTH + 3
+    assert loopback_endpoint.wait_until_all_closed()
 
 
 def test_eval_client_honours_max_in_flight(workspace, monkeypatch):
@@ -1839,7 +1874,7 @@ def _record_run(root, dataset, config, endpoint, workers):
     output = root / "out.jsonl"
     argv = ["run", str(dataset), str(output), "--config", str(config), "--backend", "record",
             "--replay-store", str(root / "store.jsonl"), "--workers", str(workers)]
-    with mock.patch.object(cli, "HTTPTransport", lambda url, model, pool_size: endpoint):
+    with mock.patch.object(cli, "HTTPTransport", lambda url, model: endpoint):
         code = main(argv)
     return code, output
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import prerecord
+from conftest import SIX_SECTION_SUMMARY, prerecord
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,10 +115,59 @@ def _find_python(version):
     return None
 
 
+# `requests` made unimportable, so a run that imports it fails here too.
+_WITHOUT_REQUESTS = """
+import sys
+sys.modules["requests"] = None
+from medsum.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def record_naive_run(workdir, endpoint, python=None):
+    """The exit code, output bytes and store bytes of `medsum run --method
+    naive_baseline --backend record` over `sample_data` against `endpoint`
+    (`summarization_k` 0, so no pools and no numpy), in this process, or
+    under `python` with `requests` unimportable."""
+    workdir.mkdir()
+    config, output, store = workdir / "config.json", workdir / "out.jsonl", workdir / "store.jsonl"
+    config.write_text(json.dumps({"endpoint": endpoint.url, "summarization_k": 0}))
+    argv = ["run", str(ROOT / "sample_data" / "encounters.jsonl"), str(output), "--config",
+            str(config), "--method", "naive_baseline", "--backend", "record", "--replay-store",
+            str(store)]
+    if python is None:
+        from medsum.cli import main
+
+        code = main(argv)
+    else:
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([python, "-c", _WITHOUT_REQUESTS, *argv], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.stderr == "", result.stderr
+        code = result.returncode
+    return code, output.read_bytes(), store.read_bytes()
+
+
+@pytest.fixture
+def summarizing_endpoint(loopback_endpoint):
+    """The loopback endpoint, answering every prompt with a six-section summary."""
+    loopback_endpoint.respond = lambda prompt: SIX_SECTION_SUMMARY
+    return loopback_endpoint
+
+
+def test_record_run_needs_no_requests(tmp_path, summarizing_endpoint):
+    """A live run sends its calls over the standard library alone."""
+    expected = record_naive_run(tmp_path / "here", summarizing_endpoint)
+    assert expected[0] == 0 and expected[1].count(b"\n") == 3
+    assert record_naive_run(tmp_path / "there", summarizing_endpoint, sys.executable) == expected
+
+
 @pytest.mark.parametrize("version", _OTHER_PYTHONS)
-def test_cli_runs_on_other_interpreters(tmp_path, version):
-    """`validate` and a misspelled-key refusal behave the same on each other
-    CPython found here, with no third-party package needed for either."""
+def test_cli_runs_on_other_interpreters(tmp_path, summarizing_endpoint, version):
+    """`validate`, a misspelled-key refusal and a recorded naive-baseline
+    run behave the same on each other CPython found here, with no
+    third-party package needed for any of them: the run's output and store
+    bytes are this interpreter's."""
     exe = _find_python(version)
     if exe is None:
         pytest.skip(f"python{version} not found on PATH or beside {sys.base_prefix}")
@@ -142,3 +191,5 @@ def test_cli_runs_on_other_interpreters(tmp_path, version):
         1, "", f"error: bad run configuration: {refusal}\n"
     )
     assert not output.exists()
+    expected = record_naive_run(tmp_path / "here", summarizing_endpoint)
+    assert record_naive_run(tmp_path / "there", summarizing_endpoint, exe) == expected
