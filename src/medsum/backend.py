@@ -107,8 +107,8 @@ class CompletionParams:
     temperature: float
     max_tokens: int
     top_p: float
-    # The sorted, compact JSON of as_dict(), built once for cache_key and
-    # the chain's trace entries.
+    # The sorted, compact JSON of as_dict(), built once for the cache key
+    # (see PrefixKeyer) and the chain's trace entries.
     json_text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -177,36 +177,19 @@ class PendingCall(NamedTuple):
     build: Callable[[], CompletionRequest]
 
 
-def cache_key(req: CompletionRequest) -> str:
-    """Content hash over (prompt_kind, prompt, params); stable across runs.
-
-    The hashed text is json.dumps({"prompt_kind": ..., "prompt": ...,
-    "params": params.as_dict()}, sort_keys=True, separators=(",", ":")),
-    spliced from its pieces: the params' JSON is built once per params
-    object, and the prompt is escaped by the same ASCII-only string encoder
-    json.dumps uses, so the bytes are the same. `PrefixKeyer` is the other
-    way to compute the same key, for prompts that share a fixed head and
-    tail around their input.
-    """
-    payload = (
-        '{"params":'
-        + req.params.json_text
-        + ',"prompt":'
-        + _json_string(req.prompt)
-        + _KIND_TAIL[req.prompt_kind]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 class PrefixKeyer:
-    """`cache_key` of every request of one kind and params whose prompt is
-    head + input + tail, with the head escaped and hashed once.
+    """The cache key of every request of one kind and params whose prompt
+    is head + input + tail, with the head escaped and hashed once.
 
-    `key(input_text)` equals `cache_key(CompletionRequest(head + input_text
-    + tail, params, kind))`. The string encoder escapes each code point on
-    its own (an astral character or a surrogate pair split across a join
-    gives the same escapes either way), so escaping the three parts apart
-    and joining them gives the bytes of escaping the whole prompt.
+    A key is the SHA-256 of json.dumps({"prompt_kind": ..., "prompt": ...,
+    "params": params.as_dict()}, sort_keys=True, separators=(",", ":")),
+    spliced from its pieces. The params' JSON is built once per params
+    object, and each part of the prompt is escaped by the ASCII-only string
+    encoder json.dumps uses. That encoder escapes each code point on its own
+    (an astral character or a surrogate pair split across a join gives the
+    same escapes either way), so escaping the three parts apart and joining
+    them gives the bytes of escaping the whole prompt. Every replay store is
+    keyed by these bytes, and this is the only code that writes them.
     """
 
     __slots__ = ("_state", "_end")
@@ -221,6 +204,12 @@ class PrefixKeyer:
         state.update(_json_string(input_text)[1:-1].encode("ascii"))
         state.update(self._end)
         return state.hexdigest()
+
+
+def cache_key(req: CompletionRequest) -> str:
+    """Content hash over (prompt_kind, prompt, params), stable across runs:
+    the key of a `PrefixKeyer` with no head or tail."""
+    return PrefixKeyer(req.prompt_kind, req.params, "", "").key(req.prompt)
 
 
 @dataclass(frozen=True)
@@ -255,12 +244,13 @@ class RetryPolicy:
 class Transport(Protocol):
     """Raw completion call, no retry or caching.
 
-    A transport backed by a store may also offer `peek(key) -> str | None`,
-    the stored response for a cache key without sending anything. Such a
-    transport is its client's only cache: its `send(req, key=None)` takes
-    the request's cache key when the caller has it, and keeps every text it
-    returns where `peek` finds it. A transport that holds connections or
-    files offers `close()`.
+    A transport backed by a store also offers `peek(key) -> str | None`, the
+    stored response for a cache key without sending anything. Such a
+    transport is its client's only cache: its `send(req, key)` takes the
+    request's cache key, which the client always has, and keeps every text
+    it returns under it, where `peek` finds it. Every key is a
+    `PrefixKeyer` key; there is no other format. A transport that holds
+    connections or files offers `close()`.
     """
 
     def send(self, req: CompletionRequest) -> str: ...
@@ -573,8 +563,7 @@ class ReplayTransport:
     def __init__(self, store: ReplayStore):
         self.store = store
 
-    def send(self, req: CompletionRequest, key: str | None = None) -> str:
-        key = key or cache_key(req)
+    def send(self, req: CompletionRequest, key: str) -> str:
         text = self.store.get(key)
         return self._miss(req, key) if text is None else text
 
@@ -646,11 +635,11 @@ class CompletionClient:
     offers `peek`) is the whole cache: a stored text is served without
     calling `send`, and `send` stores what it fetches. Over any other
     transport the client keeps the texts in memory. A call is a built
-    request, keyed once unless the caller passes its key, or a
-    `PendingCall`, which carries its key and is built only on a miss; either
-    way its key is looked up once. Concurrent calls with one key share a
-    single transport call (single-flight): all get its text, or all get its
-    error. `max_in_flight` bounds concurrent transport calls when set.
+    request, keyed once with `cache_key`, or a `PendingCall`, which carries
+    its key and is built only on a miss; either way its key is looked up
+    once. Concurrent calls with one key share a single transport call
+    (single-flight): all get its text, or all get its error. `max_in_flight`
+    bounds concurrent transport calls when set.
 
     `gather` fans independent calls out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
@@ -680,12 +669,10 @@ class CompletionClient:
         )
         self._fan_out_width = max_in_flight or FAN_OUT_WIDTH
 
-    def complete(self, req: CompletionRequest | PendingCall, key: str | None = None) -> str:
-        """The completion text for `req`, a built request or a pending call.
-        `key` is a built request's `cache_key`, when the caller has already
-        computed it."""
+    def complete(self, req: CompletionRequest | PendingCall) -> str:
+        """The completion text for `req`, a built request or a pending call."""
         pending = type(req) is PendingCall
-        key = req.key if pending else key or cache_key(req)
+        key = req.key if pending else cache_key(req)
         text = self._lookup(key)
         if text is not None:
             return text
@@ -749,7 +736,7 @@ class CompletionClient:
                         failure = exc
                         break
                     executor = _fan_out_executor(self._fan_out_width)
-                    text = executor.submit(self.complete, req, call.key)
+                    text = executor.submit(self.complete, call._replace(build=lambda r=req: r))
                 pending.append(text)
             if failure is not None:
                 failed: Future[str] = Future()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import statistics
 import sys
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .backend import (
+    API_KEY_ENV,
     BackendError,
     CompletionClient,
     HashEmbedder,
@@ -51,6 +53,7 @@ from .metrics import (
 from .model import (
     Encounter,
     ExampleKind,
+    LabeledExample,
     PromptKind,
     RecordHead,
     RunRecord,
@@ -66,6 +69,7 @@ from .promptkit import (
     PromptTemplate,
     TemplateError,
     TokenBudget,
+    bind,
     estimate_tokens,
     load_templates,
     serialize_summary,
@@ -265,13 +269,36 @@ def build_chain_config(config: dict[str, Any], seed_override: int | None) -> Cha
         raise CliError(f"bad run configuration: {exc}") from exc
 
 
-def _leave_room(budget: TokenBudget, *kinds: PromptKind) -> TokenBudget:
-    """`budget`, or a CliError if no prompt fits beside a completion of `kinds`."""
+def _leave_room(budget: TokenBudget, kinds: Sequence[PromptKind],
+                prompts: Sequence[tuple[PromptTemplate, Sequence[LabeledExample], int]] = ()
+                ) -> TokenBudget:
+    """`budget`, or a CliError if no prompt fits beside a completion of
+    `kinds`, or if one of `prompts`, (template, pool examples, k) of a
+    prompt that every encounter sends, fits in no encounter.
+
+    A prompt's floor is `estimate_tokens` of its template bound with age 0,
+    an empty sex, no input and the k examples with the fewest words, plus
+    its completion's `max_tokens`. No real prompt of the template has fewer
+    words, so a budget below the floor fails every encounter: filling a
+    slot inserts text, which never lowers a whitespace word count; an age
+    is one word, as "0" is; and a block of examples starts with "Example:"
+    and ends with whitespace, so its words add alike whichever k it holds.
+    """
     reserve = max(default_params(kind).max_tokens for kind in kinds)
-    if budget.max_context_tokens > reserve:
-        return budget
-    raise CliError(f"bad run configuration: max_context_tokens must be above {reserve}, "
-                   f"the tokens a completion reserves, got {budget.max_context_tokens}")
+    if budget.max_context_tokens <= reserve:
+        raise CliError(f"bad run configuration: max_context_tokens must be above {reserve}, "
+                       f"the tokens a completion reserves, got {budget.max_context_tokens}")
+    for template, examples, k in prompts:
+        # A rendered example's words are a fixed count plus those of its sex, input and label.
+        fewest = sorted(examples, key=lambda e: len(f"{e.sex} {e.input_text} {e.label}".split()))
+        max_tokens = default_params(template.kind).max_tokens
+        try:
+            bind(template, age=0, sex="", examples=fewest[:k], budget=budget).check("", max_tokens)
+        except BudgetExceededError as exc:
+            floor, kind = exc.estimated + max_tokens, template.kind.value
+            raise CliError(f"bad run configuration: max_context_tokens must be at least {floor} "
+                           f"for a {kind} prompt to fit, got {budget.max_context_tokens}") from exc
+    return budget
 
 
 def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transport:
@@ -283,6 +310,9 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
         return ReplayTransport(ReplayStore(store_path))
+    api_key = os.environ.get(API_KEY_ENV, "")  # RFC 9110's field-value: VCHAR, SP, HTAB, obs-text
+    if not all(c == "\t" or " " <= c <= "~" or "\x80" <= c <= "\xff" for c in api_key):
+        raise CliError(f"${API_KEY_ENV} holds a character an HTTP header cannot carry")
     endpoint = setting(config, "endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
@@ -295,16 +325,16 @@ def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transpo
     return live
 
 
-def build_backend(args: argparse.Namespace,
-                  config: dict[str, Any]) -> tuple[CompletionClient, dict[str, PromptTemplate]]:
-    """The completion client and the prompt templates of `run` and `eval`."""
+def build_client(args: argparse.Namespace, config: dict[str, Any]) -> CompletionClient:
+    """The completion client of `run` and `eval`."""
     max_in_flight = setting(config, "max_in_flight")
-    templates = load_templates(setting(config, "templates_dir") or None)  # "" is unset, not "."
-    return CompletionClient(build_transport(args, config), max_in_flight=max_in_flight), templates
+    return CompletionClient(build_transport(args, config), max_in_flight=max_in_flight)
 
 
 def build_deps(args: argparse.Namespace, config: dict[str, Any], cfg: ChainConfig,
                method: Method) -> ChainDeps:
+    """What a run of `method` needs, once the budget is known to hold the
+    prompts that every encounter sends (see `_leave_room`)."""
     embedder = HashEmbedder()
 
     needed: list[ExampleKind] = []
@@ -334,8 +364,17 @@ def build_deps(args: argparse.Namespace, config: dict[str, Any], cfg: ChainConfi
             if cfg.selection_mode is SelectionMode.SEMANTIC:
                 pool = build_index(pool, embedder)
             pools[kind] = pool
-    client, templates = build_backend(args, config)
-    return ChainDeps(client=client, templates=templates, pools=pools, embedder=embedder)
+    templates = load_templates(setting(config, "templates_dir") or None)  # "" is unset, not "."
+    # Every encounter has a turn, so MEDSUM-ENT sends both extraction prompts.
+    ids = ["baseline_summarization"] if method is Method.NAIVE_BASELINE else [
+        "rfe_extraction", "dialogue_extraction", "summarization"]
+    prompts = []
+    for template in map(templates.__getitem__, ids):
+        kind = ExampleKind(template.kind.value)
+        k = cfg.shots(kind)[1]
+        prompts.append((template, pools[kind].examples if k else (), k))
+    _leave_room(cfg.budget, [t.kind for t, _, _ in prompts], prompts)
+    return ChainDeps(build_client(args, config), templates, pools, embedder)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -421,8 +460,6 @@ def _keep_inputs(output: Path, templates: dict[str, PromptTemplate], pools: str 
 def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     cfg = build_chain_config(config, args.seed)
-    _leave_room(cfg.budget, PromptKind.RFE_EXTRACTION, PromptKind.DIALOGUE_EXTRACTION,
-                PromptKind.UNKNOWN_RESOLVER, PromptKind.SUMMARIZATION)
     workers = _positive_int("--workers", args.workers) or setting(config, "workers") or 1
     method = _METHOD_ALIASES[args.method]
     deps = build_deps(args, config, cfg, method)
@@ -480,8 +517,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         extractor = segment_concept_extractor
     else:
         kinds = PromptKind.METRIC_EXTRACTION, PromptKind.METRIC_VERIFICATION
-        budget = _leave_room(build_chain_config(config, None).budget, *kinds)
-        client, templates = build_backend(args, config)
+        budget = _leave_room(build_chain_config(config, None).budget, kinds)
+        templates = load_templates(setting(config, "templates_dir") or None)
+        client = build_client(args, config)
         extractor = LLMConceptExtractor(client, templates["metric_extraction"], budget)
         verifier = LLMVerifier(client, templates["metric_verification"], budget)
 
@@ -540,7 +578,12 @@ def cmd_review_packets(args: argparse.Namespace) -> int:
         raise CliError("no encounters present in both record files")
 
     for encounter_id in common:  # each names a file in packets/
-        if encounter_id in (".", "..") or any(c in encounter_id for c in "/\\\0"):
+        try:
+            os.fsencode(encounter_id)  # a lone surrogate, say, is a UnicodeEncodeError
+            named = encounter_id not in (".", "..") and not any(c in encounter_id for c in "/\\\0")
+        except UnicodeEncodeError:
+            named = False
+        if not named:
             raise CliError(f"encounter id {encounter_id!r} cannot name a packet file")
     out_dir = Path(args.out)
     packets_dir = out_dir / "packets"

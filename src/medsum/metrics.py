@@ -111,16 +111,7 @@ def score_from_counts(
         f1 = 0.0
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
-    return SectionScore(
-        section=section,
-        tp_gt=tp_gt,
-        f_n=f_n,
-        tp_pred=tp_pred,
-        f_p=f_p,
-        gpt_recall=recall,
-        gpt_precision=precision,
-        gpt_f1=f1,
-    )
+    return SectionScore(section, tp_gt, f_n, tp_pred, f_p, recall, precision, f1)
 
 
 _BULLET_RE = re.compile(r"^(?:[-*•]|\d+[.):])\s*")
@@ -176,9 +167,6 @@ class _Judge:
         self._client = client
         self._call = request_builder(bind(template, budget=budget or TokenBudget()), self._kind)
 
-    def _complete(self, input_text: str) -> str:
-        return self._client.complete(self._call(input_text))
-
 
 class LLMConceptExtractor(_Judge):
     """Concept extraction through one completion call per non-empty text.
@@ -193,7 +181,7 @@ class LLMConceptExtractor(_Judge):
     def __call__(self, text: str) -> list[str]:
         if not text.strip():
             return []
-        return _parse_concepts(self._complete(text))
+        return _parse_concepts(self._client.complete(self._call(text)))
 
 
 _VERDICTS = {"yes": True, "true": True, "no": False, "false": False}
@@ -242,7 +230,7 @@ class LLMVerifier(_Judge):
             + "\n\nText:\n"
             + target_text
         )
-        return _parse_verdicts(self._complete(input_text), len(concepts))
+        return _parse_verdicts(self._client.complete(self._call(input_text)), len(concepts))
 
 
 def exact_match_verifier(concepts: Sequence[str], target_text: str) -> list[bool]:
@@ -327,7 +315,8 @@ class RowKey:
     Fields that do not apply to a method (extraction shots and the resolver
     for the baseline, selection for 0-shot) are None and print as "-".
     A selection that is neither a str nor None is a TypeError, so every key
-    hashes and sorts.
+    hashes and sorts, and one that is not UTF-8 text (a lone surrogate) is
+    a ValueError, so every key can be written to the CSV report.
     """
 
     method: str
@@ -338,7 +327,10 @@ class RowKey:
 
     def __post_init__(self) -> None:
         if self.selection is not None:
-            json_field("selection_mode", self.selection, str)
+            try:
+                json_field("selection_mode", self.selection, str).encode()
+            except UnicodeEncodeError as exc:  # a lone surrogate
+                raise ValueError(f"selection_mode is not UTF-8 text: {self.selection!r}") from exc
 
     @classmethod
     def from_record(cls, record: RunRecord) -> "RowKey":
@@ -481,14 +473,7 @@ def aggregate(
                     e.scores[i].gpt_f1 for e in group
                 )
         average = statistics.fmean(section_scores[s] for s in SCORED_SECTIONS)
-        rows.append(
-            TableRow(
-                key=key,
-                section_scores=section_scores,
-                average=average,
-                encounter_count=len(group),
-            )
-        )
+        rows.append(TableRow(key, section_scores, average, len(group)))
     return rows
 
 

@@ -365,7 +365,7 @@ class TraceEntry:
 
 
 # Fixed pieces of a record line, in json.dumps's sorted key order; the kind
-# tail also ends each cache key's hashed text (see backend.cache_key).
+# tail also ends each cache key's hashed text (see backend.PrefixKeyer).
 _STATUS_TAIL = {s: ',"status":' + _json_string(s.value) + "}" for s in EntityStatus}
 _KIND_TAIL = {k: ',"prompt_kind":' + _json_string(k.value) + "}" for k in PromptKind}
 

@@ -167,9 +167,6 @@ class PromptTemplate:
         parts = tuple(_SLOT_RE.split(side) for side in self.preamble.split("{input}"))
         object.__setattr__(self, "_parts", parts)
 
-    def slots(self) -> tuple[str, ...]:
-        return self._slots
-
 
 def _render_example(example: LabeledExample) -> str:
     return (
@@ -186,15 +183,14 @@ def _render_example(example: LabeledExample) -> str:
 class BoundPrompt:
     """A template with every slot but {input} filled in; made by `bind`.
 
-    `fill(input_text)` returns exactly the prompt `render` gives for the same
-    arguments and raises the same BudgetExceededError. It is `check` then
-    `join`. `check` decides from lengths when they prove the fit, and
-    otherwise counts the words of the joined prompt with `estimate_tokens`,
-    with the same decisions and errors. So one bound prompt serves every
-    input that shares its demographics and examples, such as the turn
-    windows of one encounter. `request_builder` checks each input at once
-    but joins it only if its call is built. `reserve` is the tokens left for
-    the completion (see `TokenBudget`).
+    A prompt is filled one way: `check(input_text, reserve)`, then
+    `join(input_text)`. `check` decides from lengths when they prove the
+    fit, and otherwise counts the words of the joined prompt with
+    `estimate_tokens`. So one bound prompt serves every input that shares
+    its demographics and examples, such as the turn windows of one
+    encounter. `render` checks and joins at once; `request_builder` checks
+    each input at once but joins it only if its call is built. `reserve` is
+    the tokens left for the completion (see `TokenBudget`).
     """
 
     __slots__ = ("head", "tail", "budget", "_bound")
@@ -222,12 +218,6 @@ class BoundPrompt:
         """The prompt with `input_text` in the {input} slot, unchecked."""
         return self.head + input_text + self.tail
 
-    def fill(self, input_text: str, reserve: int = 0) -> str:
-        """The prompt with `input_text` in the {input} slot, checked against
-        the budget with `reserve` tokens left."""
-        self.check(input_text, reserve)
-        return self.join(input_text)
-
 
 def bind(
     template: PromptTemplate,
@@ -250,7 +240,7 @@ def bind(
         raise KindMismatchError(
             f"{template.kind.value} prompts take no in-context examples"
         )
-    declared = template.slots()
+    declared = template._slots
     if examples and "examples" not in declared:
         raise TemplateError("template has no {examples} slot but examples were given")
     for example in examples:
@@ -284,10 +274,11 @@ def bind(
 
 def request_builder(prompt: BoundPrompt, kind: PromptKind) -> Callable[[str], PendingCall]:
     """Maps an input text to the pending call of kind `kind`, at the kind's
-    default parameters, whose request has the prompt `prompt.fill(input_text,
-    reserve=max_tokens)`. The budget is checked here, but the prompt is joined
-    only when the call is built, which a call the cache serves never is. The
-    key comes from a `PrefixKeyer` built here, once for every input."""
+    default parameters, whose request has the prompt `prompt.join(input_text)`
+    after `prompt.check(input_text, max_tokens)`. The budget is checked here,
+    but the prompt is joined only when the call is built, which a call the
+    cache serves never is. The key comes from a `PrefixKeyer` built here,
+    once for every input."""
     kind = PromptKind(kind)
     params = default_params(kind)
     keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
@@ -317,15 +308,13 @@ def render(
     """Fill a template's slots and enforce the token budget, with `reserve`
     tokens left for the completion.
 
-    The same as `bind(...).fill(input_text, reserve)`; see both. Raises
-    KindMismatchError, TemplateError, or BudgetExceededError on overflow.
+    `bind(...)`, then `check(input_text, reserve)`, then `join(input_text)`;
+    see `bind` and `BoundPrompt`. Raises KindMismatchError, TemplateError, or
+    BudgetExceededError on overflow.
     """
     bound = bind(template, age=age, sex=sex, examples=examples, budget=budget)
-    return bound.fill(input_text, reserve)
-
-
-def _default_template_dir() -> Path:
-    return Path(str(resources.files("medsum") / "templates"))
+    bound.check(input_text, reserve)
+    return bound.join(input_text)
 
 
 def load_templates(directory: str | Path | None = None) -> dict[str, PromptTemplate]:
@@ -335,7 +324,7 @@ def load_templates(directory: str | Path | None = None) -> dict[str, PromptTempl
     back to the default for any id it does not provide. A custom directory
     that is missing or not a directory is a TemplateError.
     """
-    default_dir = _default_template_dir()
+    default_dir = Path(str(resources.files("medsum") / "templates"))
     custom_dir = Path(directory) if directory is not None else None
     if custom_dir is not None and not custom_dir.is_dir():
         raise TemplateError(f"templates_dir {directory} is not a directory")
@@ -438,16 +427,11 @@ _HEADER_ALIASES: dict[str, str] = {
 }
 
 
-def _header_lookup() -> dict[str, str]:
-    lookup = {}
-    for key, header in CANONICAL_HEADERS.items():
-        lookup[" ".join(header.casefold().split())] = key
-    for alias, key in _HEADER_ALIASES.items():
-        lookup[" ".join(alias.casefold().split())] = key
-    return lookup
-
-
-_HEADER_KEY_BY_TEXT = _header_lookup()
+# Each header and alias, case-folded with its whitespace collapsed, to its section key.
+_HEADER_KEY_BY_TEXT = {
+    " ".join(text.casefold().split()): key
+    for text, key in [*zip(CANONICAL_HEADERS.values(), CANONICAL_HEADERS), *_HEADER_ALIASES.items()]
+}
 
 _BOLD = r"(?:\*\*|__)?"
 _HEADER_ALTS = "|".join(

@@ -848,12 +848,12 @@ class TestReplayStore:
         live = ScriptedTransport(lambda req: f"echo:{req.prompt}")
         recorder = RecordingTransport(live, ReplayStore(store_path, create=True))
         req = request_for("what brings you in")
-        recorded = recorder.send(req)
+        recorded = recorder.send(req, cache_key(req))
 
         replayer = ReplayTransport(ReplayStore(store_path))
-        assert replayer.send(req) == recorded
+        assert replayer.send(req, cache_key(req)) == recorded
         # The live transport is not consulted again while recording a hit.
-        recorder.send(req)
+        recorder.send(req, cache_key(req))
         assert len(live.requests) == 1
 
     def test_replay_miss_names_key(self, tmp_path):
@@ -862,7 +862,7 @@ class TestReplayStore:
         replayer = ReplayTransport(ReplayStore(store_path))
         req = request_for("never recorded")
         with pytest.raises(ReplayMissError) as excinfo:
-            replayer.send(req)
+            replayer.send(req, cache_key(req))
         assert cache_key(req) in str(excinfo.value)
 
     def test_mutated_prompt_misses(self, tmp_path):
@@ -870,10 +870,11 @@ class TestReplayStore:
         recorder = RecordingTransport(
             ScriptedTransport(lambda req: "answer"), ReplayStore(store_path, create=True)
         )
-        recorder.send(request_for("original"))
+        original, tampered = request_for("original"), request_for("original tampered")
+        recorder.send(original, cache_key(original))
         replayer = ReplayTransport(ReplayStore(store_path))
         with pytest.raises(ReplayMissError):
-            replayer.send(request_for("original tampered"))
+            replayer.send(tampered, cache_key(tampered))
 
     def test_record_mode_creates_empty_file(self, tmp_path):
         store_path = tmp_path / "fresh.jsonl"
@@ -1067,8 +1068,8 @@ class TestReplayStore:
         store = ReplayStore(store_path, create=True)
         transport = RecordingTransport(ScriptedTransport(lambda req: "same"), store)
         req = request_for("hi")
-        transport.send(req)
-        transport.send(req)
+        transport.send(req, cache_key(req))
+        transport.send(req, cache_key(req))
         assert len(store_path.read_text().splitlines()) == 1
 
 

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import medsum.backend as backend
 import medsum.chain as chain
-from medsum.backend import TransientBackendError, default_params
+from medsum.backend import (
+    CompletionClient,
+    RecordingTransport,
+    ReplayStore,
+    ScriptedTransport,
+    TransientBackendError,
+    default_params,
+)
 from medsum.chain import (
     ChainConfig,
     ChainDeps,
@@ -912,27 +919,30 @@ class TestFanOut:
             [ExampleKind.RFE_EXTRACTION, ExampleKind.DIALOGUE_EXTRACTION, ExampleKind.SUMMARIZATION]
         )
 
+    @pytest.mark.parametrize("recording", [False, True], ids=["scripted", "recording"])
     @pytest.mark.parametrize("runner", [run_medsum_ent, run_naive_baseline])
-    def test_cache_key_computed_once_per_request(self, scripted_deps, monkeypatch, runner):
-        """Whole-prompt keys and prefix-keyed window keys together: one per request."""
-        deps, transport = scripted_deps
+    def test_cache_key_computed_once_per_request(
+        self, templates, pools, tmp_path, monkeypatch, runner, recording
+    ):
+        """Every key, whole-prompt or prefix-keyed, is a `PrefixKeyer` key:
+        one per request, over a store-backed transport too."""
+        inner = ScriptedTransport(scripted_pipeline_responder)
+        transport = (
+            RecordingTransport(inner, ReplayStore(tmp_path / "store.jsonl", create=True))
+            if recording else inner
+        )
+        deps = ChainDeps(CompletionClient(transport), templates, pools)
         keys = []
-        cache_key = backend.cache_key
         prefix_key = backend.PrefixKeyer.key
 
-        def counted(req):
-            keys.append(req)
-            return cache_key(req)
-
-        def counted_prefix(keyer, input_text):
+        def counted(keyer, input_text):
             keys.append(input_text)
             return prefix_key(keyer, input_text)
 
-        monkeypatch.setattr(backend, "cache_key", counted)
-        monkeypatch.setattr(chain, "cache_key", counted)
-        monkeypatch.setattr(backend.PrefixKeyer, "key", counted_prefix)
+        monkeypatch.setattr(backend.PrefixKeyer, "key", counted)
         record = runner(make_encounter(with_belly=True), ChainConfig(), deps)
-        assert len(keys) == len(transport.requests) == len(record.llm_call_trace)
+        deps.client.close()
+        assert len(keys) == len(inner.requests) == len(record.llm_call_trace)
 
 
 # Window texts the responder below treats differently: an unknown the

@@ -855,6 +855,58 @@ def test_limits_must_be_positive_integers(workspace, capsys, command, key, value
     assert not (workspace["dir"] / "out.jsonl").exists()
 
 
+@pytest.mark.parametrize("backend", ["live", "record"])
+@pytest.mark.parametrize("key", ["\u20ac", "sk-test\r\nX-Injected: 1", "sk-test\n"])
+def test_api_key_a_header_cannot_carry_exits_1_before_writing(
+    workspace, loopback_endpoint, monkeypatch, capsys, backend, key
+):
+    """A $MEDSUM_API_KEY outside Latin-1, or holding CR or LF, is refused
+    once, before the store or the output exists and before any call."""
+    monkeypatch.setenv("MEDSUM_API_KEY", key)
+    config = workspace["dir"] / "live.json"
+    config.write_text(json.dumps({"pools": str(workspace["pools"]), "endpoint": loopback_endpoint.url}))
+    before = _files(workspace["dir"])
+    argv = ["run", str(workspace["dataset"]), str(workspace["dir"] / "out.jsonl"),
+            "--config", str(config), "--backend", backend, "--replay-store", str(workspace["store"])]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: $MEDSUM_API_KEY holds a character an HTTP header cannot carry\n"
+    )
+    assert _files(workspace["dir"]) == before
+    assert loopback_endpoint.received == []
+
+
+SAMPLE_DATA = Path(__file__).parents[1] / "sample_data"
+
+
+@pytest.mark.parametrize("method, summary_floor", [("medsum_ent", 628), ("naive", 611)])
+@pytest.mark.parametrize("budget", [513, 600])
+def test_budget_below_a_prompt_every_encounter_sends_exits_1_before_writing(
+    tmp_path, capsys, method, summary_floor, budget
+):
+    """On sample_data the summary prompt, with no input and no examples,
+    and its 512 reserved tokens need 628 tokens (611 for the baseline's), so
+    a smaller `max_context_tokens` fails every encounter and is refused up
+    front; at the floor the run starts."""
+    config, store = tmp_path / "config.json", tmp_path / "store.jsonl"
+    store.write_text("")
+
+    def run(max_context_tokens):
+        pools = str(SAMPLE_DATA / "pools.jsonl")
+        config.write_text(json.dumps({"pools": pools, "max_context_tokens": max_context_tokens}))
+        return main(["run", str(SAMPLE_DATA / "encounters.jsonl"), str(tmp_path / "out.jsonl"),
+                     "--config", str(config), "--method", method, "--replay-store", str(store)])
+
+    assert run(budget) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: bad run configuration: max_context_tokens must be at least {summary_floor} "
+        f"for a summarization prompt to fit, got {budget}\n"
+    )
+    assert not (tmp_path / "out.jsonl").exists()
+    assert run(summary_floor) == EXIT_BACKEND  # every call misses the empty store
+    assert (tmp_path / "out.jsonl").exists()
+
+
 def test_live_run_opens_one_connection_per_sending_thread(workspace, loopback_endpoint):
     """A live `run --workers 3` keeps a connection for each thread that
     sends: at most one per fan-out thread plus one per worker, which sends
@@ -1269,6 +1321,7 @@ def test_record_field_of_the_wrong_type_exits_1(workspace, capsys, command, fiel
     [
         ({"selection_mode": ["random"]}, "selection_mode is not a string: ['random']"),
         ({"selection_mode": {"a": 1}}, "selection_mode is not a string: {'a': 1}"),
+        ({"selection_mode": "random\ud800"}, "selection_mode is not UTF-8 text: 'random\\ud800'"),
         ({"extraction_k": [1]}, "extraction_k is not an integer: [1]"),
         ({"summarization_k": "x"}, "summarization_k is not an integer: 'x'"),
         ({"summarization_k": 1.9}, "summarization_k is not an integer: 1.9"),
@@ -2001,7 +2054,9 @@ class TestReviewPackets:
         assert (out / "key.json").exists()
         assert not (out / "packets" / "key.json").exists()
 
-    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b", "a\\b", "nul\0id", ".", ".."])
+    @pytest.mark.parametrize(
+        "bad_id", ["../escaped", "a/b", "a\\b", "nul\0id", ".", "..", "lone\ud800surrogate"]
+    )
     def test_encounter_id_that_is_not_a_file_name_is_refused(self, workspace, capsys, bad_id):
         a, b = self.make_record_files(workspace)
         for path in (a, b):

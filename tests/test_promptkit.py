@@ -17,6 +17,7 @@ from medsum.backend import (
     cache_key,
     default_params,
 )
+from medsum.cli import CliError, _leave_room
 from medsum.model import (
     SECTION_KEYS,
     EntityStatus,
@@ -253,6 +254,12 @@ def reference_render(
     return prompt
 
 
+def checked_join(bound, input_text, reserve=0):
+    """The prompt of `input_text`, filled as `render` fills it: checked, then joined."""
+    bound.check(input_text, reserve)
+    return bound.join(input_text)
+
+
 def _outcome(fn):
     """A call's prompt, or its error's type, message and token estimate."""
     try:
@@ -353,7 +360,7 @@ class TestBind:
         reserve=st.sampled_from([0, 0, 1, 200, 512]),
         data=st.data(),
     )
-    def test_fill_matches_single_pass_render(
+    def test_checked_join_matches_single_pass_render(
         self, template, inputs, age, sex, shots, example_text, factor, reserve, data
     ):
         kind = _REFERENCE_EXAMPLE_KIND.get(template.kind, ExampleKind.SUMMARIZATION)
@@ -381,7 +388,7 @@ class TestBind:
             if isinstance(bound, tuple):
                 assert bound == expected
                 continue
-            assert _outcome(lambda: bound.fill(input_text, reserve)) == expected
+            assert _outcome(lambda: checked_join(bound, input_text, reserve)) == expected
             assert _outcome(
                 lambda: render(template, input_text=input_text, reserve=reserve, **kwargs)
             ) == expected
@@ -389,10 +396,10 @@ class TestBind:
     def test_word_running_into_the_template_counts_once(self):
         template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:{input}:end")
         exact = TokenBudget(max_context_tokens=1, inflation_factor=1.0)
-        assert bind(template, budget=exact).fill("one") == "Text:one:end"
-        assert bind(template, budget=exact).fill("") == "Text::end"
+        assert checked_join(bind(template, budget=exact), "one") == "Text:one:end"
+        assert checked_join(bind(template, budget=exact), "") == "Text::end"
         with pytest.raises(BudgetExceededError) as excinfo:
-            bind(template, budget=exact).fill("one two")
+            checked_join(bind(template, budget=exact), "one two")
         assert excinfo.value.estimated == 2
 
     def test_an_input_the_lengths_prove_fits_is_never_split(self, templates, estimate_calls):
@@ -404,7 +411,7 @@ class TestBind:
         budget = TokenBudget(words + params.max_tokens, inflation_factor=1.0)
         bound = bind(template, budget=budget)
         expected = render(template, input_text=text, budget=budget, reserve=params.max_tokens)
-        assert bound.fill(_Unsplittable(text), params.max_tokens) == expected
+        assert checked_join(bound, _Unsplittable(text), params.max_tokens) == expected
         call = request_builder(bound, template.kind)(_Unsplittable(text))
         assert call.key == cache_key(CompletionRequest(expected, params, template.kind))
         assert estimate_calls == []
@@ -416,7 +423,7 @@ class TestBind:
                 template, input_text=longer, budget=budget, reserve=reserve
             ))
             estimate_calls.clear()
-            assert _outcome(lambda: bound.fill(_Unsplittable(longer), reserve)) == reference
+            assert _outcome(lambda: checked_join(bound, _Unsplittable(longer), reserve)) == reference
             assert estimate_calls == [bound.join(longer)]
         estimate_calls.clear()
         call = request_builder(bound, template.kind)(_Unsplittable(longer))
@@ -427,7 +434,7 @@ class TestBind:
         head, tail = _Unsplittable("Text:\n"), _Unsplittable("\nConcepts:")
         budget = TokenBudget(max_context_tokens=30, inflation_factor=1.0)
         bound = BoundPrompt(head, tail, budget)
-        assert bound.fill("fever and chills", reserve=5) == "Text:\nfever and chills\nConcepts:"
+        assert checked_join(bound, "fever and chills", reserve=5) == "Text:\nfever and chills\nConcepts:"
         assert estimate_calls == []
         template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:\n{input}\nConcepts:")
         longer = "fever and chills " * 3
@@ -436,12 +443,44 @@ class TestBind:
                 template, input_text=longer, budget=budget, reserve=reserve
             ))
             estimate_calls.clear()
-            assert _outcome(lambda: bound.fill(longer, reserve)) == reference
+            assert _outcome(lambda: checked_join(bound, longer, reserve)) == reference
             assert len(estimate_calls) == 1
 
     def test_missing_demographics_fail_at_bind(self, templates):
         with pytest.raises(TemplateError, match="age"):
             bind(templates["dialogue_extraction"], sex="female")
+
+
+class TestBudgetFloor:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        template=templates_to_bind(),
+        pool_texts=st.lists(st.tuples(join_text, join_text, join_text), max_size=5),
+        age=st.integers(min_value=0, max_value=120),
+        sex=join_text,
+        input_text=join_text | _BOUND_EDGE_TEXT,
+        factor=st.floats(min_value=1.0, max_value=2.5, allow_nan=False),
+        data=st.data(),
+    )
+    def test_a_budget_some_prompt_fits_is_never_refused(
+        self, template, pool_texts, age, sex, input_text, factor, data
+    ):
+        """`cli._leave_room`'s floor is a lower bound: a budget that one real
+        prompt of the template fits beside its completion passes it."""
+        kind = _REFERENCE_EXAMPLE_KIND.get(template.kind)
+        pool = [LabeledExample(kind, text, 30 + i, example_sex, label)
+                for i, (text, example_sex, label) in enumerate(pool_texts if kind else [])]
+        if "{examples}" not in template.preamble:
+            pool = []
+        k = data.draw(st.integers(min_value=0, max_value=len(pool)), label="k")
+        examples = data.draw(st.permutations(pool), label="order")[:k]
+        prompt = bind(template, age=age, sex=sex, examples=examples).join(input_text)
+        reserve = default_params(template.kind).max_tokens
+        need = estimate_tokens(prompt, factor) + reserve
+        assume(need > reserve)  # a budget not above the reserve is refused outright
+        _leave_room(TokenBudget(need, factor), [template.kind], [(template, pool, k)])
+        with pytest.raises(CliError, match="must be"):
+            _leave_room(TokenBudget(reserve, factor), [template.kind], [(template, pool, k)])
 
 
 class TestRequestBuilder:
