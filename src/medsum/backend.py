@@ -702,27 +702,21 @@ class CompletionClient:
         return text
 
     def gather(self, calls: Iterable[PendingCall]) -> Iterator[str]:
-        """The texts of `complete(call)` for pending calls, in order, as the
-        caller takes them.
+        """The texts of `complete(call)` for any iterable of pending calls,
+        in order, as the caller takes them.
 
         On the first take every call is taken from `calls`, and then every
         call starts: one the cache can serve is answered from its one lookup
         and is never built; any other is built on the calling thread and
-        runs on the fan-out executor. A call's failure, or one raised by its
-        `build` or by `calls` itself, is raised in its turn, after the texts
-        before it.
+        runs on the fan-out executor. A call's own failure, or one raised by
+        its `build`, is raised in its turn, after the texts before it.
         Closing the iterator cancels the calls not yet started. Never call
         this from a task running on that executor: a worker waiting on its
         own pool can deadlock it.
         """
         # Sending while later calls are still built would slow their building
         # (the GIL), and the last call's start sets when the last text arrives.
-        taken, failure = [], None
-        try:
-            for call in calls:
-                taken.append(call)
-        except Exception as exc:  # raised in its turn, after the calls before it
-            failure = exc
+        taken, failure = list(calls), None
         pending: list[str | Future[str]] = []
         try:
             for call in taken:

@@ -231,15 +231,15 @@ def _select_examples(
     return select_semantic_many(pool, queries, k, deps.embedder)
 
 
-def _traced(log: RunLog, call: PendingCall) -> None:
-    params = call.params
-    log.trace.append(TraceEntry(call.prompt_kind, call.key, params.as_dict(), params.json_text))
+def _traced(log: RunLog, calls: Sequence[PendingCall]) -> None:
+    log.trace.extend([TraceEntry(call.prompt_kind, call.key, call.params.as_dict(),
+                                 call.params.json_text) for call in calls])
 
 
 def _complete(call: PendingCall, deps: ChainDeps, log: RunLog) -> str:
     """Send one call on the calling thread, then trace it."""
     text = deps.client.complete(call)
-    _traced(log, call)
+    _traced(log, (call,))
     return text
 
 
@@ -278,21 +278,28 @@ def _extraction_builders(
 
 def _extraction_calls(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps
-) -> Iterator[tuple[str, PendingCall]]:
-    """(provenance tag, pending call) of every extraction call, in chain
-    order: the opening message ("rfe"), then each turn window ("turn-pair
-    <i>"). The windows' examples are selected in one call."""
-    [rfe] = _extraction_builders(PromptKind.RFE_EXTRACTION, [enc.rfe], enc, cfg, deps)
-    yield "rfe", rfe(enc.rfe)
-    texts = [window_text(window) for window in pair_turns(enc.turns)]
-    builders = _extraction_builders(PromptKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
-    for i, (text, call) in enumerate(zip(texts, builders)):
-        yield f"turn-pair {i}", call(text)
+) -> tuple[list[PendingCall], Exception | None]:
+    """The pending calls of the extractions, in chain order (the opening
+    message, then each turn window, whose examples are selected in one
+    call), and the first exception raised while selecting examples for them
+    or building them, or None. The calls are those built before it."""
+    calls: list[PendingCall] = []
+    try:
+        [rfe] = _extraction_builders(PromptKind.RFE_EXTRACTION, [enc.rfe], enc, cfg, deps)
+        calls.append(rfe(enc.rfe))
+        texts = [window_text(window) for window in pair_turns(enc.turns)]
+        builders = _extraction_builders(PromptKind.DIALOGUE_EXTRACTION, texts, enc, cfg, deps)
+        for text, build in zip(texts, builders):
+            calls.append(build(text))
+    except Exception as exc:
+        return calls, exc
+    return calls, None
 
 
 def _parse_extraction(tag: str, completion: str, log: RunLog) -> list[MedicalEntity]:
     entities, warnings = parse_entity_list(completion, (tag,))
-    log.warnings.extend(f"{tag}: {w}" for w in warnings)
+    if warnings:
+        log.warnings.extend(f"{tag}: {w}" for w in warnings)
     if not completion.strip():
         log.warnings.append(f"{tag}: extraction completion was empty")
     return entities
@@ -463,24 +470,23 @@ def run_medsum_ent(enc: Encounter, cfg: ChainConfig, deps: ChainDeps) -> RunReco
     entries in that order, and the record is the one the stages would give
     run one after another. On failure the ChainError names the first stage
     that fails in that order; the extraction requests after it may still
-    have been sent, and those not yet started are cancelled.
+    have been sent, and those not yet started are cancelled. If selecting
+    examples for an extraction or building its call fails, the calls built
+    before it are still sent, traced and parsed, and the failure is raised
+    after them.
     """
     log = RunLog()
-    tags: list[str] = []
-
-    def calls() -> Iterator[PendingCall]:
-        for tag, call in _extraction_calls(enc, cfg, deps):
-            tags.append(tag)
-            _traced(log, call)
-            yield call
-
-    texts = deps.client.gather(calls())
+    calls, failure = _extraction_calls(enc, cfg, deps)
+    _traced(log, calls)
+    texts = deps.client.gather(calls)
     stage = "rfe extraction"
     try:
-        entity_lists = [_parse_extraction("rfe", next(texts), log)]
-        stage = "turn extraction"
-        for text in texts:
-            entity_lists.append(_parse_extraction(tags[len(entity_lists)], text, log))
+        entity_lists = []
+        for i, text in enumerate(texts):
+            entity_lists.append(_parse_extraction(f"turn-pair {i - 1}" if i else "rfe", text, log))
+            stage = "turn extraction"  # so a build failure after the RFE is a window's
+        if failure is not None:
+            raise failure
         stage = "collation"
         ledger = collate(entity_lists)
         stage = "unknown resolution"

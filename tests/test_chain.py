@@ -219,18 +219,39 @@ class TestBoundWindowPrompt:
         cfg = ChainConfig(
             extraction_k=3, run_seed=5, budget=TokenBudget(fits + reserve, inflation_factor=1.0)
         )
-        prompts = []
-        with pytest.raises(BudgetExceededError) as chained:
-            for _, call in chain._extraction_calls(enc, cfg, deps):
-                prompts.append(call.build().prompt)
-        assert prompts[1:] == [rendered(w, cfg.budget) for w in windows[:3]]
+        calls, failure = chain._extraction_calls(enc, cfg, deps)
+        assert [call.build().prompt for call in calls[1:]] == [
+            rendered(w, cfg.budget) for w in windows[:3]
+        ]
+        assert isinstance(failure, BudgetExceededError)
         with pytest.raises(BudgetExceededError) as direct:
             rendered(windows[3], cfg.budget)
-        assert chained.value.estimated == direct.value.estimated > fits
+        assert failure.estimated == direct.value.estimated > fits
 
         with pytest.raises(ChainError) as failed:
             run_medsum_ent(enc, cfg, deps)
         assert failed.value.stage == "turn extraction"
+
+    @pytest.mark.parametrize("long_at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_a_window_over_budget_fails_after_the_windows_before_it(self, scripted_deps, long_at):
+        deps, transport = scripted_deps
+        turns = []
+        for i in range(5):
+            question = " ".join(["word"] * 3000) if i == long_at else f"Any symptom {i}?"
+            turns += [D(f"window-{i} {question}"), P("yes")]
+        enc = Encounter(id="enc-long", rfe="UTI", age=46, sex="female", turns=tuple(turns))
+        cfg = ChainConfig(budget=TokenBudget(2048, inflation_factor=1.0))
+        with pytest.raises(ChainError) as failed:
+            run_medsum_ent(enc, cfg, deps)
+        assert failed.value.stage == "turn extraction"
+        assert isinstance(failed.value.__cause__, BudgetExceededError)
+        assert failed.value.__cause__.estimated > failed.value.__cause__.budget
+        # The fan-out threads may send in any order.
+        kinds = sorted(req.prompt_kind.value for req in transport.requests)
+        assert kinds == sorted(["rfe_extraction"] + ["dialogue_extraction"] * long_at)
+        windows_sent = [i for req in transport.requests for i in range(5)
+                        if f"window-{i} " in req.prompt]
+        assert sorted(windows_sent) == list(range(long_at))
 
 
 class TestSummaryBudget:
