@@ -19,7 +19,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _json_string
@@ -245,12 +245,12 @@ class Transport(Protocol):
     """Raw completion call, no retry or caching.
 
     A transport backed by a store also offers `peek(key) -> str | None`, the
-    stored response for a cache key without sending anything. Such a
-    transport is its client's only cache: its `send(req, key)` takes the
-    request's cache key, which the client always has, and keeps every text
-    it returns under it, where `peek` finds it. Every key is a
-    `PrefixKeyer` key; there is no other format. A transport that holds
-    connections or files offers `close()`.
+    stored response for a cache key without sending anything, and is its
+    client's cache: its `send(req, key)` takes the request's cache key and
+    keeps every text it returns under it, where `peek` finds it. A client
+    over any other transport keeps the texts in a dict of its own, filled
+    the same way. Every key is a `PrefixKeyer` key; there is no other
+    format. A transport that holds connections or files offers `close()`.
     """
 
     def send(self, req: CompletionRequest) -> str: ...
@@ -286,9 +286,10 @@ class HTTPTransport:
 
     Posts {model, prompt, temperature, max_tokens, top_p} and reads
     choices[0].text from the response, the wire shape of widely deployed
-    completion servers, with the API key in $MEDSUM_API_KEY if it is set.
-    An endpoint that is not a printable-ASCII http or https URL is a
-    ValueError; an https one is verified against the system's trust store.
+    completion servers, with the API key in $MEDSUM_API_KEY, read once, if it
+    is set. An endpoint that is not a printable-ASCII http or https URL, or a
+    key an HTTP header cannot carry, is a ValueError that names it; an https
+    endpoint is verified against the system's trust store.
 
     Each thread that sends keeps one keep-alive connection for its next
     call; a reused one the server has since hung up is reconnected once.
@@ -300,14 +301,24 @@ class HTTPTransport:
         import ssl
         from urllib.parse import urlsplit
 
-        url = urlsplit(endpoint)  # it and url.port are ValueErrors for a malformed URL
+        try:
+            url = urlsplit(endpoint)
+            port = url.port  # both are ValueErrors for a malformed URL
+        except ValueError as exc:
+            raise ValueError(f"endpoint {endpoint!r}: {exc}") from exc
         printable = all("!" <= c <= "~" for c in endpoint)  # what http.client can send
         if url.scheme not in ("http", "https") or not url.hostname or not printable:
-            raise ValueError("not a printable-ASCII http or https URL")
+            raise ValueError(f"endpoint {endpoint!r}: not a printable-ASCII http or https URL")
+        api_key = os.environ.get(API_KEY_ENV, "")
+        # RFC 9110's field-value: VCHAR, SP, HTAB and obs-text, which http.client sends as Latin-1.
+        if not all(c == "\t" or " " <= c <= "~" or "\x80" <= c <= "\xff" for c in api_key):
+            raise ValueError(f"${API_KEY_ENV} holds a character an HTTP header cannot carry")
+        auth = {"Authorization": f"Bearer {api_key}"} if api_key else {}
+        self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip", **auth}
         self.endpoint, self.model, self.timeout = endpoint, model, timeout
         https = {"context": ssl.create_default_context()} if url.scheme == "https" else {}
         connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        self._connect = partial(connection, url.hostname, url.port, timeout=timeout, **https)
+        self._connect = partial(connection, url.hostname, port, timeout=timeout, **https)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._connections: dict[int, Any] = {}  # by thread ident
         self._lock = threading.Lock()
@@ -317,10 +328,6 @@ class HTTPTransport:
         import http.client
         import zlib
 
-        headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip"}
-        api_key = os.environ.get(API_KEY_ENV)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
         payload = {"model": self.model, "prompt": req.prompt, **req.params.as_dict()}
         ident = threading.get_ident()  # a later thread may reuse an exited one's, and its conn
         with self._lock:
@@ -330,13 +337,13 @@ class HTTPTransport:
         data, reused = json.dumps(payload).encode(), conn.sock is not None
         try:
             try:
-                conn.request("POST", self._path, data, headers)
+                conn.request("POST", self._path, data, self._headers)
                 resp = conn.getresponse()
             except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one too
                 if not reused:  # else it was kept alive, and the server has since hung up
                     raise
                 conn.close()
-                conn.request("POST", self._path, data, headers)
+                conn.request("POST", self._path, data, self._headers)
                 resp = conn.getresponse()
             with resp:
                 status, body = resp.status, resp.read()
@@ -631,15 +638,15 @@ class CompletionClient:
 
     Safe under arbitrary concurrent callers. The cache is content-addressed
     over (prompt_kind, prompt, params) and stores raw completion text, so
-    parser changes never invalidate it. A transport with a store (one that
-    offers `peek`) is the whole cache: a stored text is served without
-    calling `send`, and `send` stores what it fetches. Over any other
-    transport the client keeps the texts in memory. A call is a built
-    request, keyed once with `cache_key`, or a `PendingCall`, which carries
-    its key and is built only on a miss; either way its key is looked up
-    once. Concurrent calls with one key share a single transport call
-    (single-flight): all get its text, or all get its error. `max_in_flight`
-    bounds concurrent transport calls when set.
+    parser changes never invalidate it. Its one path, chosen when the client
+    is made, is a lookup and a send that stores what it fetches: a store's
+    `peek` and `send(req, key)` over a transport that offers `peek`, else a
+    dict's `get` and a `send(req)` whose texts the dict keeps. A call is a
+    built request, keyed once with `cache_key`, or a `PendingCall`, which
+    carries its key and is built only on a miss; either way its key is
+    looked up once. Concurrent calls with one key share a single transport
+    call (single-flight): all get its text, or all get its error.
+    `max_in_flight` bounds concurrent transport calls when set.
 
     `gather` fans independent calls out to a long-lived executor,
     created on first use, `max_in_flight` wide when that is set and
@@ -660,13 +667,16 @@ class CompletionClient:
         self._sleep = sleeper
         self._rng = rng if rng is not None else random.Random()
         peek = getattr(transport, "peek", None)
-        self._memory: dict[str, str] | None = None if peek else {}
-        self._lookup: Callable[[str], str | None] = peek or self._memory.get
+        if peek is None:  # a dict keeps each fetched text, as a recording transport's store does
+            memory: dict[str, str] = {}
+            peek, send = memory.get, transport.send
+            self._send_one = lambda req, key: memory.setdefault(key, send(req))
+        else:
+            self._send_one = transport.send
+        self._lookup: Callable[[str], str | None] = peek
         self._flights: dict[str, Future[str]] = {}
         self._lock = threading.Lock()
-        self._gate = (
-            threading.BoundedSemaphore(max_in_flight) if max_in_flight else None
-        )
+        self._gate = threading.BoundedSemaphore(max_in_flight) if max_in_flight else nullcontext()
         self._fan_out_width = max_in_flight or FAN_OUT_WIDTH
 
     def complete(self, req: CompletionRequest | PendingCall) -> str:
@@ -695,8 +705,6 @@ class CompletionClient:
             flight.set_exception(exc)
             raise
         with self._lock:
-            if self._memory is not None:
-                self._memory[key] = text
             del self._flights[key]
         flight.set_result(text)
         return text
@@ -732,12 +740,10 @@ class CompletionClient:
                     executor = _fan_out_executor(self._fan_out_width)
                     text = executor.submit(self.complete, call._replace(build=lambda r=req: r))
                 pending.append(text)
-            if failure is not None:
-                failed: Future[str] = Future()
-                failed.set_exception(failure)
-                pending.append(failed)
             for item in pending:
                 yield item if type(item) is str else item.result()
+            if failure is not None:
+                raise failure
         finally:
             for item in pending:
                 if type(item) is not str:
@@ -749,7 +755,8 @@ class CompletionClient:
     def _send_with_retries(self, req: CompletionRequest, key: str) -> str:
         for attempt in range(1, self._policy.max_attempts + 1):
             try:
-                return self._send(req, key)
+                with self._gate:
+                    return self._send_one(req, key)
             except TransientBackendError as exc:
                 if attempt == self._policy.max_attempts:
                     raise RetryExhaustedError(attempt, exc) from exc
@@ -762,14 +769,6 @@ class CompletionClient:
                 )
                 self._sleep(delay)
         raise AssertionError("unreachable: max_attempts is positive")
-
-    def _send(self, req: CompletionRequest, key: str) -> str:
-        # A store-backed transport keeps the text under the client's key.
-        args = (req,) if self._memory is not None else (req, key)
-        if self._gate is None:
-            return self._transport.send(*args)
-        with self._gate:
-            return self._transport.send(*args)
 
 
 class EmbeddingGateway(Protocol):

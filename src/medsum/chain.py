@@ -244,16 +244,16 @@ def _complete(call: PendingCall, deps: ChainDeps, log: RunLog) -> str:
 
 
 def _render_call(
-    kind: PromptKind, template_id: str, input_text: str, enc: Encounter, cfg: ChainConfig,
+    template_id: str, input_text: str, enc: Encounter, cfg: ChainConfig,
     deps: ChainDeps, log: RunLog, examples: Sequence[LabeledExample] = (),
 ) -> str:
     """Render a whole prompt, with room left for its completion, and
-    `_complete` its call at the kind's default parameters."""
+    `_complete` its call at its kind's default parameters."""
+    template = deps.templates[template_id]
+    kind = template.kind
     params = default_params(kind)
-    prompt = render(
-        deps.templates[template_id], input_text=input_text, age=enc.age, sex=enc.sex,
-        examples=examples, budget=cfg.budget, reserve=params.max_tokens,
-    )
+    prompt = render(template, input_text=input_text, age=enc.age, sex=enc.sex,
+                    examples=examples, budget=cfg.budget)
     req = CompletionRequest(prompt, params, kind)
     return _complete(PendingCall(cache_key(req), kind, params, lambda: req), deps, log)
 
@@ -271,7 +271,7 @@ def _extraction_builders(
             bound = examples
             prompt = bind(deps.templates[kind.value], age=enc.age, sex=enc.sex,
                           examples=examples, budget=cfg.budget)
-            builder = request_builder(prompt, kind)
+            builder = request_builder(prompt)
         builders.append(builder)
     return builders
 
@@ -383,9 +383,7 @@ def resolve_unknowns(
         + "\n\nConversation:\n"
         + encounter_text(enc)
     )
-    completion = _render_call(
-        PromptKind.UNKNOWN_RESOLVER, "unknown_resolver", input_text, enc, cfg, deps, log
-    )
+    completion = _render_call("unknown_resolver", input_text, enc, cfg, deps, log)
     try:
         parsed, warnings = parse_entity_list(completion)
     except Exception as exc:
@@ -430,9 +428,7 @@ def _summary(
     enc: Encounter, cfg: ChainConfig, deps: ChainDeps, log: RunLog,
 ) -> StructuredSummary:
     """The summary stage of both methods, from the selected examples on."""
-    completion = _render_call(
-        PromptKind.SUMMARIZATION, template_id, input_text, enc, cfg, deps, log, examples
-    )
+    completion = _render_call(template_id, input_text, enc, cfg, deps, log, examples)
     summary, warnings = parse_summary(completion)
     log.warnings.extend(f"summary: {w}" for w in warnings)
     return summary

@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 from .backend import (
-    API_KEY_ENV,
     BackendError,
     CompletionClient,
     HashEmbedder,
@@ -291,11 +290,11 @@ def _leave_room(budget: TokenBudget, kinds: Sequence[PromptKind],
     for template, examples, k in prompts:
         # A rendered example's words are a fixed count plus those of its sex, input and label.
         fewest = sorted(examples, key=lambda e: len(f"{e.sex} {e.input_text} {e.label}".split()))
-        max_tokens = default_params(template.kind).max_tokens
         try:
-            bind(template, age=0, sex="", examples=fewest[:k], budget=budget).check("", max_tokens)
+            bind(template, age=0, sex="", examples=fewest[:k], budget=budget).check("")
         except BudgetExceededError as exc:
-            floor, kind = exc.estimated + max_tokens, template.kind.value
+            kind = template.kind.value
+            floor = exc.estimated + default_params(kind).max_tokens
             raise CliError(f"bad run configuration: max_context_tokens must be at least {floor} "
                            f"for a {kind} prompt to fit, got {budget.max_context_tokens}") from exc
     return budget
@@ -303,23 +302,21 @@ def _leave_room(budget: TokenBudget, kinds: Sequence[PromptKind],
 
 def build_transport(args: argparse.Namespace, config: dict[str, Any]) -> Transport:
     """The transport of `--backend`; an `endpoint` that is not an http or
-    https URL is refused before any store is created."""
+    https URL, or a $MEDSUM_API_KEY that a header cannot carry, is refused
+    before any store is created."""
     mode = args.backend
     store_path = args.replay_store or setting(config, "replay_store")
     if mode in ("record", "replay") and not store_path:
         raise CliError(f"--backend {mode} needs --replay-store")
     if mode == "replay":
         return ReplayTransport(ReplayStore(store_path))
-    api_key = os.environ.get(API_KEY_ENV, "")  # RFC 9110's field-value: VCHAR, SP, HTAB, obs-text
-    if not all(c == "\t" or " " <= c <= "~" or "\x80" <= c <= "\xff" for c in api_key):
-        raise CliError(f"${API_KEY_ENV} holds a character an HTTP header cannot carry")
     endpoint = setting(config, "endpoint")
     if not endpoint:
         raise CliError(f"--backend {mode} needs an 'endpoint' in the config file")
     try:
         live = HTTPTransport(endpoint, model=setting(config, "model"))
     except ValueError as exc:
-        raise CliError(f"bad run configuration: endpoint {endpoint!r}: {exc}") from exc
+        raise CliError(f"bad run configuration: {exc}") from exc
     if mode == "record":
         return RecordingTransport(live, ReplayStore(store_path, create=True))
     return live

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .backend import CompletionClient
-from .model import SCORED_SECTIONS, Method, PromptKind, RunRecord, StructuredSummary
+from .model import SCORED_SECTIONS, Method, RunRecord, StructuredSummary
 from .model import collapse_whitespace, json_field
 from .promptkit import PromptTemplate, TokenBudget, bind, request_builder
 
@@ -152,11 +152,9 @@ def _parse_concepts(completion: str) -> list[str]:
 
 
 class _Judge:
-    """A metric prompt of kind `_kind`, its template bound once into one
-    request builder. A template that declares {age} or {sex} raises
+    """A metric prompt, its template bound once into one request builder of
+    the template's kind. A template that declares {age} or {sex} raises
     TemplateError here."""
-
-    _kind: PromptKind
 
     def __init__(
         self,
@@ -165,7 +163,7 @@ class _Judge:
         budget: TokenBudget | None = None,
     ):
         self._client = client
-        self._call = request_builder(bind(template, budget=budget or TokenBudget()), self._kind)
+        self._call = request_builder(bind(template, budget=budget))
 
 
 class LLMConceptExtractor(_Judge):
@@ -175,8 +173,6 @@ class LLMConceptExtractor(_Judge):
     scoring of the same text is reproducible. Duplicate concept lines are
     dropped, first occurrence kept.
     """
-
-    _kind = PromptKind.METRIC_EXTRACTION
 
     def __call__(self, text: str) -> list[str]:
         if not text.strip():
@@ -218,8 +214,6 @@ class LLMVerifier(_Judge):
     All concepts for one target go into a single call, one yes/no verdict
     per line, aligned with the input order. Zero concepts means zero calls.
     """
-
-    _kind = PromptKind.METRIC_VERIFICATION
 
     def __call__(self, concepts: Sequence[str], target_text: str) -> list[bool]:
         if not concepts:

@@ -183,30 +183,33 @@ def _render_example(example: LabeledExample) -> str:
 class BoundPrompt:
     """A template with every slot but {input} filled in; made by `bind`.
 
-    A prompt is filled one way: `check(input_text, reserve)`, then
-    `join(input_text)`. `check` decides from lengths when they prove the
-    fit, and otherwise counts the words of the joined prompt with
-    `estimate_tokens`. So one bound prompt serves every input that shares
-    its demographics and examples, such as the turn windows of one
-    encounter. `render` checks and joins at once; `request_builder` checks
-    each input at once but joins it only if its call is built. `reserve` is
-    the tokens left for the completion (see `TokenBudget`).
+    A prompt is filled one way: `check(input_text)`, then `join(input_text)`.
+    `check` decides from lengths when they prove the fit, and otherwise
+    counts the words of the joined prompt with `estimate_tokens`. So one
+    bound prompt serves every input that shares its demographics and
+    examples, such as the turn windows of one encounter. `render` checks and
+    joins at once; `request_builder` checks each input at once but joins it
+    only if its call is built. `params` are the template's `kind`'s defaults,
+    and their `max_tokens` are left for the completion (see `TokenBudget`).
     """
 
-    __slots__ = ("head", "tail", "budget", "_bound")
+    __slots__ = ("head", "tail", "budget", "kind", "params", "_bound", "_limit")
 
-    def __init__(self, head: str, tail: str, budget: TokenBudget):
+    def __init__(self, head: str, tail: str, budget: TokenBudget, kind: PromptKind):
         self.head = head
         self.tail = tail
         self.budget = budget
+        self.kind = kind
+        self.params = default_params(kind)
         # n code points hold at most (n + 1) // 2 whitespace words.
         self._bound = (len(head) + 1) // 2 + (len(tail) + 1) // 2
+        self._limit = budget.max_context_tokens - self.params.max_tokens
 
-    def check(self, input_text: str, reserve: int = 0) -> None:
+    def check(self, input_text: str) -> None:
         """Raise BudgetExceededError if the prompt with `input_text` in the
         {input} slot, estimated as `estimate_tokens` does, does not fit the
-        budget less `reserve` tokens, which the error gives as its budget."""
-        factor, limit = self.budget.inflation_factor, self.budget.max_context_tokens - reserve
+        budget less the kind's `max_tokens` (the error's `budget`)."""
+        factor, limit = self.budget.inflation_factor, self._limit
         # Joining never adds words, so this bounds the joined prompt's words.
         if math.ceil((self._bound + (len(input_text) + 1) // 2) * factor) <= limit:
             return
@@ -269,24 +272,23 @@ def bind(
         "".join([values[part] if i % 2 else part for i, part in enumerate(side)])
         for side in template._parts
     )
-    return BoundPrompt(head, tail, budget or TokenBudget())
+    return BoundPrompt(head, tail, budget or TokenBudget(), template.kind)
 
 
-def request_builder(prompt: BoundPrompt, kind: PromptKind) -> Callable[[str], PendingCall]:
-    """Maps an input text to the pending call of kind `kind`, at the kind's
-    default parameters, whose request has the prompt `prompt.join(input_text)`
-    after `prompt.check(input_text, max_tokens)`. The budget is checked here,
-    but the prompt is joined only when the call is built, which a call the
-    cache serves never is. The key comes from a `PrefixKeyer` built here,
-    once for every input."""
-    kind = PromptKind(kind)
-    params = default_params(kind)
+def request_builder(prompt: BoundPrompt) -> Callable[[str], PendingCall]:
+    """Maps an input text to the pending call of the prompt's kind and
+    params whose request has the prompt `prompt.join(input_text)` after
+    `prompt.check(input_text)`. The budget is checked here, but the prompt
+    is joined only when the call is built, which a call the cache serves
+    never is. The key comes from a `PrefixKeyer` built here, once for every
+    input."""
+    kind, params = prompt.kind, prompt.params
     keyer = PrefixKeyer(kind, params, prompt.head, prompt.tail)
-    check, join, reserve = prompt.check, prompt.join, params.max_tokens
+    check, join = prompt.check, prompt.join
     fixed_text = bool(prompt.head or prompt.tail)
 
     def call(input_text: str) -> PendingCall:
-        check(input_text, reserve)
+        check(input_text)
         if not (fixed_text or input_text):
             raise ValueError("prompt is empty")
         return PendingCall(keyer.key(input_text), kind, params,
@@ -303,17 +305,16 @@ def render(
     sex: str | None = None,
     examples: Sequence[LabeledExample] = (),
     budget: TokenBudget | None = None,
-    reserve: int = 0,
 ) -> str:
-    """Fill a template's slots and enforce the token budget, with `reserve`
-    tokens left for the completion.
+    """Fill a template's slots and enforce the token budget, with its kind's
+    `max_tokens` left for the completion.
 
-    `bind(...)`, then `check(input_text, reserve)`, then `join(input_text)`;
-    see `bind` and `BoundPrompt`. Raises KindMismatchError, TemplateError, or
+    `bind(...)`, then `check(input_text)`, then `join(input_text)`; see
+    `bind` and `BoundPrompt`. Raises KindMismatchError, TemplateError, or
     BudgetExceededError on overflow.
     """
     bound = bind(template, age=age, sex=sex, examples=examples, budget=budget)
-    bound.check(input_text, reserve)
+    bound.check(input_text)
     return bound.join(input_text)
 
 

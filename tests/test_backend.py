@@ -1204,14 +1204,33 @@ class TestHTTPTransport:
             transport.send(request_for())
 
     @pytest.mark.parametrize("key", ["sk-test", "", None])
-    def test_api_key_is_sent_as_a_bearer_token(self, loopback_endpoint, transport, monkeypatch, key):
+    def test_api_key_is_sent_as_a_bearer_token(self, loopback_endpoint, monkeypatch, key):
         if key is None:
             monkeypatch.delenv(backend.API_KEY_ENV, raising=False)
         else:
             monkeypatch.setenv(backend.API_KEY_ENV, key)
-        assert transport.send(request_for("keyed")) == "echo: keyed"
+        transport = HTTPTransport(loopback_endpoint.url)  # the key is read here, once
+        monkeypatch.setenv(backend.API_KEY_ENV, "sk-changed")
+        try:
+            assert transport.send(request_for("keyed")) == "echo: keyed"
+        finally:
+            transport.close()
         headers, _ = loopback_endpoint.received[0]
         assert headers.get("Authorization") == (f"Bearer {key}" if key else None)
+
+    @pytest.mark.parametrize("key", ["\u20ac", "sk-test\r\nX-Injected: 1", "sk-test\n", "sk\x7f"])
+    def test_api_key_a_header_cannot_carry_is_refused_at_construction(
+        self, loopback_endpoint, monkeypatch, key
+    ):
+        """Outside Latin-1, or an ASCII control character other than tab:
+        a ValueError naming the variable, before any connection is made."""
+        monkeypatch.setenv(backend.API_KEY_ENV, key)
+        with pytest.raises(ValueError) as refused:
+            HTTPTransport(loopback_endpoint.url)
+        assert str(refused.value) == (
+            f"${backend.API_KEY_ENV} holds a character an HTTP header cannot carry"
+        )
+        assert loopback_endpoint.received == [] and loopback_endpoint.connections == 0
 
     def test_gzip_body_is_decoded(self, loopback_endpoint, transport):
         body = gzip.compress(json.dumps({"choices": [{"text": "unzipped"}]}).encode())

@@ -211,7 +211,6 @@ class TestBoundWindowPrompt:
                 sex=enc.sex,
                 examples=examples,
                 budget=budget,
-                reserve=reserve,
             )
 
         # Room for the first three windows' prompts and their completions only.

@@ -870,7 +870,8 @@ def test_api_key_a_header_cannot_carry_exits_1_before_writing(
             "--config", str(config), "--backend", backend, "--replay-store", str(workspace["store"])]
     assert main(argv) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "error: $MEDSUM_API_KEY holds a character an HTTP header cannot carry\n"
+        "error: bad run configuration: $MEDSUM_API_KEY holds a character an HTTP header "
+        "cannot carry\n"
     )
     assert _files(workspace["dir"]) == before
     assert loopback_endpoint.received == []

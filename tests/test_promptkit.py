@@ -130,13 +130,11 @@ class TestRender:
             )
 
     def test_budget_exceeded_names_overflow(self, templates):
-        budget = TokenBudget(max_context_tokens=10, inflation_factor=1.0)
+        template = templates["metric_extraction"]
+        reserve = default_params(template.kind).max_tokens
+        budget = TokenBudget(max_context_tokens=reserve + 10, inflation_factor=1.0)
         with pytest.raises(BudgetExceededError) as excinfo:
-            render(
-                templates["metric_extraction"],
-                input_text=" ".join(["tok"] * 50),
-                budget=budget,
-            )
+            render(template, input_text=" ".join(["tok"] * 50), budget=budget)
         assert excinfo.value.estimated > excinfo.value.budget == 10
         assert str(excinfo.value.estimated - 10) in str(excinfo.value)
 
@@ -213,12 +211,10 @@ _REFERENCE_EXAMPLE_KIND = {
 }
 
 
-def reference_render(
-    template, *, input_text, age=None, sex=None, examples=(), budget=None, reserve=0
-):
+def reference_render(template, *, input_text, age=None, sex=None, examples=(), budget=None):
     """Single-pass renderer: every slot, {input} included, filled by one
     regex substitution over the whole preamble, then the whole prompt's
-    words counted against the budget less `reserve`."""
+    words counted against the budget less the kind's `max_tokens`."""
     expected = _REFERENCE_EXAMPLE_KIND.get(template.kind)
     if examples and expected is None:
         raise KindMismatchError(f"{template.kind.value} prompts take no in-context examples")
@@ -249,14 +245,15 @@ def reference_render(
     prompt = _REFERENCE_SLOT_RE.sub(lambda m: values.get(m.group(1), ""), template.preamble)
     budget = budget or TokenBudget()
     estimated = math.ceil(len(prompt.split()) * budget.inflation_factor)
+    reserve = default_params(template.kind).max_tokens
     if estimated + reserve > budget.max_context_tokens:
         raise BudgetExceededError(estimated, budget.max_context_tokens - reserve)
     return prompt
 
 
-def checked_join(bound, input_text, reserve=0):
+def checked_join(bound, input_text):
     """The prompt of `input_text`, filled as `render` fills it: checked, then joined."""
-    bound.check(input_text, reserve)
+    bound.check(input_text)
     return bound.join(input_text)
 
 
@@ -357,18 +354,19 @@ class TestBind:
         shots=st.sampled_from([0, 0, 1, 2, 3]),
         example_text=join_text,
         factor=st.floats(min_value=1.0, max_value=2.5, allow_nan=False),
-        reserve=st.sampled_from([0, 0, 1, 200, 512]),
         data=st.data(),
     )
     def test_checked_join_matches_single_pass_render(
-        self, template, inputs, age, sex, shots, example_text, factor, reserve, data
+        self, template, inputs, age, sex, shots, example_text, factor, data
     ):
+        # The template's kind fixes the tokens left for the completion: 200 or 512.
+        reserve = default_params(template.kind).max_tokens
         kind = _REFERENCE_EXAMPLE_KIND.get(template.kind, ExampleKind.SUMMARIZATION)
         examples = [
             LabeledExample(kind, example_text + str(i), 30 + i, sex, example_text)
             for i in range(shots)
         ]
-        sizes = st.integers(min_value=1, max_value=1500)
+        sizes = st.integers(min_value=1, max_value=reserve + 1500)
         unbudgeted = _outcome(lambda: bind(template, age=age, sex=sex, examples=examples))
         if not isinstance(unbudgeted, tuple):
             # Around the context size where an input's length bound stops proving the fit.
@@ -383,19 +381,18 @@ class TestBind:
         # One bound prompt serves every input, as the turn windows share one.
         for input_text in inputs:
             expected = _outcome(
-                lambda: reference_render(template, input_text=input_text, reserve=reserve, **kwargs)
+                lambda: reference_render(template, input_text=input_text, **kwargs)
             )
             if isinstance(bound, tuple):
                 assert bound == expected
                 continue
-            assert _outcome(lambda: checked_join(bound, input_text, reserve)) == expected
-            assert _outcome(
-                lambda: render(template, input_text=input_text, reserve=reserve, **kwargs)
-            ) == expected
+            assert _outcome(lambda: checked_join(bound, input_text)) == expected
+            assert _outcome(lambda: render(template, input_text=input_text, **kwargs)) == expected
 
     def test_word_running_into_the_template_counts_once(self):
         template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:{input}:end")
-        exact = TokenBudget(max_context_tokens=1, inflation_factor=1.0)
+        reserve = default_params(template.kind).max_tokens
+        exact = TokenBudget(max_context_tokens=reserve + 1, inflation_factor=1.0)
         assert checked_join(bind(template, budget=exact), "one") == "Text:one:end"
         assert checked_join(bind(template, budget=exact), "") == "Text::end"
         with pytest.raises(BudgetExceededError) as excinfo:
@@ -410,40 +407,46 @@ class TestBind:
         words = _length_bound(unbudgeted.head, unbudgeted.tail, text)
         budget = TokenBudget(words + params.max_tokens, inflation_factor=1.0)
         bound = bind(template, budget=budget)
-        expected = render(template, input_text=text, budget=budget, reserve=params.max_tokens)
-        assert checked_join(bound, _Unsplittable(text), params.max_tokens) == expected
-        call = request_builder(bound, template.kind)(_Unsplittable(text))
+        expected = render(template, input_text=text, budget=budget)
+        assert checked_join(bound, _Unsplittable(text)) == expected
+        call = request_builder(bound)(_Unsplittable(text))
         assert call.key == cache_key(CompletionRequest(expected, params, template.kind))
         assert estimate_calls == []
 
         longer = text + "x"  # one code point past the bound
         assert _length_bound(longer) == _length_bound(text) + 1
-        for reserve in (params.max_tokens, budget.max_context_tokens):  # fits, then overflows
-            reference = _outcome(lambda: reference_render(
-                template, input_text=longer, budget=budget, reserve=reserve
-            ))
+        no_room = TokenBudget(params.max_tokens, inflation_factor=1.0)
+        for tried in (budget, no_room):  # fits, then overflows
+            reference = _outcome(lambda: reference_render(template, input_text=longer, budget=tried))
+            tried_bound = bind(template, budget=tried)
             estimate_calls.clear()
-            assert _outcome(lambda: checked_join(bound, _Unsplittable(longer), reserve)) == reference
-            assert estimate_calls == [bound.join(longer)]
+            assert _outcome(lambda: checked_join(tried_bound, _Unsplittable(longer))) == reference
+            assert estimate_calls == [tried_bound.join(longer)]
         estimate_calls.clear()
-        call = request_builder(bound, template.kind)(_Unsplittable(longer))
+        call = request_builder(bound)(_Unsplittable(longer))
         assert estimate_calls == [bound.join(longer)]
         assert call.key == cache_key(CompletionRequest(bound.join(longer), params, template.kind))
 
     def test_the_text_around_the_input_is_split_only_past_the_bound(self, estimate_calls):
         head, tail = _Unsplittable("Text:\n"), _Unsplittable("\nConcepts:")
-        budget = TokenBudget(max_context_tokens=30, inflation_factor=1.0)
-        bound = BoundPrompt(head, tail, budget)
-        assert checked_join(bound, "fever and chills", reserve=5) == "Text:\nfever and chills\nConcepts:"
+        kind = PromptKind.METRIC_EXTRACTION
+        reserve = default_params(kind).max_tokens
+
+        def budget(limit):
+            return TokenBudget(max_context_tokens=reserve + limit, inflation_factor=1.0)
+
+        bound = BoundPrompt(head, tail, budget(25), kind)
+        assert checked_join(bound, "fever and chills") == "Text:\nfever and chills\nConcepts:"
         assert estimate_calls == []
-        template = PromptTemplate(kind=PromptKind.METRIC_EXTRACTION, preamble="Text:\n{input}\nConcepts:")
+        template = PromptTemplate(kind=kind, preamble="Text:\n{input}\nConcepts:")
         longer = "fever and chills " * 3
-        for reserve in (5, 20):  # fits, then overflows
+        for limit in (25, 10):  # fits, then overflows
             reference = _outcome(lambda: reference_render(
-                template, input_text=longer, budget=budget, reserve=reserve
+                template, input_text=longer, budget=budget(limit)
             ))
+            bound = BoundPrompt(head, tail, budget(limit), kind)
             estimate_calls.clear()
-            assert _outcome(lambda: checked_join(bound, longer, reserve)) == reference
+            assert _outcome(lambda: checked_join(bound, longer)) == reference
             assert len(estimate_calls) == 1
 
     def test_missing_demographics_fail_at_bind(self, templates):
@@ -484,9 +487,9 @@ class TestBudgetFloor:
 
 
 class TestRequestBuilder:
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+    @settings(max_examples=50, deadline=None)
     @given(
-        template_id=st.sampled_from(TEMPLATE_IDS),
         inputs=st.lists(join_text, min_size=1, max_size=3),
         age=st.integers(min_value=0, max_value=120),
         sex=join_text,
@@ -506,19 +509,16 @@ class TestRequestBuilder:
         params = default_params(template.kind)
         kwargs = dict(age=age, sex=sex, examples=examples, budget=TokenBudget(context))
         # One builder serves every input, as the turn windows share one.
-        build = request_builder(bind(template, **kwargs), template.kind)
+        build = request_builder(bind(template, **kwargs))
         for input_text in inputs:
-            prompt = _outcome(lambda: render(
-                template, input_text=input_text, reserve=params.max_tokens, **kwargs
-            ))
+            prompt = _outcome(lambda: render(template, input_text=input_text, **kwargs))
             call = _outcome(lambda: build(input_text))
             if isinstance(prompt, tuple):  # the budget, less the completion's tokens, overflows
                 assert call == prompt
                 continue
             expected = CompletionRequest(prompt, params, template.kind)
-            assert (call.key, call.prompt_kind, call.params) == (
-                cache_key(expected), template.kind, params
-            )
+            assert call.prompt_kind is template.kind
+            assert (call.key, call.params) == (cache_key(expected), params)
             assert call.build() == expected
 
     def _sent_and_recorded(self, tmp_path):
@@ -532,7 +532,7 @@ class TestRequestBuilder:
         self, templates, tmp_path, through
     ):
         template, input_text = templates["metric_extraction"], "Patient reports fever."
-        build = request_builder(bind(template), template.kind)
+        build = request_builder(bind(template))
         client, store, sent = self._sent_and_recorded(tmp_path)
         call = build(input_text)
         text = client.complete(call) if through == "complete" else next(client.gather([call]))
@@ -553,9 +553,9 @@ class TestRequestBuilder:
 
         template, input_text = templates["metric_extraction"], "Patient reports fever."
         client, _, sent = self._sent_and_recorded(tmp_path)
-        assert client.complete(request_builder(bind(template), template.kind)(input_text)) == "- fever"
+        assert client.complete(request_builder(bind(template))(input_text)) == "- fever"
         bound = bind(template)
-        build = request_builder(Unjoinable(bound.head, bound.tail, bound.budget), template.kind)
+        build = request_builder(Unjoinable(bound.head, bound.tail, bound.budget, bound.kind))
         assert client.complete(build(input_text)) == "- fever"
         assert list(client.gather([build(input_text)] * 2)) == ["- fever"] * 2
         assert len(sent) == 1
@@ -566,10 +566,10 @@ class TestRequestBuilder:
     ):
         template, input_text = templates["metric_extraction"], " ".join(["tok"] * 50)
         client, _, _ = self._sent_and_recorded(tmp_path)
-        client.complete(request_builder(bind(template), template.kind)(input_text))
+        client.complete(request_builder(bind(template))(input_text))
         tight = bind(template, budget=TokenBudget(max_context_tokens=10, inflation_factor=1.0))
         with pytest.raises(BudgetExceededError):
-            request_builder(tight, template.kind)(input_text)
+            request_builder(tight)(input_text)
         client.close()
 
     def test_the_budget_leaves_room_for_the_completion(self, templates):
@@ -579,7 +579,7 @@ class TestRequestBuilder:
 
         def call(context):
             budget = TokenBudget(max_context_tokens=context, inflation_factor=1.0)
-            return request_builder(bind(template, budget=budget), template.kind)(input_text)
+            return request_builder(bind(template, budget=budget))(input_text)
 
         assert call(words + reserve).build().prompt == render(template, input_text=input_text)
         with pytest.raises(BudgetExceededError) as excinfo:
@@ -592,9 +592,9 @@ class TestRequestBuilder:
 
         template = templates["metric_extraction"]
         bound = bind(template)
-        bound = Tracked(bound.head, bound.tail, bound.budget)
+        bound = Tracked(bound.head, bound.tail, bound.budget, bound.kind)
         alive = weakref.ref(bound)
-        call = request_builder(bound, template.kind)("fever")
+        call = request_builder(bound)("fever")
         del bound
         assert alive() is not None  # the pending call builds through it
         req = call.build()
