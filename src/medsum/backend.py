@@ -142,8 +142,9 @@ DEFAULT_COMPLETION_PARAMS: dict[PromptKind, CompletionParams] = {
 
 
 def default_params(kind: PromptKind | str) -> CompletionParams:
-    """Default sampling parameters for a prompt kind."""
-    return DEFAULT_COMPLETION_PARAMS[PromptKind(kind)]
+    """Default sampling parameters for a prompt kind; only a kind that is not
+    a member goes through `PromptKind`, which refuses an unknown one."""
+    return DEFAULT_COMPLETION_PARAMS[kind if type(kind) is PromptKind else PromptKind(kind)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -569,6 +570,7 @@ class ReplayTransport:
 
     def __init__(self, store: ReplayStore):
         self.store = store
+        self.peek: Callable[[str], str | None] = store.get
 
     def send(self, req: CompletionRequest, key: str) -> str:
         text = self.store.get(key)
@@ -576,9 +578,6 @@ class ReplayTransport:
 
     def _miss(self, req: CompletionRequest, key: str) -> str:
         raise ReplayMissError(key)
-
-    def peek(self, key: str) -> str | None:
-        return self.store.get(key)
 
     def close(self) -> None:
         self.store.close()

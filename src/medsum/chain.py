@@ -38,6 +38,9 @@ from .model import (
     StructuredSummary,
     TraceEntry,
     Turn,
+    _checked_entity,
+    _checked_ledger,
+    _checked_trace_entry,
 )
 from .promptkit import (
     PromptTemplate,
@@ -232,8 +235,8 @@ def _select_examples(
 
 
 def _traced(log: RunLog, calls: Sequence[PendingCall]) -> None:
-    log.trace.extend([TraceEntry(call.prompt_kind, call.key, call.params.as_dict(),
-                                 call.params.json_text) for call in calls])
+    log.trace.extend([_checked_trace_entry(call.prompt_kind, call.key, call.params.as_dict(),
+                                           call.params.json_text) for call in calls])
 
 
 def _complete(call: PendingCall, deps: ChainDeps, log: RunLog) -> str:
@@ -337,14 +340,12 @@ def collate(entity_lists: Iterable[Sequence[MedicalEntity]]) -> EntityLedger:
     status. Provenance is the union, and the result keeps first-mention
     order. Merging a list with itself is a no-op.
     """
-    merged: dict[str, MedicalEntity] = {}
-    order: list[str] = []
+    merged: dict[str, MedicalEntity] = {}  # a key keeps its first place
     for entities in entity_lists:
         for entity in entities:
             current = merged.get(entity.name)
             if current is None:
                 merged[entity.name] = entity
-                order.append(entity.name)
                 continue
             provenance = current.provenance + tuple(
                 tag for tag in entity.provenance if tag not in current.provenance
@@ -354,10 +355,8 @@ def collate(entity_lists: Iterable[Sequence[MedicalEntity]]) -> EntityLedger:
                 if entity.status is EntityStatus.UNKNOWN
                 else entity.status
             )
-            merged[entity.name] = MedicalEntity(
-                name=entity.name, status=status, provenance=provenance
-            )
-    return EntityLedger(tuple(merged[name] for name in order))
+            merged[entity.name] = _checked_entity(entity.name, status, provenance)
+    return _checked_ledger(tuple(merged.values()))
 
 
 def resolve_unknowns(
@@ -404,23 +403,12 @@ def resolve_unknowns(
         verdicts[entity.name] = entity.status
 
     resolved = []
-    for entity in ledger:
-        verdict = verdicts.get(entity.name)
-        if (
-            entity.status is EntityStatus.UNKNOWN
-            and verdict is not None
-            and verdict is not entity.status
-        ):
-            resolved.append(
-                MedicalEntity(
-                    name=entity.name,
-                    status=verdict,
-                    provenance=entity.provenance + ("resolver",),
-                )
-            )
-        else:
-            resolved.append(entity)
-    return EntityLedger(tuple(resolved))
+    for entity in ledger:  # only an unknown entity, its name unique, can have a verdict
+        verdict = verdicts.get(entity.name, EntityStatus.UNKNOWN)
+        if verdict is not EntityStatus.UNKNOWN:
+            entity = _checked_entity(entity.name, verdict, entity.provenance + ("resolver",))
+        resolved.append(entity)
+    return _checked_ledger(tuple(resolved))
 
 
 def _summary(

@@ -160,24 +160,6 @@ class Turn:
             raise ValueError("turn text is empty")
 
 
-# `validate_encounter` builds each turn from fields it has already checked
-# through `_checked_turn`, which sets the slots directly, so __init__ and
-# __post_init__ do not run: a dataset holds thousands of turns, and this
-# takes about half the time of `Turn(...)`. Its caller must pass exactly
-# what __post_init__ would store.
-_set_turn_speaker = Turn.speaker.__set__
-_set_turn_text = Turn.text.__set__
-
-
-def _checked_turn(speaker: Speaker, text: str) -> Turn:
-    """`Turn(speaker, text)` for a Speaker member and a str with a
-    non-blank character."""
-    turn = object.__new__(Turn)
-    _set_turn_speaker(turn, speaker)
-    _set_turn_text(turn, text)
-    return turn
-
-
 # Canonical section keys of a structured visit summary, in presentation order.
 SECTION_KEYS = (
     "demographics_sdoh",
@@ -362,6 +344,56 @@ class TraceEntry:
             object.__setattr__(self, "prompt_kind", PromptKind(self.prompt_kind))
         if type(self.params) is not dict:
             object.__setattr__(self, "params", dict(self.params))
+
+
+# `validate_encounter` builds each turn, and the chain each entity, ledger
+# and trace entry, from values it has already checked, through a builder
+# that sets the slots (the ledger's one field) directly: __init__ and
+# __post_init__ do not run, so its caller must pass exactly what they would
+# store. test_source_grammar.py keeps the builders to those callers.
+_new = object.__new__
+_set_turn_speaker, _set_turn_text = Turn.speaker.__set__, Turn.text.__set__
+_set_entity_name, _set_entity_status, _set_entity_provenance = (
+    getattr(MedicalEntity, name).__set__ for name in MedicalEntity.__slots__)
+_set_trace_kind, _set_trace_hash, _set_trace_params, _set_trace_params_json = (
+    getattr(TraceEntry, name).__set__ for name in TraceEntry.__slots__)
+
+
+def _checked_turn(speaker: Speaker, text: str) -> Turn:
+    """`Turn(speaker, text)` for a Speaker member and a str with a
+    non-blank character."""
+    turn = _new(Turn)
+    _set_turn_speaker(turn, speaker)
+    _set_turn_text(turn, text)
+    return turn
+
+
+def _checked_entity(name: str, status: EntityStatus, provenance: tuple[str, ...]) -> MedicalEntity:
+    """`MedicalEntity(name, status, provenance)` for a name as
+    `normalize_entity_name` returns it, an EntityStatus member and a tuple."""
+    entity = _new(MedicalEntity)
+    _set_entity_name(entity, name)
+    _set_entity_status(entity, status)
+    _set_entity_provenance(entity, provenance)
+    return entity
+
+
+def _checked_ledger(entities: tuple[MedicalEntity, ...]) -> EntityLedger:
+    """`EntityLedger(entities)` for a tuple of entities with unique names."""
+    ledger = _new(EntityLedger)
+    object.__setattr__(ledger, "entities", entities)
+    return ledger
+
+
+def _checked_trace_entry(kind: PromptKind, key: str, params: dict, params_json: str) -> TraceEntry:
+    """`TraceEntry(kind, key, params, params_json)` for a PromptKind member,
+    a str, a dict no one else holds and `compact_json(params)`."""
+    entry = _new(TraceEntry)
+    _set_trace_kind(entry, kind)
+    _set_trace_hash(entry, key)
+    _set_trace_params(entry, params)
+    _set_trace_params_json(entry, params_json)
+    return entry
 
 
 # Fixed pieces of a record line, in json.dumps's sorted key order; the kind

@@ -25,6 +25,8 @@ from .model import (
     MedicalEntity,
     PromptKind,
     StructuredSummary,
+    _STATUS_BY_VALUE,
+    _checked_entity,
 )
 
 __all__ = [
@@ -354,13 +356,11 @@ _ENTITY_LINE_RE = re.compile(
 )
 
 
-_STATUS_BY_TOKEN = {status.value: status for status in EntityStatus}
-
-
 def parse_entity_list(
     raw: str, provenance: tuple[str, ...] = ()
 ) -> tuple[list[MedicalEntity], list[str]]:
-    """Parse `- <name> (<status>)` lines into entities with `provenance`.
+    """Parse `- <name> (<status>)` lines into entities with `provenance`,
+    made a tuple once and shared by every entity.
 
     Malformed lines are skipped and reported in the returned warnings list;
     the status token matches case-insensitively. A completion with content
@@ -370,27 +370,26 @@ def parse_entity_list(
     entities: list[MedicalEntity] = []
     warnings: list[str] = []
     saw_content = False
+    provenance = tuple(provenance)
     for line in raw.splitlines():
         if not line.strip():
             continue
         saw_content = True
         # A canonical `- <name> (<status>)` line skips the regex, whose name
-        # is this one stripped (blank if this one is), as the entity strips it.
+        # is this one stripped (blank if this one is), as normalizing strips it.
         head, _, token = line.rpartition(" (")
-        name, status = head[2:], _STATUS_BY_TOKEN.get(token[:-1])
+        name, status = head[2:], _STATUS_BY_VALUE.get(token[:-1])
         if head[:2] != "- " or token[-1:] != ")" or status is None:
             match = _ENTITY_LINE_RE.match(line)
             if match is None:
                 warnings.append(f"skipped unparseable line: {line.strip()!r}")
                 continue
-            name, status = match.group("name"), _STATUS_BY_TOKEN[match.group("status").lower()]
-        try:
-            # The entity normalizes the name, and refuses one that is empty.
-            entity = MedicalEntity(name, status, provenance)
-        except ValueError:
+            name, status = match.group("name"), _STATUS_BY_VALUE[match.group("status").lower()]
+        name = " ".join(name.casefold().split())  # normalize_entity_name, inline
+        if not name:
             warnings.append(f"skipped line with empty entity name: {line.strip()!r}")
             continue
-        entities.append(entity)
+        entities.append(_checked_entity(name, status, provenance))
     if saw_content and not entities:
         raise EntityListParseError(raw)
     return entities, warnings

@@ -70,6 +70,14 @@ class TestDefaultParams:
     def test_accepts_enum_or_string(self):
         assert default_params(PromptKind.SUMMARIZATION) == default_params("summarization")
 
+    def test_a_member_and_its_value_give_the_same_params_object(self):
+        for kind in PromptKind:
+            params = backend.DEFAULT_COMPLETION_PARAMS[kind]
+            assert default_params(kind) is params and default_params(kind.value) is params
+        for unknown in ("bogus", "SUMMARIZATION", ""):
+            with pytest.raises(ValueError):
+                default_params(unknown)
+
 
 class TestCompletionParams:
     @pytest.mark.parametrize(

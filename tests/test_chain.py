@@ -45,6 +45,7 @@ from medsum.model import (
     RunRecord,
     Speaker,
     Turn,
+    normalize_entity_name,
 )
 from medsum.promptkit import (
     BudgetExceededError,
@@ -341,6 +342,73 @@ class TestCollate:
         once = collate([entities])
         twice = collate([list(once), list(once)])
         assert twice == once
+
+
+def reference_collate(entity_lists):
+    """`collate`'s merge, built through the public constructors."""
+    merged, order = {}, []
+    for entities in entity_lists:
+        for entity in entities:
+            current = merged.get(entity.name)
+            if current is None:
+                merged[entity.name] = entity
+                order.append(entity.name)
+                continue
+            provenance = current.provenance + tuple(
+                tag for tag in entity.provenance if tag not in current.provenance
+            )
+            status = current.status if entity.status is EntityStatus.UNKNOWN else entity.status
+            merged[entity.name] = MedicalEntity(entity.name, status, provenance)
+    return EntityLedger([merged[name] for name in order])
+
+
+def reference_resolve(ledger, lines):
+    """`resolve_unknowns`'s update for a resolver completion of `lines`,
+    built through the public constructors."""
+    unknown_names = {e.name for e in ledger if e.status is EntityStatus.UNKNOWN}
+    verdicts = {}
+    for name, status in lines:
+        if normalize_entity_name(name) in unknown_names:
+            verdicts[normalize_entity_name(name)] = status
+    resolved = []
+    for entity in ledger:
+        verdict = verdicts.get(entity.name)
+        if entity.status is EntityStatus.UNKNOWN and verdict not in (None, entity.status):
+            entity = MedicalEntity(entity.name, verdict, entity.provenance + ("resolver",))
+        resolved.append(entity)
+    return EntityLedger(resolved)
+
+
+_ODD_NAMES = st.text(st.sampled_from("aB \t"), max_size=4).filter(str.strip)
+_ENTITIES = st.builds(
+    MedicalEntity,
+    _ODD_NAMES,
+    st.sampled_from(list(EntityStatus)),
+    st.lists(st.sampled_from(["rfe", "turn-pair 0", "turn-pair 1"]), max_size=2, unique=True),
+)
+
+
+@given(st.lists(st.lists(_ENTITIES, max_size=6), max_size=4))
+def test_collate_builds_what_the_constructors_build(entity_lists):
+    built, expected = collate(entity_lists), reference_collate(entity_lists)
+    assert built == expected
+    assert repr(built) == repr(expected)  # each status a member, each provenance a tuple
+
+
+@given(
+    st.lists(_ENTITIES, max_size=6, unique_by=lambda e: e.name),
+    st.lists(st.tuples(_ODD_NAMES, st.sampled_from(list(EntityStatus))), max_size=6),
+)
+@settings(deadline=None)
+def test_resolve_unknowns_builds_what_the_constructors_build(templates, entities, lines):
+    completion = "\n".join(f"- {name} ({status.value})" for name, status in lines)
+    client, _ = make_client(lambda req: completion)
+    deps = ChainDeps(client=client, templates=templates)
+    ledger = EntityLedger(entities)
+    built = resolve_unknowns(ledger, make_encounter(), ChainConfig(), deps, RunLog())
+    expected = reference_resolve(ledger, lines)
+    assert built == expected
+    assert repr(built) == repr(expected)
 
 
 class TestResolveUnknowns:

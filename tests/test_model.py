@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import OrderedDict
 from types import MappingProxyType
 from typing import Mapping
 
@@ -23,7 +24,11 @@ from medsum.model import (
     TraceEntry,
     Turn,
     ValidationError,
+    _checked_entity,
+    _checked_ledger,
+    _checked_trace_entry,
     collapse_whitespace,
+    compact_json,
     json_field,
     normalize_entity_name,
     validate_encounter,
@@ -450,6 +455,51 @@ def test_record_decoder_builds_what_the_constructors_build(raw):
     again = RunRecord.from_json_dict(json.loads(line))
     assert_same(again, record)
     assert again.to_json_line() == line
+
+
+# Each `_checked_*` builder, given what the public constructor stores,
+# builds what the constructor builds.
+_ODD_NAME = st.text(st.sampled_from("aB \tßİé\u00a0"), max_size=8).filter(str.strip)
+
+
+@given(
+    _ODD_NAME,
+    st.sampled_from([*EntityStatus, *(s.value for s in EntityStatus)]),
+    st.lists(_TEXT, max_size=3),
+    st.booleans(),
+)
+def test_entity_builder_builds_what_the_constructor_builds(name, status, tags, as_list):
+    expected = MedicalEntity(name, status, tags if as_list else tuple(tags))
+    built = _checked_entity(normalize_entity_name(name), EntityStatus(status), tuple(tags))
+    assert_same(built, expected)
+    assert not hasattr(built, "__dict__")
+
+
+@given(st.lists(_ODD_NAME, max_size=5, unique_by=collapse_whitespace), st.data())
+def test_ledger_builder_builds_what_the_constructor_builds(names, data):
+    entities = [
+        MedicalEntity(name, data.draw(st.sampled_from(list(EntityStatus))), ("rfe",))
+        for name in names
+    ]
+    expected = EntityLedger(entity for entity in entities)
+    built = _checked_ledger(tuple(entities))
+    assert_same(built, expected)
+    assert vars(built) == vars(expected)
+
+
+@given(
+    st.sampled_from([*PromptKind, *(k.value for k in PromptKind)]),
+    _TEXT,
+    st.dictionaries(_TEXT, _JSON, max_size=3),
+    st.sampled_from([dict, OrderedDict, MappingProxyType]),
+)
+def test_trace_entry_builder_builds_what_the_constructor_builds(kind, key, params, as_mapping):
+    given_params = as_mapping(params)
+    expected = TraceEntry(kind, key, given_params, compact_json(params))
+    built = _checked_trace_entry(PromptKind(kind), key, dict(given_params), compact_json(params))
+    assert_same(built, expected)
+    assert built.params_json == expected.params_json
+    assert not hasattr(built, "__dict__")
 
 
 def _raised(build, raw):

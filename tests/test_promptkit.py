@@ -694,6 +694,15 @@ class TestParseWithProvenance:
         assert warnings == plain_warnings
 
 
+def test_provenance_becomes_one_tuple_that_every_entity_shares():
+    entities, _ = parse_entity_list("- fever (absent)\n- Back \t Pain (PRESENT)", ["rfe"])
+    expected = [
+        MedicalEntity("fever", "absent", ["rfe"]), MedicalEntity("back pain", "present", ["rfe"])
+    ]
+    assert repr(entities) == repr(expected)
+    assert entities[0].provenance is entities[1].provenance
+
+
 def reference_parse_entity_list(raw, provenance=()):
     """`parse_entity_list` with every line through `_ENTITY_LINE_RE`."""
     entities, warnings, saw_content = [], [], False

@@ -71,3 +71,73 @@ def test_an_import_left_behind_is_found():
         "    return http.client.OK\n"
     )
     assert _unused_imports(source, "m.py") == ["m.py:1: PromptKind"]
+
+
+# The only functions that may use a `_checked_*` builder of `medsum.model`:
+# each passes it values it has already checked, as the builder's docstring
+# asks, so no outside input reaches a builder unchecked.
+_BUILDER_CALLERS = {
+    "model._check_encounter",
+    "promptkit.parse_entity_list",
+    "chain.collate",
+    "chain.resolve_unknowns",
+    "chain._traced",
+}
+
+
+def _model_builders() -> set[str]:
+    """The names of the `_checked_*` functions `medsum.model` defines."""
+    tree = ast.parse((ROOT / "src" / "medsum" / "model.py").read_text(encoding="utf-8"))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_checked_")}
+
+
+def _builder_uses(source: str, module: str, builders: set[str]) -> list[str]:
+    """Each use of a name in `builders` in `source` outside `_BUILDER_CALLERS`,
+    as `<module>.<top-level definition>:<line>: <name>`, where a use at
+    module level has the definition `<module>`. A use is a name or
+    attribute read, or a builder imported under another name, which would
+    hide its calls."""
+    uses = []
+    for top in ast.parse(source).body:
+        owner = f"{module}.{getattr(top, 'name', '<module>')}"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias) and node.asname:
+                name = node.name
+            else:
+                continue
+            if name in builders and owner not in _BUILDER_CALLERS:
+                uses.append(f"{owner}:{node.lineno}: {name}")
+    return uses
+
+
+def test_only_the_checked_paths_use_a_builder():
+    builders = _model_builders()
+    assert {"_checked_turn", "_checked_entity", "_checked_ledger"} <= builders
+    paths = sorted((ROOT / "src" / "medsum").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    assert len(paths) > 10
+    uses = []
+    for path in paths:
+        uses += _builder_uses(path.read_text(encoding="utf-8"), path.stem, builders)
+    assert uses == []
+
+
+def test_a_builder_used_elsewhere_is_found():
+    source = (
+        "from .model import _checked_entity, _checked_ledger as ledger_of\n"
+        "def collate(lists):\n"
+        "    return _checked_entity('a', None, ())\n"
+        "def load(raw):\n"
+        "    return model._checked_trace_entry(raw, '', {}, '{}')\n"
+        "ENTITY = _checked_entity('b', None, ())\n"
+    )
+    builders = {"_checked_entity", "_checked_ledger", "_checked_trace_entry"}
+    assert _builder_uses(source, "chain", builders) == [
+        "chain.<module>:1: _checked_ledger",
+        "chain.load:5: _checked_trace_entry",
+        "chain.<module>:6: _checked_entity",
+    ]
