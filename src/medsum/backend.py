@@ -566,17 +566,13 @@ class ReplayStore:
 
 
 class ReplayTransport:
-    """Strict replay: serve stored responses, error on any miss."""
+    """Strict replay: the client serves stored responses; `send`, the miss path, raises."""
 
     def __init__(self, store: ReplayStore):
         self.store = store
         self.peek: Callable[[str], str | None] = store.get
 
     def send(self, req: CompletionRequest, key: str) -> str:
-        text = self.store.get(key)
-        return self._miss(req, key) if text is None else text
-
-    def _miss(self, req: CompletionRequest, key: str) -> str:
         raise ReplayMissError(key)
 
     def close(self) -> None:
@@ -584,15 +580,14 @@ class ReplayTransport:
 
 
 class RecordingTransport(ReplayTransport):
-    """Record-through transport: serve from the store when possible,
-    otherwise delegate to the inner transport and persist the response.
-    """
+    """Record-through transport: the client serves from the store; `send`,
+    the miss path, delegates to the inner transport and persists the response."""
 
     def __init__(self, inner: Transport, store: ReplayStore):
         super().__init__(store)
         self.inner = inner
 
-    def _miss(self, req: CompletionRequest, key: str) -> str:
+    def send(self, req: CompletionRequest, key: str) -> str:
         text = self.inner.send(req)
         self.store.put(key, req.prompt_kind, text)
         return text

@@ -10,7 +10,6 @@ issues one summarization call with no entity grounding.
 from __future__ import annotations
 
 import hashlib
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -57,11 +56,8 @@ from .selection import (
     ExamplePool,
     SelectionQuery,
     select_random,
-    select_semantic,
     select_semantic_many,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SelectionMode",
@@ -179,9 +175,7 @@ def encounter_seed(encounter_id: str, run_seed: int) -> int:
 
 def encounter_text(enc: Encounter) -> str:
     """The whole conversation as plain text, opening message first."""
-    lines = [f"Reason for encounter: {enc.rfe}"]
-    lines.extend(_SPEAKER_LABEL[t.speaker] + t.text for t in enc.turns)
-    return "\n".join(lines)
+    return f"Reason for encounter: {enc.rfe}\n" + window_text(enc.turns)
 
 
 def window_text(window: Sequence[Turn]) -> str:
@@ -216,8 +210,7 @@ def _select_examples(
     deps: ChainDeps,
 ) -> list[list[LabeledExample]]:
     """The configured number of examples of `kind` for the prompt of each
-    input text; a random draw ignores the text, so all share one list. One
-    text takes the one-query `select_semantic`, more are scored together."""
+    input text; a random draw ignores the text, so all share one list."""
     _, k = cfg.shots(kind)
     if k == 0 or not query_texts:
         return [[]] * len(query_texts)
@@ -229,8 +222,6 @@ def _select_examples(
     if deps.embedder is None:
         raise ValueError("semantic selection needs an embedding gateway")
     queries = [SelectionQuery(age=enc.age, sex=enc.sex, text=text) for text in query_texts]
-    if len(queries) == 1:
-        return [select_semantic(pool, queries[0], k, deps.embedder)]
     return select_semantic_many(pool, queries, k, deps.embedder)
 
 
@@ -535,7 +526,6 @@ def run_many(
         try:
             return RunOutcome(enc.id, record=runner(enc, cfg, deps))
         except Exception as exc:
-            logger.warning("encounter %s failed: %s", enc.id, exc)
             return RunOutcome(enc.id, error=exc)
 
     if workers <= 1:

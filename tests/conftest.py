@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import socket
 import threading
 import time
@@ -29,6 +30,7 @@ from medsum.model import (
 )
 from medsum.promptkit import load_templates
 from medsum.selection import ExamplePool, load_example_pools
+from paper_encounters import paper_encounter
 
 # Where CI is set (GitHub Actions sets it), every property test draws the same
 # examples on every run, and a failure prints the blob that replays it.
@@ -47,6 +49,14 @@ _JSON_OF_TYPE = {
     list: st.one_of(st.lists(st.integers(), max_size=2), st.just([["a", 1]])),
     dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 }
+
+
+def paper_shaped_encounters():
+    """Encounters shaped like the paper's data set (see `paper_encounters`),
+    each drawn from a `random.Random` seeded with a drawn integer."""
+    return st.integers(0, 2**64 - 1).map(
+        lambda seed: paper_encounter(random.Random(seed), f"paper-drawn-{seed}")
+    )
 
 
 def json_of_another_type(kind):

@@ -858,10 +858,10 @@ class TestReplayStore:
         req = request_for("what brings you in")
         recorded = recorder.send(req, cache_key(req))
 
-        replayer = ReplayTransport(ReplayStore(store_path))
-        assert replayer.send(req, cache_key(req)) == recorded
+        replayer = CompletionClient(ReplayTransport(ReplayStore(store_path)))
+        assert replayer.complete(req) == recorded
         # The live transport is not consulted again while recording a hit.
-        recorder.send(req, cache_key(req))
+        CompletionClient(recorder).complete(req)
         assert len(live.requests) == 1
 
     def test_replay_miss_names_key(self, tmp_path):

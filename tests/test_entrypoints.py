@@ -94,6 +94,25 @@ def test_pools_that_is_not_a_string_exits_1(tmp_path):
     assert not output.exists()
 
 
+def test_run_reports_each_failed_encounter_once(tmp_path):
+    """Replaying `sample_data` against an empty store fails every encounter,
+    and stderr holds one `FAIL <id>:` line for each, nothing more. Only a
+    fresh interpreter shows a stray log line here: under pytest the logging
+    plugin takes the record before Python's last-resort handler can write it."""
+    dataset = ROOT / "sample_data" / "encounters.jsonl"
+    store, config, output = tmp_path / "store.jsonl", tmp_path / "config.json", tmp_path / "o.jsonl"
+    store.write_text("")
+    config.write_text(json.dumps({"pools": str(ROOT / "sample_data" / "pools.jsonl")}))
+    argv = ["run", str(dataset), str(output), "--config", str(config), "--replay-store", str(store)]
+    result = run_python(["-m", "medsum", *argv], stdin=subprocess.DEVNULL)
+    assert result.returncode == 2, result.stderr
+    ids = [json.loads(line)["id"] for line in dataset.read_text(encoding="utf-8").splitlines()]
+    lines = result.stderr.splitlines()
+    assert len(lines) == len(ids), result.stderr
+    for enc_id, line in zip(ids, lines):
+        assert line.startswith(f"FAIL {enc_id}: encounter {enc_id}: rfe extraction failed: ")
+
+
 _OTHER_PYTHONS = ["3.10", "3.12", "3.13"]
 
 

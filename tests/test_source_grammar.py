@@ -141,3 +141,49 @@ def test_a_builder_used_elsewhere_is_found():
         "chain.load:5: _checked_trace_entry",
         "chain.<module>:6: _checked_entity",
     ]
+
+
+# The one module that may log: the replay store's torn-tail warning and the
+# client's retry DEBUG line. Every other module hands what went wrong to its
+# caller, which reports it once (a failed encounter's `FAIL` line, say).
+_LOGGING_MODULES = {"backend"}
+
+
+def _logging_imports(source: str, module: str) -> list[str]:
+    """Each import of `logging` or a submodule of it in `source`, as
+    `<module>:<line>`, unless `module` is one of `_LOGGING_MODULES`."""
+    if module in _LOGGING_MODULES:
+        return []
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == "logging" or name.startswith("logging.") for name in names):
+            lines.add(node.lineno)
+    return [f"{module}:{line}" for line in sorted(lines)]
+
+
+def test_only_the_backend_logs():
+    paths = sorted((ROOT / "src" / "medsum").glob("*.py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        found += _logging_imports(path.read_text(encoding="utf-8"), path.stem)
+    assert found == []
+
+
+def test_a_logging_import_elsewhere_is_found():
+    source = (
+        "import hashlib\n"
+        "def f():\n"
+        "    import logging.handlers\n"
+        "from logging import getLogger\n"
+        "from .logging_setup import x\n"
+    )
+    assert _logging_imports(source, "chain") == ["chain:3", "chain:4"]
+    assert _logging_imports(source, "backend") == []
+    assert _logging_imports("import logging\n", "backend") == []
